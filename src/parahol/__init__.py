@@ -13,7 +13,6 @@ from .classify import (
     DegreeUnkillable,
     HolonomyDatum,
     LambdaNonzero,
-    QuadraticInfeasible,
     Verdict,
     classify,
     conjugate_by_exp,
@@ -49,7 +48,6 @@ __all__ = [
     "LambdaNonzero",
     "MatrixRealization",
     "OracleReport",
-    "QuadraticInfeasible",
     "ScaleData",
     "Verdict",
     "brute_force_oracle",

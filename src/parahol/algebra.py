@@ -312,10 +312,6 @@ class GradedLieAlgebra:
                     out[l] = out[l] + f * c
         return AlgebraElement(self, out)
 
-    def ad_matrix(self, i):
-        """Matrix of ad(e_i) acting on coefficient columns."""
-        return self._ad_matrices[i]
-
     @cached_property
     def _ad_matrices(self):
         mats = []
@@ -518,16 +514,6 @@ class GradedLieAlgebra:
             "basis": list(self.basis_names),
             "grades": list(self.grade),
         }
-
-    def structure_sparse(self):
-        """Structure constants as a sparse triple list [i, j, l, "c"]."""
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for l, c in enumerate(self.structure[i][j]):
-                    if c != 0:
-                        triples.append([i, j, l, str(c)])
-        return triples
 
     def __repr__(self):
         return f"GradedLieAlgebra({self.family}{self.params}, dim={self.dim}, k={self.k})"

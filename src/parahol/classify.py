@@ -17,11 +17,14 @@ restricted search already decides conjugacy under all of P. The grade-0
 component itself is untouched by exp(p_+)-conjugation, which makes
 lambda'(X_0) a conjugation invariant and the verdict well defined.
 
-Algorithm: grade-descending elimination. The degree-1 condition is a linear
-system for Z_1; for k = 2 the leftover degree-2 residual, projected to the
-cokernel of ad(X_0) on g_2, is a polynomial of degree <= 2 in the kernel
-parameters of the degree-1 stage and its real solvability is decided
-exactly (see quadratic.py). Depth k >= 3 is rejected.
+Algorithm: grade-by-grade exact linear elimination. With Z the sum of the
+Z_j found so far, the degree-d part r_d of exp(ad Z)X must equal
+ad(X_0)Z_d for some Z_d in g_d; Z_d is the minimum-norm solution, and when
+none exists the verdict is Essential with the certificate that degree d is
+unkillable. Adding Z_d changes no component of degree <= d, and if any Z in
+p_+ conjugates X into g_0 then every partial solution leaves an r_d in the
+image of ad(X_0), so a failure at degree d is a proof. Depth k >= 3 is
+rejected.
 """
 
 import enum
@@ -29,16 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from . import linalg, quadratic
+from . import linalg
 from .errors import DomainError, UnsupportedDepthError
+from .jsonio import fraction_to_json
 from .scales import default_scale
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-
-NUMERIC_RESIDUAL_THRESHOLD = 1e-9
 
 
 class Verdict(enum.Enum):
@@ -52,7 +51,7 @@ class LambdaNonzero:
     value: Fraction
 
     def to_json_dict(self):
-        return {"lambda_nonzero": _frac_json(self.value)}
+        return {"lambda_nonzero": fraction_to_json(self.value)}
 
 
 @dataclass(frozen=True)
@@ -63,32 +62,24 @@ class DegreeUnkillable:
         return {"degree_d_unkillable": self.degree}
 
 
-@dataclass(frozen=True)
-class QuadraticInfeasible:
-    form: quadratic.QuadraticMap
-    cokernel_dim: int
-
-    def to_json_dict(self):
-        body = self.form.to_json_dict()
-        body["cokernel_dim"] = self.cokernel_dim
-        return {"quadratic_infeasible": body}
-
-
 @dataclass
 class Classification:
     """Verdict record with witness or certificate.
 
     witness: Z in p_+ with conjugate_by_exp(Z, x) in Ker(lambda')
-    (Inessential) or in g_0 (WeylReducible). exact is False only when a
-    numeric fallback produced the witness or decision; residual then holds
-    the conjugation residual.
+    (Inessential) or in g_0 (WeylReducible), checked exactly before it is
+    returned. certificate: LambdaNonzero for WeylReducible, DegreeUnkillable
+    for Essential. Every decision is exact; reports keep the constant
+    "exact": true and "residual": null fields.
     """
 
     verdict: Verdict
     witness: Optional[object] = None
     certificate: Optional[object] = None
-    exact: bool = True
-    residual: Optional[float] = None
+
+    @property
+    def exact(self):
+        return True
 
     @property
     def is_essential(self):
@@ -99,18 +90,12 @@ class Classification:
             "verdict": "Essential" if self.is_essential else "Inessential",
             "weyl_reducible": self.verdict is Verdict.WEYL_REDUCIBLE,
             "witness": (None if self.witness is None
-                        else [_frac_json(c) for c in self.witness.coeffs]),
+                        else [fraction_to_json(c) for c in self.witness.coeffs]),
             "certificate": (None if self.certificate is None
                             else self.certificate.to_json_dict()),
-            "exact": self.exact,
-            "residual": self.residual,
+            "exact": True,
+            "residual": None,
         }
-
-
-def _frac_json(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    return float(v)
 
 
 class HolonomyDatum:
@@ -159,8 +144,6 @@ def conjugate_by_exp(z, x):
 class _KillResult:
     witness: Optional[object]
     certificate: Optional[object]
-    exact: bool = True
-    residual: Optional[float] = None
 
 
 def kill_positive_part(datum):
@@ -174,38 +157,21 @@ def classify(datum):
     ell = scale.lambda_prime_of_grade0(datum.x)
     result = _kill_analysis(datum)
     if result.witness is None:
-        return Classification(
-            Verdict.ESSENTIAL,
-            witness=None,
-            certificate=result.certificate,
-            exact=result.exact,
-            residual=result.residual,
-        )
+        return Classification(Verdict.ESSENTIAL, certificate=result.certificate)
     if ell == 0:
-        return Classification(
-            Verdict.INESSENTIAL,
-            witness=result.witness,
-            certificate=None,
-            exact=result.exact,
-            residual=result.residual,
-        )
-    return Classification(
-        Verdict.WEYL_REDUCIBLE,
-        witness=result.witness,
-        certificate=LambdaNonzero(ell),
-        exact=result.exact,
-        residual=result.residual,
-    )
+        return Classification(Verdict.INESSENTIAL, witness=result.witness)
+    return Classification(Verdict.WEYL_REDUCIBLE, witness=result.witness,
+                          certificate=LambdaNonzero(ell))
 
 
 def holonomy_flow(datum, t):
     """exp(t·x) in the registered matrix realization (float matrix)."""
+    import numpy as np
     import scipy.linalg
 
     realization = datum.algebra.require_realization()
     mat = realization.matrix_of(datum.x)
-    arr = np.array([[float(v) for v in row] for row in mat], dtype=float)
-    return scipy.linalg.expm(t * arr)
+    return scipy.linalg.expm(t * np.array(mat, dtype=float))
 
 
 # -- elimination stages --------------------------------------------------------
@@ -239,196 +205,16 @@ def _kill_analysis(datum):
         )
     x = datum.x
     x0 = x.component(0)
-    if k == 1:
-        return _kill_depth_one(algebra, x, x0)
-    return _kill_depth_two(algebra, x, x0)
-
-
-def _kill_depth_one(algebra, x, x0):
-    x1 = x.component(1)
-    if x1.is_zero:
-        return _verified(algebra, x, algebra.zero())
-    a1 = _restricted_ad(algebra, x0, 1, 1)
-    b1 = _grade_coords(algebra, x1, 1)
-    z1 = linalg.solve_min_norm(a1, b1)
-    if z1 is None:
-        return _KillResult(None, DegreeUnkillable(1))
-    witness = _element_from_grade_coords(algebra, 1, z1)
-    return _verified(algebra, x, witness)
-
-
-def _kill_depth_two(algebra, x, x0):
-    x1 = x.component(1)
-    x2 = x.component(2)
-    a1 = _restricted_ad(algebra, x0, 1, 1)
-    b1 = _grade_coords(algebra, x1, 1)
-    z1_coords = linalg.solve_min_norm(a1, b1)
-    if z1_coords is None:
-        return _KillResult(None, DegreeUnkillable(1))
-    z1_star = _element_from_grade_coords(algebra, 1, z1_coords)
-    kernel = [_element_from_grade_coords(algebra, 1, v)
-              for v in linalg.nullspace(a1)]
-
-    # degree-2 residual r(t) = X2 + [Z1(t),X1] + 1/2 [Z1(t),[Z1(t),X0]]
-    # as a polynomial in the kernel parameters t, written with a full
-    # symmetric double sum: r(t) = r_const + Σ t_i r_lin[i] + Σ t_i t_j r_quad[i][j]
-    br = algebra.bracket
-    r_const = x2 + br(z1_star, x1) + HALF * br(z1_star, br(z1_star, x0))
-    r_lin = [
-        br(n, x1) + HALF * (br(n, br(z1_star, x0)) + br(z1_star, br(n, x0)))
-        for n in kernel
-    ]
-    m = len(kernel)
-    quarter = Fraction(1, 4)
-    r_quad = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            term = quarter * (br(kernel[i], br(kernel[j], x0))
-                              + br(kernel[j], br(kernel[i], x0)))
-            r_quad[i][j] = term
-            r_quad[j][i] = term
-
-    a2 = _restricted_ad(algebra, x0, 2, 2)
-    cokernel = linalg.nullspace(linalg.transpose(a2)) if a2 else []
-    c = len(cokernel)
-
-    if c == 0:
-        return _finish_depth_two(algebra, x, x0, z1_star, kernel,
-                                 tuple([ZERO] * m), a2, r_const, r_lin, r_quad)
-
-    # project the residual polynomial onto the cokernel
-    forms = []
-    for phi in cokernel:
-        const = linalg.dot(phi, _grade_coords(algebra, r_const, 2))
-        lin = tuple(linalg.dot(phi, _grade_coords(algebra, e, 2)) for e in r_lin)
-        quad = tuple(
-            tuple(linalg.dot(phi, _grade_coords(algebra, r_quad[i][j], 2))
-                  for j in range(m))
-            for i in range(m)
-        )
-        forms.append(quadratic.QuadraticMap(quad, lin, const))
-
-    t_star, exact, failure = _solve_projected_system(forms, m)
-    if failure is not None:
-        return _KillResult(None, failure, exact=exact)
-    if exact:
-        return _finish_depth_two(algebra, x, x0, z1_star, kernel,
-                                 tuple(t_star), a2, r_const, r_lin, r_quad)
-    return _finish_depth_two_numeric(algebra, x, z1_star, kernel, t_star,
-                                     a2, r_const, r_lin, r_quad)
-
-
-def _solve_projected_system(forms, m):
-    """Find t with every projected component zero.
-
-    Returns (t, exact, failure_certificate). Exact whenever the system is
-    constant, affine, or a single quadratic; the multi-quadratic fallback is
-    numeric (multi-start least squares).
-    """
-    if all(f.is_constant for f in forms):
-        if all(f.const == 0 for f in forms):
-            return tuple([ZERO] * m), True, None
-        # no parameter enters the obstruction: a pure degree-2 failure
-        return None, True, DegreeUnkillable(2)
-
-    if all(f.is_affine for f in forms):
-        rows = [list(f.lin) for f in forms]
-        rhs = [-f.const for f in forms]
-        t = linalg.solve_min_norm(rows, rhs)
-        if t is None:
-            return None, True, QuadraticInfeasible(forms[0], len(forms))
-        return tuple(t), True, None
-
-    if len(forms) == 1:
-        decision = quadratic.attains_zero(forms[0])
-        if not decision.feasible:
-            return None, True, QuadraticInfeasible(forms[0], 1)
-        return decision.witness, decision.exact_witness, None
-
-    # several genuinely quadratic conditions: deterministic multi-start
-    # least squares, honest numeric verdict either way
-    t, resid = _least_squares_zero(forms, m)
-    if resid <= NUMERIC_RESIDUAL_THRESHOLD:
-        return tuple(t), False, None
-    return None, False, QuadraticInfeasible(forms[0], len(forms))
-
-
-def _least_squares_zero(forms, m):
-    import scipy.optimize
-
-    def fun(t):
-        return np.array([float(f(tuple(t))) for f in forms])
-
-    starts = [np.zeros(m)]
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        starts.extend([e, -e])
-    rng = np.random.default_rng(20240229)
-    starts.extend(rng.normal(size=m) for _ in range(8))
-    best_t, best_r = None, np.inf
-    for s in starts:
-        res = scipy.optimize.least_squares(fun, s, method="lm", xtol=1e-14)
-        r = float(np.linalg.norm(fun(res.x)))
-        if r < best_r:
-            best_t, best_r = res.x, r
-    return list(best_t), best_r
-
-
-def _finish_depth_two(algebra, x, x0, z1_star, kernel, t_star, a2,
-                      r_const, r_lin, r_quad):
-    z1 = z1_star
-    for ti, n in zip(t_star, kernel):
-        z1 = z1 + ti * n
-    r = _residual_at(r_const, r_lin, r_quad, t_star)
-    b2 = _grade_coords(algebra, r, 2)
-    z2_coords = linalg.solve_min_norm(a2, b2) if a2 else []
-    if z2_coords is None:
-        raise AssertionError("projected residual reported solvable but the lift failed")
-    z2 = _element_from_grade_coords(algebra, 2, z2_coords)
-    return _verified(algebra, x, z1 + z2)
-
-
-def _residual_at(r_const, r_lin, r_quad, t):
-    r = r_const
-    for ti, e in zip(t, r_lin):
-        r = r + ti * e
-    m = len(t)
-    for i in range(m):
-        for j in range(m):
-            coeff = t[i] * t[j]
-            if coeff != 0:
-                r = r + coeff * r_quad[i][j]
-    return r
-
-
-def _finish_depth_two_numeric(algebra, x, z1_star, kernel, t_star, a2,
-                              r_const, r_lin, r_quad):
-    """Numeric witness assembly when the exact path produced a float t."""
-    tf = [float(v) for v in t_star]
-    z1 = z1_star
-    for ti, n in zip(tf, kernel):
-        z1 = z1 + ti * n
-    r = _residual_at(r_const, r_lin, r_quad, tf)
-    b2 = [float(v) for v in _grade_coords(algebra, r, 2)]
-    if a2:
-        a2f = np.array([[float(v) for v in row] for row in a2])
-        z2f, *_ = np.linalg.lstsq(a2f, np.array(b2), rcond=None)
-    else:
-        z2f = []
-    z2 = _element_from_grade_coords(algebra, 2, list(z2f))
-    witness = z1 + z2
-    conj = algebra.exp_ad(_float_element(witness), _float_element(x))
-    residual = max(
-        (abs(float(c)) for g in range(1, algebra.k + 1)
-         for c in _grade_coords(algebra, conj, g)),
-        default=0.0,
-    )
-    return _KillResult(witness, None, exact=False, residual=residual)
-
-
-def _float_element(e):
-    return e.algebra.element_from_coeffs([float(c) for c in e.coeffs])
+    z = algebra.zero()
+    for d in range(1, k + 1):
+        r = _grade_coords(algebra, algebra.exp_ad(z, x) if not z.is_zero else x, d)
+        if linalg.is_zero_vector(r):  # its minimum-norm solution is Z_d = 0
+            continue
+        z_d = linalg.solve_min_norm(_restricted_ad(algebra, x0, d, d), r)
+        if z_d is None:
+            return _KillResult(None, DegreeUnkillable(d))
+        z = z + _element_from_grade_coords(algebra, d, z_d)
+    return _verified(algebra, x, z)
 
 
 def _verified(algebra, x, witness):

@@ -40,6 +40,7 @@ from .errors import (
     WeylSectionInapplicableError,
 )
 from .families import build_conformal
+from .jsonio import fraction_to_json
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -222,19 +223,15 @@ class FlatConformalField:
 
     def to_json_dict(self):
         return {
-            "a": [_fj(v) for v in self.a],
-            "A": [[_fj(v) for v in row] for row in self.linear],
-            "s": _fj(self.s),
-            "b": [_fj(v) for v in self.b],
+            "a": [fraction_to_json(v) for v in self.a],
+            "A": [[fraction_to_json(v) for v in row] for row in self.linear],
+            "s": fraction_to_json(self.s),
+            "b": [fraction_to_json(v) for v in self.b],
             "signature": [self.signature[0], self.signature[1]],
         }
 
     def __repr__(self):
         return f"FlatConformalField({self.signature}, xi={self.xi})"
-
-
-def _fj(v):
-    return int(v) if v.denominator == 1 else str(v)
 
 
 # -- gauge transport and holonomy extraction ------------------------------------

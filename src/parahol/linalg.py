@@ -130,30 +130,25 @@ def solve(a_rows, b):
 def solve_min_norm(a_rows, b):
     """Minimum-Euclidean-norm solution of A·x = b, or None when inconsistent.
 
-    Uses x = Aᵀy with (A Aᵀ)y = b, which is exact over the rationals and
-    deterministic; this is the tie-breaking rule for witness selection.
+    One elimination of [A | b] decides consistency and leaves R·x = c, with
+    R of full row rank and the same solutions. The minimum-norm solution
+    lies in the row space of R: x = Rᵀy with (R Rᵀ)y = c, which is exact
+    over the rationals and deterministic; this is the tie-breaking rule for
+    witness selection.
     """
     m = len(a_rows)
     if m == 0:
         return []
     n = len(a_rows[0])
-    if n == 0:
-        return [] if is_zero_vector(b) else None
-    if not _consistent(a_rows, b):
+    work = [list(map(Fraction, a_rows[i])) + [Fraction(b[i])] for i in range(m)]
+    rank_a = len(rref(work, aug=1))
+    if any(row[n] != 0 for row in work[rank_a:]):
         return None
-    gram = matmul(a_rows, transpose(a_rows))
-    y = solve(gram, b)
-    if y is None:
-        return None
-    at = transpose(a_rows)
-    return matvec(at, y)
-
-
-def _consistent(a_rows, b):
-    work = [list(map(Fraction, a_rows[i])) + [Fraction(b[i])] for i in range(len(a_rows))]
-    pivots = rref(work, aug=1)
-    n = len(a_rows[0]) if a_rows else 0
-    return all(row[n] == 0 for row in work[len(pivots):])
+    if rank_a == 0:
+        return [ZERO] * n
+    r_rows = [row[:n] for row in work[:rank_a]]
+    y = solve(matmul(r_rows, transpose(r_rows)), [row[n] for row in work[:rank_a]])
+    return matvec(transpose(r_rows), y)
 
 
 def identity_vectors(n):
@@ -176,60 +171,6 @@ def nullspace(a_rows):
             vec[pc] = -work[r][fc]
         basis.append(vec)
     return basis
-
-
-def inertia(sym_rows):
-    """Signature (n_plus, n_minus, n_zero) of a rational symmetric matrix.
-
-    Exact congruence diagonalization: diagonal pivots when available,
-    hyperbolic 2×2 blocks (one +, one −) otherwise. This is the "exact sign
-    analysis" backing the quadratic feasibility decision.
-    """
-    s = frac_rows(sym_rows)
-    n = len(s)
-    n_pos = n_neg = n_zero = 0
-    live = list(range(n))
-    while live:
-        p = None
-        for i in live:
-            if s[i][i] != 0:
-                p = i
-                break
-        if p is not None:
-            d = s[p][p]
-            if d > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
-            live.remove(p)
-            for i in live:
-                f = s[i][p] / d
-                if f == 0:
-                    continue
-                for j in live:
-                    s[i][j] -= f * s[p][j]
-                s[i][p] = ZERO
-            for j in live:
-                s[p][j] = ZERO
-            continue
-        off = None
-        for ii, i in enumerate(live):
-            for j in live[ii + 1:]:
-                if s[i][j] != 0:
-                    off = (i, j)
-                    break
-            if off:
-                break
-        if off is None:
-            n_zero += len(live)
-            break
-        i, j = off
-        # congruence by (e_i -> e_i + e_j) creates a nonzero diagonal entry
-        for col in range(n):
-            s[i][col] += s[j][col]
-        for row in range(n):
-            s[row][i] += s[row][j]
-    return n_pos, n_neg, n_zero
 
 
 def in_span(vectors, target):

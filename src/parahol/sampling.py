@@ -8,6 +8,8 @@ relies on.
 import random
 from fractions import Fraction
 
+from . import linalg
+
 ZERO = Fraction(0)
 
 
@@ -50,6 +52,30 @@ def random_instance(algebra, scale, rng):
     elif kind == 3:
         x = x.component(0)
     return x
+
+
+def kernel_instance(algebra, rng):
+    """Element of the nonnegative part whose X_0 kills a grade-1 element e.
+
+    X_0 is a small integer combination of a kernel basis of X ↦ [e, X] on
+    g_0, for a random small-integer e in g_1, so ad(X_0) on g_1 has a kernel
+    that is in general not spanned by basis vectors, and the degree-1 solve
+    has free directions. Every other draw is planted (conjugate into g_0 by a
+    random positive element); the rest add a random positive part.
+    """
+    idx0 = algebra.indices_of_grade(0)
+    idx1 = algebra.indices_of_grade(1)
+    e = random_element(algebra, rng, grades=(1,), max_abs=2, denominators=(1,))
+    ad_e = algebra.ad_matrix_of(e)
+    coeffs = [ZERO] * algebra.dim
+    for v in linalg.nullspace([[ad_e[r][c] for c in idx0] for r in idx1]):
+        f = rng.randint(-2, 2)
+        for t, i in enumerate(idx0):
+            coeffs[i] += f * v[t]
+    x0 = algebra.element_from_coeffs(coeffs)
+    if rng.randrange(2):
+        return algebra.exp_ad(random_positive_element(algebra, rng, max_abs=3), x0)
+    return x0 + random_positive_element(algebra, rng)
 
 
 def lattice_point(algebra, rng, radius=Fraction(1), steps=1):

@@ -49,9 +49,6 @@ class ScaleData:
         """lambda' applied to the grade-0 component of an arbitrary element."""
         return self.algebra.killing_form(self.e_lambda, x.component(0))
 
-    def in_kernel(self, a):
-        return self.lambda_prime(a) == 0
-
     def to_json_dict(self):
         alg = self.algebra
         zero_idx = alg.indices_of_grade(0)

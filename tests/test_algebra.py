@@ -282,15 +282,6 @@ def test_describe_and_sparse_export(so41):
     assert doc["params"] == [3, 0]
     assert len(doc["basis"]) == 10
     assert doc["grades"].count(0) == 4
-    triples = so41.structure_sparse()
-    # rebuild the bracket of P_1, K_1 from the sparse export alone
-    i = so41.basis_index("P_1")
-    j = so41.basis_index("K_1")
-    coeffs = [Fraction(0)] * so41.dim
-    for a, b, l, c in triples:
-        if a == i and b == j:
-            coeffs[l] = Fraction(c)
-    assert so41.element_from_coeffs(coeffs) == so41.basis_element("D")
 
 
 def test_structure_error_on_bad_grading():

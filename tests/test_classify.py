@@ -21,6 +21,7 @@ from parahol.classify import (
 from parahol.errors import DomainError, UnsupportedDepthError
 from parahol.families import build_conformal, build_cr
 from parahol.sampling import (
+    kernel_instance,
     random_instance,
     random_p_element,
     random_positive_element,
@@ -214,6 +215,22 @@ def test_cr_depth_two_instances_all_exact(su21):
                 assert conj.component(g).is_zero
 
 
+def test_numeric_witness_assembly_reports_residual(su21):
+    """A witness that needs a degree-2 correction is assembled exactly, and
+    the report keeps its constant "exact": true and "residual": null."""
+    x0 = su21.element({"E": 1, "J_1": 1})
+    planted = su21.exp_ad(su21.element({"K_1": 1, "S": 1}), x0)
+    result = classify(HolonomyDatum(su21, planted))
+    assert result.verdict is Verdict.WEYL_REDUCIBLE
+    assert result.witness == su21.element({"K_1": -1, "S": -1})
+    assert result.witness.exact
+    assert conjugate_by_exp(result.witness, planted) == x0
+    assert result.exact
+    report = result.to_json_dict()
+    assert report["exact"] is True
+    assert report["residual"] is None
+
+
 # -- invariance of the verdict --------------------------------------------------------
 
 
@@ -222,8 +239,8 @@ def test_verdict_invariant_under_positive_conjugation(family, so41, su21):
     algebra = so41 if family == "conformal" else su21
     scale = default_scale(algebra)
     rng = random.Random(97)
-    for _ in range(15):
-        x = random_instance(algebra, scale, rng)
+    for i in range(25):
+        x = random_instance(algebra, scale, rng) if i < 15 else kernel_instance(algebra, rng)
         base = classify(HolonomyDatum(algebra, x, scale))
         for _ in range(15):
             z = random_positive_element(algebra, rng, max_abs=4)
@@ -282,80 +299,6 @@ def test_depth_one_completeness(so41):
         killable = linalg.rank(image) == linalg.rank(augmented)
         inessential = killable and scale.lambda_prime_of_grade0(x) == 0
         assert (result.verdict is Verdict.INESSENTIAL) == inessential
-
-
-# -- the projected obstruction system (branches beyond the built-in algebras) -----
-
-
-def _qform(quad, lin, const):
-    from parahol.quadratic import QuadraticMap
-
-    return QuadraticMap(
-        tuple(tuple(Fraction(v) for v in row) for row in quad),
-        tuple(Fraction(v) for v in lin),
-        Fraction(const),
-    )
-
-
-def test_projected_system_constant_branches():
-    from parahol.classify import _solve_projected_system
-
-    t, exact, failure = _solve_projected_system([_qform([[0]], [0], 0)], 1)
-    assert t == (0,) and exact and failure is None
-    t, exact, failure = _solve_projected_system([_qform([[0]], [0], 3)], 1)
-    assert t is None and exact and failure == DegreeUnkillable(2)
-
-
-def test_projected_system_affine_branch():
-    from parahol.classify import QuadraticInfeasible, _solve_projected_system
-
-    t, exact, failure = _solve_projected_system(
-        [_qform([[0, 0], [0, 0]], [1, 1], -2),
-         _qform([[0, 0], [0, 0]], [1, -1], 0)], 2)
-    assert exact and failure is None
-    assert t == (1, 1)
-    t, exact, failure = _solve_projected_system(
-        [_qform([[0]], [1], 0), _qform([[0]], [1], 1)], 1)
-    assert t is None and exact
-    assert isinstance(failure, QuadraticInfeasible)
-
-
-def test_projected_system_single_quadratic_branch():
-    from parahol.classify import QuadraticInfeasible, _solve_projected_system
-
-    t, exact, failure = _solve_projected_system([_qform([[1]], [0], -4)], 1)
-    assert exact and failure is None and t in ((2,), (-2,))
-    t, exact, failure = _solve_projected_system([_qform([[1]], [0], 1)], 1)
-    assert t is None and exact and isinstance(failure, QuadraticInfeasible)
-    # feasible with only irrational roots: decision exact, witness numeric
-    t, exact, failure = _solve_projected_system([_qform([[1]], [0], -2)], 1)
-    assert failure is None and not exact
-    assert abs(abs(float(t[0])) - 2 ** 0.5) < 1e-8
-
-
-def test_projected_system_multi_quadratic_is_numeric():
-    from parahol.classify import QuadraticInfeasible, _solve_projected_system
-
-    feasible = [_qform([[1, 0], [0, 1]], [0, 0], -25),
-                _qform([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], [0, 0], -12)]
-    t, exact, failure = _solve_projected_system(feasible, 2)
-    assert failure is None and not exact
-    assert abs(float(t[0]) ** 2 + float(t[1]) ** 2 - 25) < 1e-6
-    infeasible = [_qform([[1, 0], [0, 0]], [0, 0], 1),
-                  _qform([[0, 0], [0, 1]], [0, 0], 1)]
-    t, exact, failure = _solve_projected_system(infeasible, 2)
-    assert t is None and not exact and isinstance(failure, QuadraticInfeasible)
-
-
-def test_numeric_witness_assembly_reports_residual(su21):
-    from parahol.classify import _finish_depth_two_numeric, _restricted_ad
-
-    x = su21.basis_element("S")
-    a2 = _restricted_ad(su21, su21.zero(), 2, 2)
-    result = _finish_depth_two_numeric(su21, x, su21.zero(), [], [], a2,
-                                       x, [], [])
-    assert not result.exact
-    assert result.residual == pytest.approx(1.0)
 
 
 # -- flows -----------------------------------------------------------------------

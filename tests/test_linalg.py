@@ -1,4 +1,4 @@
-"""Exact linear algebra: elimination, kernels, minimum-norm solves, inertia."""
+"""Exact linear algebra: elimination, kernels, minimum-norm solves."""
 
 import random
 from fractions import Fraction
@@ -61,6 +61,29 @@ def test_min_norm_solution_is_minimal_and_exact():
 
 def test_min_norm_none_when_inconsistent():
     assert linalg.solve_min_norm([[1, 2], [2, 4]], [1, 3]) is None
+    # seeded rank-deficient systems, about half of them inconsistent;
+    # consistent ones must give the minimum-norm solution
+    rng = random.Random(17)
+    inconsistent = 0
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(0, min(m, n) - 1)
+        if r:
+            a = linalg.matmul(rand_matrix(rng, m, r), rand_matrix(rng, r, n))
+        else:
+            a = [[Fraction(0)] * n for _ in range(m)]
+        if rng.randrange(2):
+            b = linalg.matvec(a, [Fraction(rng.randint(-4, 4)) for _ in range(n)])
+        else:
+            b = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
+        x = linalg.solve_min_norm(a, b)
+        solvable = linalg.rank(a) == linalg.rank([row + [v] for row, v in zip(a, b)])
+        assert (x is None) == (not solvable)
+        if x is not None:
+            assert len(x) == n and linalg.matvec(a, x) == b
+            assert all(linalg.dot(x, v) == 0 for v in linalg.nullspace(a))
+        inconsistent += not solvable
+    assert inconsistent >= 50
 
 
 def test_nullspace_dimension_and_membership():
@@ -71,33 +94,6 @@ def test_nullspace_dimension_and_membership():
         assert len(basis) == 6 - linalg.rank(a)
         for v in basis:
             assert linalg.is_zero_vector(linalg.matvec(a, v))
-
-
-@pytest.mark.parametrize("matrix,expected", [
-    ([[1, 0], [0, 1]], (2, 0, 0)),
-    ([[-3]], (0, 1, 0)),
-    ([[0, 1], [1, 0]], (1, 1, 0)),
-    ([[0, 0], [0, 0]], (0, 0, 2)),
-    ([[2, 1, 0], [1, 2, 0], [0, 0, -5]], (2, 1, 0)),
-])
-def test_inertia_known(matrix, expected):
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    assert linalg.inertia(rows) == expected
-
-
-def test_inertia_matches_numpy_eigenvalues():
-    import numpy as np
-
-    rng = random.Random(3)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        a = rand_matrix(rng, n, n, max_abs=4)
-        sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
-        got = linalg.inertia(sym)
-        eig = np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in sym]))
-        expected = (int((eig > 1e-9).sum()), int((eig < -1e-9).sum()),
-                    int((abs(eig) <= 1e-9).sum()))
-        assert got == expected
 
 
 def test_same_span():
