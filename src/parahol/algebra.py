@@ -5,6 +5,11 @@ the full rank-3 structure constant array over Fraction. Construction
 validates the algebra axioms exactly (antisymmetry, Jacobi, grading
 additivity, generation of the negative part by grade −1, nondegenerate
 Killing form), so downstream code can rely on them without tolerances.
+
+The grade layout of the basis is known here only: callers reach ad(x) one
+grade block at a time through `ad_block(x, source_grade, target_grade)`,
+and read or write one grade's coordinates through `grade_coords` and
+`from_grade_coords`.
 """
 
 from fractions import Fraction
@@ -110,20 +115,8 @@ class AlgebraElement:
         """Sorted list of grades carrying a nonzero coefficient."""
         return sorted({self.algebra.grade[i] for i, c in enumerate(self.coeffs) if c != 0})
 
-    def min_grade(self):
-        gs = self.grades()
-        return gs[0] if gs else None
-
     def coeff(self, name):
         return self.coeffs[self.algebra.basis_index(name)]
-
-    def named_coeffs(self):
-        """Nonzero coefficients keyed by basis name."""
-        return {
-            self.algebra.basis_names[i]: c
-            for i, c in enumerate(self.coeffs)
-            if c != 0
-        }
 
     def float_coeffs(self):
         return [float(c) for c in self.coeffs]
@@ -312,31 +305,43 @@ class GradedLieAlgebra:
                     out[l] = out[l] + f * c
         return AlgebraElement(self, out)
 
-    @cached_property
-    def _ad_matrices(self):
-        mats = []
-        for i in range(self.dim):
-            m = [[ZERO] * self.dim for _ in range(self.dim)]
-            for j in range(self.dim):
-                for l, c in enumerate(self.structure[i][j]):
-                    if c != 0:
-                        m[l][j] = c
-            mats.append(tuple(tuple(r) for r in m))
-        return tuple(mats)
+    def ad_block(self, x, source_grade, target_grade):
+        """Matrix of ad(x): g_source -> g_target.
 
-    def ad_matrix_of(self, x):
-        """Matrix of ad(x) for an arbitrary element (rows/cols over the basis)."""
-        m = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i, c in enumerate(x.coeffs):
-            if c == 0:
-                continue
-            mi = self._ad_matrices[i]
-            for r in range(self.dim):
-                row = mi[r]
-                for s in range(self.dim):
-                    if row[s] != 0:
-                        m[r][s] += c * row[s]
-        return m
+        Rows follow the basis order of g_target and columns that of
+        g_source. Only the grade (target - source) part of x contributes,
+        by grading additivity; a grade outside [-k, k] gives an empty or
+        zero block.
+        """
+        rows = self.indices_of_grade(target_grade)
+        cols = self.indices_of_grade(source_grade)
+        row_of = {l: t for t, l in enumerate(rows)}
+        block = [[ZERO] * len(cols) for _ in rows]
+        table = self._pair_table
+        xs = [(i, x.coeffs[i])
+              for i in self.indices_of_grade(target_grade - source_grade)
+              if x.coeffs[i] != 0]
+        for u, s in enumerate(cols):
+            for i, xc in xs:
+                for l, c in table.get((i, s), ()):
+                    block[row_of[l]][u] += xc * c
+        return block
+
+    def grade_coords(self, x, grade):
+        """Coefficients of x on the grade-`grade` basis vectors, in basis order."""
+        return [x.coeffs[i] for i in self.indices_of_grade(grade)]
+
+    def from_grade_coords(self, grade, coords):
+        """The element of g_grade with the given coordinates (see grade_coords)."""
+        idx = self.indices_of_grade(grade)
+        if len(coords) != len(idx):
+            raise ValueError(
+                f"grade {grade} has dimension {len(idx)}, got {len(coords)} coordinates"
+            )
+        coeffs = [ZERO] * self.dim
+        for i, c in zip(idx, coords):
+            coeffs[i] = c
+        return AlgebraElement(self, coeffs)
 
     @cached_property
     def killing_matrix(self):
@@ -410,8 +415,11 @@ class GradedLieAlgebra:
         """e^{ad z}(x) as a finite sum; requires ad(z) nilpotent.
 
         Nilpotency is guaranteed when every grade in z's support has the
-        same sign, which is the only way this is called.
+        same sign, which is the only way this is called. Returns x itself
+        when z is zero.
         """
+        if z.is_zero:
+            return x
         signs = {1 if g > 0 else -1 for g in z.grades() if g != 0}
         if len(signs) > 1 or (z.grades() and 0 in z.grades()):
             raise ValueError("exp_ad requires a pure-sign graded argument")

@@ -37,8 +37,6 @@ from .errors import DomainError, UnsupportedDepthError
 from .jsonio import fraction_to_json
 from .scales import default_scale
 
-ZERO = Fraction(0)
-
 
 class Verdict(enum.Enum):
     INESSENTIAL = "Inessential"
@@ -122,9 +120,6 @@ class HolonomyDatum:
         if self.scale.algebra is not algebra:
             raise DomainError("scale belongs to a different algebra")
 
-    def with_element(self, x):
-        return HolonomyDatum(self.algebra, x, self.scale)
-
 
 def conjugate_by_exp(z, x):
     """e^{ad z}(x) for z in the positive part; finite sum, exact on exact input.
@@ -153,14 +148,22 @@ def kill_positive_part(datum):
 
 def classify(datum):
     """Run the holonomy dictionary on a datum; see the module docstring."""
-    scale = datum.scale
-    ell = scale.lambda_prime_of_grade0(datum.x)
     result = _kill_analysis(datum)
     if result.witness is None:
         return Classification(Verdict.ESSENTIAL, certificate=result.certificate)
+    return conjugable_verdict(datum.scale.lambda_prime_of_grade0(datum.x),
+                              result.witness)
+
+
+def conjugable_verdict(ell, witness):
+    """Dictionary step for an X that `witness` conjugates into g_0.
+
+    ell is lambda'(X_0): zero gives Inessential, anything else
+    WeylReducible with the LambdaNonzero certificate.
+    """
     if ell == 0:
-        return Classification(Verdict.INESSENTIAL, witness=result.witness)
-    return Classification(Verdict.WEYL_REDUCIBLE, witness=result.witness,
+        return Classification(Verdict.INESSENTIAL, witness=witness)
+    return Classification(Verdict.WEYL_REDUCIBLE, witness=witness,
                           certificate=LambdaNonzero(ell))
 
 
@@ -177,25 +180,6 @@ def holonomy_flow(datum, t):
 # -- elimination stages --------------------------------------------------------
 
 
-def _restricted_ad(algebra, x, source_grade, target_grade):
-    """Matrix of ad(x): g_source -> g_target in the basis index order."""
-    full = algebra.ad_matrix_of(x)
-    rows = algebra.indices_of_grade(target_grade)
-    cols = algebra.indices_of_grade(source_grade)
-    return [[full[r][c] for c in cols] for r in rows]
-
-
-def _element_from_grade_coords(algebra, grade, coords):
-    coeffs = [ZERO] * algebra.dim
-    for t, i in enumerate(algebra.indices_of_grade(grade)):
-        coeffs[i] = coords[t]
-    return algebra.element_from_coeffs(coeffs)
-
-
-def _grade_coords(algebra, x, grade):
-    return [x.coeffs[i] for i in algebra.indices_of_grade(grade)]
-
-
 def _kill_analysis(datum):
     algebra = datum.algebra
     k = algebra.k
@@ -204,22 +188,21 @@ def _kill_analysis(datum):
             f"killing positive parts is implemented for depth k <= 2, got k={k}"
         )
     x = datum.x
-    x0 = x.component(0)
     z = algebra.zero()
     for d in range(1, k + 1):
-        r = _grade_coords(algebra, algebra.exp_ad(z, x) if not z.is_zero else x, d)
+        r = algebra.grade_coords(algebra.exp_ad(z, x), d)
         if linalg.is_zero_vector(r):  # its minimum-norm solution is Z_d = 0
             continue
-        z_d = linalg.solve_min_norm(_restricted_ad(algebra, x0, d, d), r)
+        z_d = linalg.solve_min_norm(algebra.ad_block(x, d, d), r)  # ad(X_0)|g_d
         if z_d is None:
             return _KillResult(None, DegreeUnkillable(d))
-        z = z + _element_from_grade_coords(algebra, d, z_d)
+        z = z + algebra.from_grade_coords(d, z_d)
     return _verified(algebra, x, z)
 
 
 def _verified(algebra, x, witness):
     """Exact internal check that the witness really kills the positive part."""
-    conj = conjugate_by_exp(witness, x) if not witness.is_zero else x
+    conj = conjugate_by_exp(witness, x)
     for g in range(1, algebra.k + 1):
         if not conj.component(g).is_zero:
             raise AssertionError("witness failed exact verification")

@@ -206,9 +206,19 @@ def _verify_identities(payload, args):
 
 
 def _oracle_compare(payload, args):
+    if args.instances < 1:
+        raise _flag_error("--instances", "must be at least 1")
+    if args.grid_steps < 0:
+        raise _flag_error("--grid-steps", "must be nonnegative")
+    try:
+        radius = Fraction(args.grid_radius)
+    except (ValueError, ZeroDivisionError):
+        raise _flag_error("--grid-radius", "must be a rational") from None
     algebra = build(payload["family"], payload["params"])
+    if args.grid_steps == 0 and algebra.k > 1:
+        raise _flag_error("--grid-steps", "must be at least 1 on a depth-2 "
+                          "family, whose planted instances lie on the lattice")
     scale = default_scale(algebra)
-    radius = Fraction(args.grid_radius)
     elements = comparison_instances(algebra, scale, args.instances,
                                     args.seed, radius, args.grid_steps)
     certified = 0
@@ -240,6 +250,12 @@ def _oracle_compare(payload, args):
         "agreement": f"{agreements}/{certified}",
         "all_agree": agreements == certified,
     }
+
+
+def _flag_error(flag, message):
+    err = ParaholError(f"{flag}: {message}")
+    err.path = flag
+    return err
 
 
 def _emit(args, report):

@@ -258,8 +258,9 @@ def holonomy_at(field, point):
     """HolonomyDatum of the field at a singular point.
 
     The grade -1 part of the transported tractor vanishes at a singularity
-    and is dropped; non-singular points are rejected (they are locally
-    inessential by the flow-box argument, no classification needed).
+    (checked), so the transported tractor is the datum; non-singular points
+    are rejected (they are locally inessential by the flow-box argument, no
+    classification needed).
     """
     if not field.is_singular_at(point):
         raise NonSingularPointError(
@@ -269,12 +270,7 @@ def holonomy_at(field, point):
     transported = gauge_tractor(field, point)
     if not transported.component(-1).is_zero:
         raise AssertionError("transported tractor kept a grade -1 part at a singularity")
-    coeffs = list(transported.coeffs)
-    for g in range(-field.algebra.k, 0):
-        for i in field.algebra.indices_of_grade(g):
-            coeffs[i] = ZERO
-    x = field.algebra.element_from_coeffs(coeffs)
-    return HolonomyDatum(field.algebra, x)
+    return HolonomyDatum(field.algebra, transported)
 
 
 @dataclass
@@ -326,7 +322,7 @@ def adjoint_connection(fn, direction, base_point):
     algebra = direction.algebra
     if direction.grades() not in ([], [-1]):
         raise DomainError("direction must have pure grade -1")
-    y = [float(c) for c in _grade_minus_one_coords(direction)]
+    y = [float(c) for c in algebra.grade_coords(direction, -1)]
     x0 = [float(v) for v in base_point]
     h = FD_STEP
     plus = fn([xi + h * yi for xi, yi in zip(x0, y)])
@@ -342,11 +338,6 @@ def tractor_derivative(field, direction, base_point):
     """Derivative of the field's adjoint tractor; ~0 for conformal Killing fields."""
     return adjoint_connection(lambda x: gauge_tractor(field, x),
                               direction, base_point)
-
-
-def _grade_minus_one_coords(element):
-    alg = element.algebra
-    return [element.coeffs[i] for i in alg.indices_of_grade(-1)]
 
 
 # -- structure equation -----------------------------------------------------------
@@ -470,7 +461,7 @@ def equivariance_check(field, base_point, direction, t):
     rho_y = _float_matrix(realization.matrix_of(direction))
     rho_h = _float_matrix(realization.matrix_of(datum.x))
 
-    y = [float(c) for c in _grade_minus_one_coords(direction)]
+    y = [float(c) for c in algebra.grade_coords(direction, -1)]
     start = [float(v) + yi for v, yi in zip(base_point, y)]
     lhs = _integrate_chart_flow(field, start, t)
 

@@ -171,19 +171,3 @@ def nullspace(a_rows):
             vec[pc] = -work[r][fc]
         basis.append(vec)
     return basis
-
-
-def in_span(vectors, target):
-    """Whether `target` lies in the span of `vectors` (all as coefficient lists)."""
-    if is_zero_vector(target):
-        return True
-    if not vectors:
-        return False
-    a = transpose(vectors)
-    return solve(a, target) is not None
-
-
-def same_span(vectors_a, vectors_b):
-    ra = rank(vectors_a)
-    rb = rank(vectors_b)
-    return ra == rb == rank(vectors_a + vectors_b)

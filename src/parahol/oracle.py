@@ -20,8 +20,8 @@ from typing import Optional
 from .classify import (
     Classification,
     DegreeUnkillable,
-    LambdaNonzero,
     Verdict,
+    conjugable_verdict,
     conjugate_by_exp,
 )
 from .errors import OracleRefusedError, UnsupportedDepthError
@@ -81,23 +81,16 @@ def brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=2):
         if lattice_witness is not None and not killable:
             raise AssertionError("lattice witness contradicts the rank certificate")
         if killable:
-            cls = _verdict_from(ell, witness)
+            cls = conjugable_verdict(ell, witness)
         else:
             cls = Classification(Verdict.ESSENTIAL,
                                  certificate=DegreeUnkillable(1))
         return OracleReport(True, cls, "rank-certificate", points)
 
     if lattice_witness is not None:
-        return OracleReport(True, _verdict_from(ell, lattice_witness),
+        return OracleReport(True, conjugable_verdict(ell, lattice_witness),
                             "lattice", points)
     return OracleReport(False, None, "lattice", points)
-
-
-def _verdict_from(ell, witness):
-    if ell == 0:
-        return Classification(Verdict.INESSENTIAL, witness=witness)
-    return Classification(Verdict.WEYL_REDUCIBLE, witness=witness,
-                          certificate=LambdaNonzero(ell))
 
 
 def _positive_part_is_zero(datum):
@@ -121,7 +114,7 @@ def _lattice_search(datum, pos_idx, radius, steps):
         for value, i in zip(combo, pos_idx):
             coeffs[i] = value
         z = algebra.element_from_coeffs(coeffs)
-        conj = conjugate_by_exp(z, datum.x) if not z.is_zero else datum.x
+        conj = conjugate_by_exp(z, datum.x)
         if all(conj.component(g).is_zero for g in range(1, algebra.k + 1)):
             return z, checked
     return None, checked
@@ -135,13 +128,10 @@ def _rank_certificate(datum):
     route is disjoint from the classifier's minimum-norm solver.
     """
     algebra = datum.algebra
-    x0 = datum.x.component(0)
-    idx1 = list(algebra.indices_of_grade(1))
-    ad = algebra.ad_matrix_of(x0)
-    rows = [[Fraction(ad[r][c]) for c in idx1] for r in idx1]
-    rhs = [Fraction(datum.x.coeffs[i]) for i in idx1]
+    rows = algebra.ad_block(datum.x, 1, 1)   # ad(X_0)|g_1
+    rhs = algebra.grade_coords(datum.x, 1)
 
-    n = len(idx1)
+    n = len(rhs)
     work = [rows[i] + [rhs[i]] for i in range(n)]
     pivots = []
     r = 0
@@ -164,7 +154,4 @@ def _rank_certificate(datum):
     coords = [ZERO] * n
     for i, c in enumerate(pivots):
         coords[c] = work[i][n]
-    coeffs = [ZERO] * algebra.dim
-    for value, i in zip(coords, idx1):
-        coeffs[i] = value
-    return True, algebra.element_from_coeffs(coeffs)
+    return True, algebra.from_grade_coords(1, coords)

@@ -63,16 +63,10 @@ def kernel_instance(algebra, rng):
     has free directions. Every other draw is planted (conjugate into g_0 by a
     random positive element); the rest add a random positive part.
     """
-    idx0 = algebra.indices_of_grade(0)
-    idx1 = algebra.indices_of_grade(1)
     e = random_element(algebra, rng, grades=(1,), max_abs=2, denominators=(1,))
-    ad_e = algebra.ad_matrix_of(e)
-    coeffs = [ZERO] * algebra.dim
-    for v in linalg.nullspace([[ad_e[r][c] for c in idx0] for r in idx1]):
-        f = rng.randint(-2, 2)
-        for t, i in enumerate(idx0):
-            coeffs[i] += f * v[t]
-    x0 = algebra.element_from_coeffs(coeffs)
+    x0 = algebra.zero()
+    for v in linalg.nullspace(algebra.ad_block(e, 0, 1)):
+        x0 = x0 + rng.randint(-2, 2) * algebra.from_grade_coords(0, v)
     if rng.randrange(2):
         return algebra.exp_ad(random_positive_element(algebra, rng, max_abs=3), x0)
     return x0 + random_positive_element(algebra, rng)

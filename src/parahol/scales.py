@@ -117,13 +117,10 @@ def scale_from_element(algebra, e):
     covector = [
         algebra.killing_form(e, algebra.basis_element(i)) for i in zero_idx
     ]
-    kernel_vectors = linalg.nullspace([list(map(Fraction, covector))])
-    kernel_basis = []
-    for vec in kernel_vectors:
-        coeffs = [ZERO] * algebra.dim
-        for t, i in enumerate(zero_idx):
-            coeffs[i] = vec[t]
-        kernel_basis.append(algebra.element_from_coeffs(coeffs))
+    kernel_basis = [
+        algebra.from_grade_coords(0, vec)
+        for vec in linalg.nullspace([list(map(Fraction, covector))])
+    ]
     return ScaleData(algebra, e, covector, kernel_basis, weights)
 
 

@@ -207,7 +207,11 @@ def test_components_partition_random(so41, su21):
             total = algebra.zero()
             for g in range(-algebra.k, algebra.k + 1):
                 total = total + x.component(g)
+                assert algebra.from_grade_coords(
+                    g, algebra.grade_coords(x, g)) == x.component(g)
             assert total == x
+    with pytest.raises(ValueError):
+        so41.from_grade_coords(1, [1, 2])
 
 
 def test_component_range_error(so41):
@@ -230,6 +234,36 @@ def test_grading_additivity_random(so41, su21):
                         expected = expected + algebra.bracket(
                             x.component(a), y.component(b))
                 assert bxy.component(c) == expected
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: build_conformal(3, 0),
+    lambda: build_conformal(2, 1),
+    lambda: build_cr(1),
+    lambda: build_cr(2),
+])
+def test_ad_block_matches_dense_structure_tensor(maker):
+    """Every grade block of ad(x), for x with every coefficient nonzero,
+    against sum_i x_i c_{i s}^l taken over the whole dense structure tensor."""
+    algebra = maker()
+    k = algebra.k
+    c = algebra.structure
+    rng = random.Random(59)
+    for _ in range(4):
+        x = algebra.element_from_coeffs(
+            [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+             for _ in range(algebra.dim)])
+        for source in range(-k, k + 1):
+            cols = algebra.indices_of_grade(source)
+            for target in range(-k, k + 1):
+                rows = algebra.indices_of_grade(target)
+                reference = [[sum((x.coeffs[i] * c[i][s][l] for i in range(algebra.dim)),
+                                  Fraction(0))
+                              for s in cols] for l in rows]
+                block = algebra.ad_block(x, source, target)
+                assert block == reference
+                if abs(target - source) > k:
+                    assert all(v == 0 for row in block for v in row)
 
 
 def test_negative_part_generated_by_grade_minus_one(su21):

@@ -289,13 +289,11 @@ def test_depth_one_completeness(so41):
     checked against independent rank computations."""
     scale = default_scale(so41)
     rng = random.Random(55)
-    idx1 = list(so41.indices_of_grade(1))
     for _ in range(100):
         x = random_instance(so41, scale, rng)
         result = classify(HolonomyDatum(so41, x, scale))
-        ad = so41.ad_matrix_of(x.component(0))
-        image = [[ad[r][c] for c in idx1] for r in idx1]
-        augmented = [row + [x.coeffs[r]] for row, r in zip(image, idx1)]
+        image = so41.ad_block(x.component(0), 1, 1)
+        augmented = [row + [v] for row, v in zip(image, so41.grade_coords(x, 1))]
         killable = linalg.rank(image) == linalg.rank(augmented)
         inessential = killable and scale.lambda_prime_of_grade0(x) == 0
         assert (result.verdict is Verdict.INESSENTIAL) == inessential

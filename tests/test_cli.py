@@ -147,6 +147,19 @@ def test_oracle_compare_small_run():
     assert doc["agreement"] == "25/25"
 
 
+@pytest.mark.parametrize("family,params,flags,path", [
+    ("conformal", [3, 0], ("--instances", "-5"), "--instances"),
+    ("cr", [1], ("--grid-steps", "-2"), "--grid-steps"),
+    ("cr", [1], ("--grid-steps", "0"), "--grid-steps"),
+    ("cr", [1], ("--grid-radius", "1/0"), "--grid-radius"),
+])
+def test_oracle_compare_rejects_bad_flags(family, params, flags, path):
+    code, out = run_cli("oracle-compare", {"family": family, "params": params},
+                        "--instances", "5", *flags)
+    assert code == 1
+    assert json.loads(out)["error"]["path"] == path
+
+
 def test_verify_identities_small_run():
     code, out = run_cli("verify-identities", {"samples": 4})
     assert code == 0

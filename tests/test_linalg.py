@@ -94,15 +94,3 @@ def test_nullspace_dimension_and_membership():
         assert len(basis) == 6 - linalg.rank(a)
         for v in basis:
             assert linalg.is_zero_vector(linalg.matvec(a, v))
-
-
-def test_same_span():
-    assert linalg.same_span([[1, 0], [0, 1]], [[1, 1], [1, -1]])
-    assert not linalg.same_span([[1, 0]], [[0, 1]])
-    assert linalg.same_span([[2, 0]], [[Fraction(1, 3), 0]])
-
-
-def test_in_span():
-    assert linalg.in_span([[1, 0, 1], [0, 1, 0]], [2, 3, 2])
-    assert not linalg.in_span([[1, 0, 1]], [1, 0, 0])
-    assert linalg.in_span([], [0, 0])
