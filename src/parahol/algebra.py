@@ -394,22 +394,21 @@ class GradedLieAlgebra:
     def grading_element(self):
         """The element E with [E, x] = i·x on each grade-i basis vector.
 
-        Solved as a linear system over all basis vectors; non-existence or
-        non-uniqueness means the grading is inconsistent with semisimplicity.
+        Such an E has ad E = diag(grades), so B(E, e_j) = Σ_l grade(l)·c_{jl}^l:
+        one solve in the Killing matrix, whose nondegeneracy (checked here)
+        makes E unique. An exact check on every basis vector then decides
+        whether E exists.
         """
-        rows = []
-        rhs = []
+        self._check_killing_nondegenerate()
+        c = self.structure
+        rhs = [sum((self.grade[l] * c[j][l][l] for l in range(self.dim)), ZERO)
+               for j in range(self.dim)]
+        e = AlgebraElement(self, linalg.solve(self.killing_matrix, rhs))
         for i in range(self.dim):
-            gi = self.grade[i]
-            for l in range(self.dim):
-                rows.append([self.structure[j][i][l] for j in range(self.dim)])
-                rhs.append(Fraction(gi) if l == i else ZERO)
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
-            raise StructureError("no grading element exists")
-        if linalg.nullspace(rows):
-            raise StructureError("grading element is not unique")
-        return AlgebraElement(self, sol)
+            ei = self.basis_element(i)
+            if self.bracket(e, ei) != self.grade[i] * ei:
+                raise StructureError("no grading element exists")
+        return e
 
     def exp_ad(self, z, x):
         """e^{ad z}(x) as a finite sum; requires ad(z) nilpotent.

@@ -19,10 +19,11 @@ import jsonschema
 from . import schemas
 from .classify import HolonomyDatum, classify
 from .errors import ParaholError, StructureError
-from .families import build
+from .families import build, build_conformal
 from .flat import FlatConformalField, classify_at
 from .identities import run_flat_identity_suite
 from .jsonio import (
+    at_path,
     element_to_named_json,
     fraction_to_json,
     parse_named_element,
@@ -116,8 +117,13 @@ def _dispatch(command, payload, args):
     raise AssertionError(f"unhandled command {command}")
 
 
+def _build(payload):
+    with at_path("params"):
+        return build(payload["family"], payload["params"])
+
+
 def _algebra_info(payload):
-    algebra = build(payload["family"], payload["params"])
+    algebra = _build(payload)
     scale = default_scale(algebra)
     e = algebra.grading_element
     return {
@@ -136,7 +142,7 @@ def _algebra_info(payload):
 
 
 def _algebra_verify(payload):
-    algebra = build(payload["family"], payload["params"])
+    algebra = _build(payload)
     # construction already validates; re-run explicitly so the report is
     # a statement about this run, not about the constructor's promise
     algebra.validate()
@@ -156,9 +162,10 @@ def _algebra_verify(payload):
 
 
 def _classify(payload):
-    algebra = build(payload["family"], payload["params"])
+    algebra = _build(payload)
     element = parse_named_element(algebra, payload["element"])
-    datum = HolonomyDatum(algebra, element)
+    with at_path("element"):
+        datum = HolonomyDatum(algebra, element)
     result = classify(datum)
     body = result.to_json_dict()
     witness = result.witness
@@ -181,10 +188,11 @@ def _classify(payload):
 
 def _flat_classify(payload):
     field = FlatConformalField.from_json_dict(payload["field"])
-    point = vector_from_json(payload["point"])
-    if len(point) != field.n:
-        raise ParaholError(
-            f"point has dimension {len(point)}, field expects {field.n}")
+    with at_path("point"):
+        point = vector_from_json(payload["point"])
+        if len(point) != field.n:
+            raise ParaholError(
+                f"point has dimension {len(point)}, field expects {field.n}")
     result = classify_at(field, point)
     return {
         "command": "flat-classify",
@@ -198,10 +206,12 @@ def _verify_identities(payload, args):
     p, q = payload.get("signature", [3, 0])
     samples = payload.get("samples", 20)
     t = payload.get("t", 0.1)
+    with at_path("signature"):
+        algebra = build_conformal(p, q)
     return {
         "command": "verify-identities",
         **run_flat_identity_suite(p=p, q=q, samples=samples,
-                                  seed=args.seed, t=t),
+                                  seed=args.seed, t=t, algebra=algebra),
     }
 
 
@@ -214,7 +224,7 @@ def _oracle_compare(payload, args):
         radius = Fraction(args.grid_radius)
     except (ValueError, ZeroDivisionError):
         raise _flag_error("--grid-radius", "must be a rational") from None
-    algebra = build(payload["family"], payload["params"])
+    algebra = _build(payload)
     if args.grid_steps == 0 and algebra.k > 1:
         raise _flag_error("--grid-steps", "must be at least 1 on a depth-2 "
                           "family, whose planted instances lie on the lattice")

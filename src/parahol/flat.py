@@ -40,7 +40,12 @@ from .errors import (
     WeylSectionInapplicableError,
 )
 from .families import build_conformal
-from .jsonio import fraction_to_json
+from .jsonio import (
+    at_path,
+    fraction_from_json,
+    fraction_to_json,
+    vector_from_json,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -113,9 +118,20 @@ class FlatConformalField:
 
     @classmethod
     def from_json_dict(cls, doc, algebra=None):
-        p, q = (int(v) for v in doc["signature"])
-        return cls.from_parts(p, q, doc["a"], doc["A"], doc["s"], doc["b"],
-                              algebra=algebra)
+        """Field from the `field` object of a flat-classify request.
+
+        Errors carry the request locus: `$.field.a[0]`, `$.field.s`, ... for
+        a value that is not a rational, `$.field` for parts that do not fit
+        together.
+        """
+        with at_path("field"):
+            p, q = (int(v) for v in doc["signature"])
+            return cls.from_parts(
+                p, q, vector_from_json(doc["a"], "field.a"),
+                [vector_from_json(row, f"field.A[{i}]")
+                 for i, row in enumerate(doc["A"])],
+                fraction_from_json(doc["s"], "field.s"),
+                vector_from_json(doc["b"], "field.b"), algebra=algebra)
 
     def _split_parts(self):
         alg = self.algebra

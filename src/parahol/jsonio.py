@@ -3,12 +3,14 @@
 Integers stay JSON integers; non-integral rationals are "p/q" strings so
 reports remain exact and byte-deterministic. Parsing accepts integers and
 "p/q" strings. Parse errors carry a `path` attribute with the offending
-field locus for the CLI's error reports.
+field locus for the CLI's error reports; `at_path` gives the same locus to
+errors raised while a request field is being used.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ParaholError
 
 
 def fraction_to_json(v):
@@ -23,6 +25,20 @@ def _domain_error(message, path):
     err = DomainError(message)
     err.path = f"$.{path}"
     return err
+
+
+@contextmanager
+def at_path(path):
+    """Give a domain error raised in the block the locus `$.path`.
+
+    An error that already names a (more precise) locus keeps it.
+    """
+    try:
+        yield
+    except (ParaholError, ValueError) as exc:
+        if getattr(exc, "path", None) is None:
+            exc.path = f"$.{path}"
+        raise
 
 
 def fraction_from_json(v, path="value"):

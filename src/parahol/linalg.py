@@ -109,46 +109,33 @@ def solve_many(a_rows, b_cols):
 def solve(a_rows, b):
     """One exact solution of A·x = b, or None when none exists.
 
-    Free variables are set to zero (this is *a* solution, not the minimum
-    norm one; see solve_min_norm).
+    The elimination is solve_many's. Free variables are set to zero: this
+    is *a* solution, not the minimum-norm one (see solve_min_norm).
     """
-    m = len(a_rows)
-    if m == 0:
-        return [] if is_zero_vector(b) else None
-    n = len(a_rows[0])
-    work = [list(map(Fraction, a_rows[i])) + [Fraction(b[i])] for i in range(m)]
-    pivots = rref(work, aug=1)
-    for row in work[len(pivots):]:
-        if row[n] != 0:
-            return None
-    x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = work[r][n]
-    return x
+    try:
+        return solve_many(a_rows, [b])[0]
+    except ValueError:
+        return None
 
 
 def solve_min_norm(a_rows, b):
     """Minimum-Euclidean-norm solution of A·x = b, or None when inconsistent.
 
-    One elimination of [A | b] decides consistency and leaves R·x = c, with
-    R of full row rank and the same solutions. The minimum-norm solution
-    lies in the row space of R: x = Rᵀy with (R Rᵀ)y = c, which is exact
-    over the rationals and deterministic; this is the tie-breaking rule for
-    witness selection.
+    The particular solution x_p = solve(A, b) minus its orthogonal
+    projection onto ker A: with N a kernel basis, x = x_p − N·t where
+    (NᵀN)·t = Nᵀ·x_p. The system is f×f with f = dim ker A, so it is empty
+    when A is injective. The answer is unique, exact over the rationals and
+    deterministic; this is the tie-breaking rule for witness selection.
     """
-    m = len(a_rows)
-    if m == 0:
-        return []
-    n = len(a_rows[0])
-    work = [list(map(Fraction, a_rows[i])) + [Fraction(b[i])] for i in range(m)]
-    rank_a = len(rref(work, aug=1))
-    if any(row[n] != 0 for row in work[rank_a:]):
+    x = solve(a_rows, b)
+    if x is None:
         return None
-    if rank_a == 0:
-        return [ZERO] * n
-    r_rows = [row[:n] for row in work[:rank_a]]
-    y = solve(matmul(r_rows, transpose(r_rows)), [row[n] for row in work[:rank_a]])
-    return matvec(transpose(r_rows), y)
+    kernel = nullspace(a_rows)
+    t = solve([[dot(u, v) for v in kernel] for u in kernel],
+              [dot(u, x) for u in kernel])
+    for u, tu in zip(kernel, t):
+        x = [xi - tu * ui for xi, ui in zip(x, u)]
+    return x
 
 
 def identity_vectors(n):

@@ -330,6 +330,41 @@ def test_structure_error_on_bad_grading():
         ).validate()
 
 
+def test_from_matrices_rejects_brackets_leaving_the_span():
+    # [E_12, E_21] = H is not in span{E_12, E_21}
+    with pytest.raises(StructureError):
+        GradedLieAlgebra.from_matrices(
+            ["X", "Y"], [1, -1], [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], 1,
+            "gl", (2,), [[1, 0], [0, 1]],
+        )
+
+
+def test_grading_element_rejects_non_additive_grades():
+    algebra = build_conformal(2, 0)
+    bad_grades = list(algebra.grade)
+    bad_grades[0] = 1
+    with pytest.raises(StructureError):
+        GradedLieAlgebra(
+            algebra.basis_names, bad_grades, algebra.structure, 1,
+            "conformal", (2, 0),
+        ).grading_element
+
+
+def test_grading_element_rejects_degenerate_killing_form():
+    # so(3,1) plus a central grade-0 vector: the grading element is only
+    # determined up to that vector
+    algebra = build_conformal(2, 0)
+    dim = algebra.dim
+    structure = [[list(algebra.structure[i][j]) + [0] if i < dim and j < dim
+                  else [0] * (dim + 1) for j in range(dim + 1)]
+                 for i in range(dim + 1)]
+    with pytest.raises(StructureError):
+        GradedLieAlgebra(
+            algebra.basis_names + ("C",), algebra.grade + (0,), structure, 1,
+            "conformal", (2, 0),
+        ).grading_element
+
+
 def test_jacobi_residual_exactly_zero_conformal20():
     # validity requirement: validate() would raise on any nonzero residual
     algebra = build_conformal(2, 0)

@@ -1,5 +1,6 @@
 """CLI contract: request validation, reports, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -137,6 +138,36 @@ def test_non_skew_flat_field_is_domain_error():
     assert "skew" in json.loads(out)["error"]["message"]
 
 
+def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
+                  point=(0, 0, 0)):
+    n = len(a)
+    linear = [[0] * n for _ in range(n)] if linear is None else linear
+    return {"field": {"a": list(a), "A": linear, "s": s, "b": list(b),
+                      "signature": list(signature)},
+            "point": list(point)}
+
+
+@pytest.mark.parametrize("command,payload,path", [
+    ("algebra-info", {"family": "cr", "params": [3, 0]}, "$.params"),
+    ("algebra-info", {"family": "conformal", "params": [1, 0]}, "$.params"),
+    ("algebra-info", {"family": "cr", "params": [0]}, "$.params"),
+    ("verify-identities", {"signature": [1, 0]}, "$.signature"),
+    ("classify", {"family": "conformal", "params": [3, 0],
+                  "element": {"P_1": 1}}, "$.element"),
+    ("flat-classify", _flat_request(point=(0, 0)), "$.point"),
+    ("flat-classify", _flat_request(a=("1/0", 0, 0)), "$.field.a[0]"),
+    ("flat-classify", _flat_request(s="1/0"), "$.field.s"),
+    ("flat-classify", _flat_request(a=(0, 0)), "$.field"),
+    ("flat-classify", _flat_request(a=(0, 0), linear=[[0, 1], [1, 0]], s=0,
+                                    b=(0, 0), signature=(2, 0), point=(0, 0)),
+     "$.field"),
+])
+def test_request_field_errors_carry_a_path(command, payload, path):
+    code, out = run_cli(command, payload)
+    assert code == 1
+    assert json.loads(out)["error"]["path"] == path
+
+
 def test_oracle_compare_small_run():
     code, out = run_cli("oracle-compare", {"family": "conformal", "params": [3, 0]},
                         "--instances", "25", "--grid-steps", "0")
@@ -202,3 +233,32 @@ def test_shipped_schemas_match_source():
         path = REPO / "docs" / "schemas" / f"{name}.json"
         assert path.exists(), f"missing shipped schema {path}"
         assert json.loads(path.read_text()) == schema
+
+
+# The README's CLI examples, with the sha256 of each report's stdout.
+# verify-identities is left out: its float residual digits depend on the
+# numpy/BLAS build.
+README_EXAMPLES = [
+    ("algebra-info", {"family": "conformal", "params": [3, 0]}, (),
+     "1b596c08c866fc421f9a7e50015d0f441736f17c525813b7a3ed642802e75cc4"),
+    ("classify", {"family": "conformal", "params": [3, 0], "element": {"D": 1}},
+     (), "750f82b3f8a02a276867d3b417e62c0b8bc6d7d022bf8189246f6264e2d0af80"),
+    ("classify", {"family": "conformal", "params": [3, 0],
+                  "element": {"M_12": 1}},
+     (), "ce8793900fac90669d8d31540fad2eaf8881f8dcbea38d307f8acc748919a443"),
+    ("flat-classify", _flat_request(), (),
+     "87a96e7ef0aec9a1ad5e3866070b01a6f03889f4d4d667a771be32360e11a030"),
+    ("oracle-compare", {"family": "conformal", "params": [3, 0]},
+     ("--instances", "500", "--seed", "42", "--grid-steps", "0"),
+     "a011bf12d6559bf4f5dc4c1d7fb9ae05d760e58703ab827aaf8c640898f9c776"),
+    ("oracle-compare", {"family": "cr", "params": [1]},
+     ("--instances", "200", "--seed", "42", "--grid-steps", "1"),
+     "50e587f5e4b7cfc95a3818db12c19693a06a6c8ae8ede2629e5388cfea77b313"),
+]
+
+
+@pytest.mark.parametrize("command,payload,flags,digest", README_EXAMPLES)
+def test_readme_examples_stdout_pinned(command, payload, flags, digest):
+    code, out = run_cli(command, payload, *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
