@@ -1,10 +1,14 @@
 """Graded semisimple Lie algebras with exact rational structure constants.
 
 A GradedLieAlgebra stores a basis, one integer grade per basis vector and
-the full rank-3 structure constant array over Fraction. Construction
-validates the algebra axioms exactly (antisymmetry, Jacobi, grading
-additivity, generation of the negative part by grade −1, nondegenerate
-Killing form), so downstream code can rely on them without tolerances.
+the rank-3 structure constant array over Fraction, with a sparse table of
+the nonzero constants of each basis pair. From a matrix realization, each
+structure constant row is the sparse commutator of two basis matrices
+expressed through the Frobenius dual basis, checked by exact
+reconstruction. Validation checks the algebra axioms exactly on the sparse
+table (antisymmetry, grading additivity, Jacobi, generation of the
+negative part by grade −1, nondegenerate Killing form), so downstream code
+can rely on them without tolerances.
 
 The grade layout of the basis is known here only: callers reach ad(x) one
 grade block at a time through `ad_block(x, source_grade, target_grade)`,
@@ -139,15 +143,43 @@ class AlgebraElement:
 
 
 class MatrixRealization:
-    """Defining matrix realization: one square Fraction matrix per basis vector."""
+    """Defining matrix realization: one square Fraction matrix per basis vector.
+
+    Basis matrices are held sparse, as {(row, col): value} maps of their
+    nonzero entries. A matrix is expressed in the basis through the
+    Frobenius dual basis: with G_kl = <B_k, B_l> the Gram matrix of the
+    entrywise inner product, the coordinates of M are G⁻¹·(<B_l, M>)_l,
+    followed by an exact check that they reconstruct M. G is positive
+    definite exactly when the basis is linearly independent, so a singular
+    G is rejected on construction.
+    """
 
     def __init__(self, basis_matrices, form):
-        self.basis_matrices = tuple(
-            tuple(tuple(Fraction(v) for v in row) for row in m)
-            for m in basis_matrices
-        )
+        self.size = len(basis_matrices[0])
+        self.basis_matrices = tuple(_sparse(m) for m in basis_matrices)
         self.form = tuple(tuple(Fraction(v) for v in row) for row in form)
-        self.size = len(self.basis_matrices[0])
+        self._rows = tuple(_by_row(m) for m in self.basis_matrices)
+        # position -> ((basis index, value), ...) over the nonzero entries
+        index = {}
+        for k, m in enumerate(self.basis_matrices):
+            for pos, v in m.items():
+                index.setdefault(pos, []).append((k, v))
+        self._position_index = index
+        dim = len(self.basis_matrices)
+        gram = [[ZERO] * dim for _ in range(dim)]
+        for entries in index.values():
+            for k, v in entries:
+                for l, w in entries:
+                    gram[k][l] += v * w
+        try:
+            inverse_cols = linalg.solve_many(gram, linalg.identity_vectors(dim))
+        except ValueError:
+            raise StructureError("basis matrices are linearly dependent") from None
+        # column l of G⁻¹ as its nonzero (k, value) pairs
+        self._dual = tuple(
+            tuple((k, g) for k, g in enumerate(col) if g != 0)
+            for col in inverse_cols
+        )
 
     def matrix_of(self, element):
         """Matrix of an element (exact when the element is exact)."""
@@ -156,25 +188,45 @@ class MatrixRealization:
         for c, m in zip(element.coeffs, self.basis_matrices):
             if c == 0:
                 continue
-            for i in range(n):
-                row = m[i]
-                for j in range(n):
-                    if row[j] != 0:
-                        out[i][j] += c * row[j]
+            for (i, j), v in m.items():
+                out[i][j] += c * v
         return out
-
-    @cached_property
-    def _flat_basis(self):
-        return [
-            [m[i][j] for m in self.basis_matrices]
-            for i in range(self.size)
-            for j in range(self.size)
-        ]
 
     def coordinates(self, matrix):
         """Express an exact matrix in the basis; None when outside the span."""
-        flat = [matrix[i][j] for i in range(self.size) for j in range(self.size)]
-        return linalg.solve(self._flat_basis, flat)
+        return self._sparse_coordinates(_sparse(matrix))
+
+    def _sparse_coordinates(self, sparse):
+        inner = {}
+        for pos, v in sparse.items():
+            for l, b in self._position_index.get(pos, ()):
+                inner[l] = inner.get(l, ZERO) + b * v
+        coords = {}
+        for l, s in inner.items():
+            if s != 0:
+                for k, g in self._dual[l]:
+                    coords[k] = coords.get(k, ZERO) + g * s
+        rebuilt = {}
+        for k, c in coords.items():
+            for pos, v in self.basis_matrices[k].items():
+                rebuilt[pos] = rebuilt.get(pos, ZERO) + c * v
+        if {pos: v for pos, v in rebuilt.items() if v != 0} != sparse:
+            return None
+        out = [ZERO] * len(self.basis_matrices)
+        for k, c in coords.items():
+            out[k] = c
+        return out
+
+    def _basis_commutator(self, i, j):
+        """[B_i, B_j] as a sparse map of its nonzero entries."""
+        out = {}
+        for (r, t), v in self.basis_matrices[i].items():
+            for c, w in self._rows[j].get(t, ()):
+                out[(r, c)] = out.get((r, c), ZERO) + v * w
+        for (r, t), v in self.basis_matrices[j].items():
+            for c, w in self._rows[i].get(t, ()):
+                out[(r, c)] = out.get((r, c), ZERO) - v * w
+        return {pos: v for pos, v in out.items() if v != 0}
 
 
 class GradedLieAlgebra:
@@ -193,7 +245,8 @@ class GradedLieAlgebra:
         self.family = family
         self.params = tuple(params)
         self.structure = tuple(
-            tuple(tuple(Fraction(c) for c in row) for row in plane)
+            tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row)
+                  for row in plane)
             for plane in structure
         )
         self.realization = realization
@@ -208,26 +261,27 @@ class GradedLieAlgebra:
     @classmethod
     def from_matrices(cls, basis_names, grades, matrices, k, family, params,
                       form):
-        """Build structure constants from a faithful matrix realization."""
+        """Build structure constants from a faithful matrix realization.
+
+        Each commutator [B_i, B_j] is formed sparsely and expressed in the
+        basis through the Frobenius dual basis (see MatrixRealization); an
+        exact reconstruction check rejects a bracket outside the span, and
+        a linearly dependent basis is rejected too. Both raise
+        StructureError.
+        """
         realization = MatrixRealization(matrices, form)
         dim = len(basis_names)
-        n = realization.size
-        mats = realization.basis_matrices
-        flat_basis = realization._flat_basis
-        bracket_cols = []
+        structure = []
         for i in range(dim):
+            plane = []
             for j in range(dim):
-                comm = _commutator(mats[i], mats[j], n)
-                bracket_cols.append([comm[a][b] for a in range(n) for b in range(n)])
-        try:
-            coords = linalg.solve_many(flat_basis, bracket_cols)
-        except ValueError as exc:
-            raise StructureError(
-                "matrix brackets leave the span of the basis"
-            ) from exc
-        structure = [
-            [coords[i * dim + j] for j in range(dim)] for i in range(dim)
-        ]
+                coords = realization._sparse_coordinates(
+                    realization._basis_commutator(i, j))
+                if coords is None:
+                    raise StructureError(
+                        "matrix brackets leave the span of the basis")
+                plane.append(coords)
+            structure.append(plane)
         return cls(basis_names, grades, structure, k, family, params,
                    realization=realization)
 
@@ -345,19 +399,25 @@ class GradedLieAlgebra:
 
     @cached_property
     def killing_matrix(self):
-        """Gram matrix of the Killing form, computed as trace(ad∘ad)."""
+        """Gram matrix of the Killing form, B_ij = trace(ad e_i ∘ ad e_j).
+
+        The trace is Σ_{l,m} c_il^m c_jm^l, summed over the nonzero
+        structure constants of the pair table.
+        """
+        # ad(e_i) as {(m, l): c_il^m}
+        ads = [{} for _ in range(self.dim)]
+        for (i, l), entries in self._pair_table.items():
+            for m, c in entries:
+                ads[i][(m, l)] = c
         b = [[ZERO] * self.dim for _ in range(self.dim)]
-        c = self.structure
         for i in range(self.dim):
             for j in range(i, self.dim):
+                adj = ads[j]
                 total = ZERO
-                for l in range(self.dim):
-                    row = c[i][l]
-                    for m in range(self.dim):
-                        if row[m] != 0:
-                            cm = c[j][m][l]
-                            if cm != 0:
-                                total += row[m] * cm
+                for (m, l), c in ads[i].items():
+                    cj = adj.get((l, m))
+                    if cj is not None:
+                        total += c * cj
                 b[i][j] = total
                 b[j][i] = total
         return tuple(tuple(r) for r in b)
@@ -448,37 +508,38 @@ class GradedLieAlgebra:
         return self
 
     def _check_antisymmetry(self):
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                for l in range(self.dim):
-                    if self.structure[i][j][l] != -self.structure[j][i][l]:
-                        raise StructureError(
-                            f"antisymmetry fails at ({i},{j},{l})"
-                        )
+        table = self._pair_table
+        for i, j in sorted({(min(p), max(p)) for p in table}):
+            ij = dict(table.get((i, j), ()))
+            ji = dict(table.get((j, i), ()))
+            for l in sorted(ij.keys() | ji.keys()):
+                if ij.get(l, ZERO) != -ji.get(l, ZERO):
+                    raise StructureError(
+                        f"antisymmetry fails at ({i},{j},{l})"
+                    )
 
     def _check_grading_additivity(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                g = self.grade[i] + self.grade[j]
-                for l, c in enumerate(self.structure[i][j]):
-                    if c != 0 and (abs(g) > self.k or self.grade[l] != g):
-                        raise StructureError(
-                            f"grading additivity fails: [{self.basis_names[i]},"
-                            f"{self.basis_names[j]}] has grade-{self.grade[l]} support"
-                        )
+        for (i, j), entries in self._pair_table.items():
+            g = self.grade[i] + self.grade[j]
+            for l, _ in entries:
+                if abs(g) > self.k or self.grade[l] != g:
+                    raise StructureError(
+                        f"grading additivity fails: [{self.basis_names[i]},"
+                        f"{self.basis_names[j]}] has grade-{self.grade[l]} support"
+                    )
 
     def _check_jacobi(self):
+        """[[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j] = 0 on i < j < l."""
+        table = self._pair_table
         for i in range(self.dim):
-            ei = self.basis_element(i)
             for j in range(i + 1, self.dim):
-                ej = self.basis_element(j)
-                bij = self.bracket(ei, ej)
                 for l in range(j + 1, self.dim):
-                    el = self.basis_element(l)
-                    total = (self.bracket(bij, el)
-                             + self.bracket(self.bracket(ej, el), ei)
-                             + self.bracket(self.bracket(el, ei), ej))
-                    if not total.is_zero:
+                    total = {}
+                    for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
+                        for p, cp in table.get((a, b), ()):
+                            for m, cm in table.get((p, c), ()):
+                                total[m] = total.get(m, ZERO) + cp * cm
+                    if any(v != 0 for v in total.values()):
                         raise StructureError(
                             f"Jacobi identity fails on triple ({i},{j},{l})"
                         )
@@ -526,18 +587,16 @@ class GradedLieAlgebra:
         return f"GradedLieAlgebra({self.family}{self.params}, dim={self.dim}, k={self.k})"
 
 
-def _commutator(a, b, n):
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            ait = a[i][t]
-            bit = b[i][t]
-            if ait != 0:
-                for j in range(n):
-                    if b[t][j] != 0:
-                        out[i][j] += ait * b[t][j]
-            if bit != 0:
-                for j in range(n):
-                    if a[t][j] != 0:
-                        out[i][j] -= bit * a[t][j]
-    return out
+def _sparse(matrix):
+    """{(row, col): Fraction} map of the nonzero entries of a dense matrix."""
+    return {(i, j): Fraction(v)
+            for i, row in enumerate(matrix)
+            for j, v in enumerate(row) if v != 0}
+
+
+def _by_row(sparse):
+    """row -> ((col, value), ...) over a sparse matrix's nonzero entries."""
+    rows = {}
+    for (i, j), v in sparse.items():
+        rows.setdefault(i, []).append((j, v))
+    return rows

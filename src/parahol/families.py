@@ -183,15 +183,30 @@ def build_cr(n):
 
 
 def _check_su_conditions(mat, form, m, name):
-    """Realified su condition: matᵀ·form + form·mat = 0 and complex trace 0."""
+    """Realified su condition: matᵀ·form + form·mat = 0 and complex trace 0.
+
+    Summed over the nonzero entries of both matrices only.
+    """
     size = 2 * m
+    entries = [(i, j, mat[i][j]) for i in range(size) for j in range(size)
+               if mat[i][j] != 0]
+    form_rows, form_cols = {}, {}
     for i in range(size):
         for j in range(size):
-            v = ZERO
-            for t in range(size):
-                v += mat[t][i] * form[t][j] + form[i][t] * mat[t][j]
-            if v != 0:
-                raise StructureError(f"{name} violates the Hermitian form condition")
+            if form[i][j] != 0:
+                form_rows.setdefault(i, []).append((j, form[i][j]))
+                form_cols.setdefault(j, []).append((i, form[i][j]))
+    total = {}
+    for t, i, v in entries:
+        # matᵀ·form: mat[t][i]·form[t][j] lands at (i, j)
+        for j, f in form_rows.get(t, ()):
+            total[(i, j)] = total.get((i, j), ZERO) + v * f
+    for t, j, v in entries:
+        # form·mat: form[i][t]·mat[t][j] lands at (i, j)
+        for i, f in form_cols.get(t, ()):
+            total[(i, j)] = total.get((i, j), ZERO) + f * v
+    if any(v != 0 for v in total.values()):
+        raise StructureError(f"{name} violates the Hermitian form condition")
     re_tr = sum((mat[i][i] for i in range(m)), ZERO)
     im_tr = sum((mat[i + m][i] for i in range(m)), ZERO)
     if re_tr != 0 or im_tr != 0:

@@ -61,6 +61,19 @@ def _exactify(values):
     return out
 
 
+def _exact_parts(values, name):
+    """Field data taken strictly: ints, Fractions and 'p/q' strings.
+
+    Floats, booleans and malformed strings raise DomainError, so a field
+    never reports itself exact on data that was not.
+    """
+    return [_exact_part(v, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
+def _exact_part(value, name):
+    return value if isinstance(value, Fraction) else fraction_from_json(value, name)
+
+
 class FlatConformalField:
     """A conformal Killing field of flat R^{p,q}, identified with an algebra element."""
 
@@ -85,13 +98,17 @@ class FlatConformalField:
     @classmethod
     def from_parts(cls, p, q, a, linear, s, b, algebra=None):
         """Field from formula data: translation a, skew matrix A, dilation s,
-        special part b. The matrix must be skew for the (p, q) inner product."""
+        special part b. The matrix must be skew for the (p, q) inner product.
+
+        Each value is an int, a Fraction or a 'p/q' string; anything else
+        (a float, a boolean, a malformed or zero-denominator string) raises
+        DomainError."""
         algebra = algebra if algebra is not None else build_conformal(p, q)
         n = p + q
-        a = _exactify(a)
-        b = _exactify(b)
-        s = Fraction(s)
-        rows = [_exactify(row) for row in linear]
+        a = _exact_parts(a, "a")
+        b = _exact_parts(b, "b")
+        s = _exact_part(s, "s")
+        rows = [_exact_parts(row, f"linear[{i}]") for i, row in enumerate(linear)]
         if len(a) != n or len(b) != n or len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("field part dimensions do not match the signature")
         metric = [ONE] * p + [-ONE] * q

@@ -78,32 +78,60 @@ def rank(rows):
     return len(rref(work))
 
 
-def solve_many(a_rows, b_cols):
-    """Solve A·X = B for all columns of B with a single elimination.
+def _reduce(a_rows, b_cols):
+    """RREF of [A | B], B given as columns, pivoting in A's columns only.
 
-    B is given as a list of columns. Raises ValueError on any inconsistent
-    column; meant for systems known to be solvable (e.g. expressing closed
-    brackets in a basis).
+    Returns (work, pivots, n) with n the column count of A; the A-columns of
+    `work` are rref(A), whatever B is.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
-    nb = len(b_cols)
     work = [
         [Fraction(a_rows[i][j]) for j in range(n)]
         + [Fraction(col[i]) for col in b_cols]
         for i in range(m)
     ]
-    pivots = rref(work, aug=nb)
-    for row in work[len(pivots):]:
-        if any(v != 0 for v in row[n:]):
-            raise ValueError("inconsistent linear system")
-    sols = []
-    for t in range(nb):
-        x = [ZERO] * n
-        for r, c in enumerate(pivots):
-            x[c] = work[r][n + t]
-        sols.append(x)
-    return sols
+    return work, rref(work, aug=len(b_cols)), n
+
+
+def _consistent(work, pivots, n):
+    return all(v == 0 for row in work[len(pivots):] for v in row[n:])
+
+
+def _particular(work, pivots, n, t):
+    """The solution for augmented column t with every free variable zero."""
+    x = [ZERO] * n
+    for r, c in enumerate(pivots):
+        x[c] = work[r][n + t]
+    return x
+
+
+def _kernel(work, pivots, n):
+    """Kernel basis of A from the A-columns of a reduced [A | B]."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        vec = [ZERO] * n
+        vec[fc] = ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def solve_many(a_rows, b_cols):
+    """Solve A·X = B for all columns of B with a single elimination.
+
+    B is given as a list of columns. Raises ValueError on any inconsistent
+    column; meant for systems known to be solvable (e.g. inverting a
+    nonsingular matrix against the identity columns).
+    """
+    work, pivots, n = _reduce(a_rows, b_cols)
+    if not _consistent(work, pivots, n):
+        raise ValueError("inconsistent linear system")
+    return [_particular(work, pivots, n, t) for t in range(len(b_cols))]
 
 
 def solve(a_rows, b):
@@ -121,16 +149,18 @@ def solve(a_rows, b):
 def solve_min_norm(a_rows, b):
     """Minimum-Euclidean-norm solution of A·x = b, or None when inconsistent.
 
-    The particular solution x_p = solve(A, b) minus its orthogonal
-    projection onto ker A: with N a kernel basis, x = x_p − N·t where
-    (NᵀN)·t = Nᵀ·x_p. The system is f×f with f = dim ker A, so it is empty
-    when A is injective. The answer is unique, exact over the rationals and
+    One elimination of [A | b] gives the particular solution x_p (free
+    variables zero) and a kernel basis N of A. The answer is x_p minus its
+    orthogonal projection onto ker A: x = x_p − N·t where (NᵀN)·t = Nᵀ·x_p.
+    That system is f×f with f = dim ker A, so it is empty when A is
+    injective. The answer is unique, exact over the rationals and
     deterministic; this is the tie-breaking rule for witness selection.
     """
-    x = solve(a_rows, b)
-    if x is None:
+    work, pivots, n = _reduce(a_rows, [b])
+    if not _consistent(work, pivots, n):
         return None
-    kernel = nullspace(a_rows)
+    x = _particular(work, pivots, n, 0)
+    kernel = _kernel(work, pivots, n)
     t = solve([[dot(u, v) for v in kernel] for u in kernel],
               [dot(u, x) for u in kernel])
     for u, tu in zip(kernel, t):
@@ -146,15 +176,4 @@ def nullspace(a_rows):
     """Basis of the kernel of A (list of vectors)."""
     if not a_rows:
         return []
-    n = len(a_rows[0])
-    work = frac_rows(a_rows)
-    pivots = rref(work)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * n
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
+    return _kernel(*_reduce(a_rows, []))

@@ -12,7 +12,7 @@ from parahol.errors import (
     MismatchedAlgebraError,
     StructureError,
 )
-from parahol.families import build, build_conformal, build_cr
+from parahol.families import _check_su_conditions, build, build_conformal, build_cr
 from parahol.sampling import random_element
 
 
@@ -378,3 +378,94 @@ def test_jacobi_residual_exactly_zero_conformal20():
                          + algebra.bracket(algebra.bracket(ej, el), ei)
                          + algebra.bracket(algebra.bracket(el, ei), ej))
                 assert total.is_zero
+
+
+def test_from_matrices_rejects_a_linearly_dependent_basis():
+    # X and 2X commute, so every bracket is in the span, but the basis is not
+    # a basis
+    with pytest.raises(StructureError):
+        GradedLieAlgebra.from_matrices(
+            ["X", "Y"], [1, 1], [[[0, 1], [0, 0]], [[0, 2], [0, 0]]], 1,
+            "gl", (2,), [[1, 0], [0, 1]],
+        )
+
+
+def _mutated(algebra, structure, names=None, grades=None, k=None):
+    return GradedLieAlgebra(
+        names or algebra.basis_names, grades or algebra.grade, structure,
+        k or algebra.k, algebra.family, algebra.params,
+    )
+
+
+def _dense(algebra):
+    return [[list(row) for row in plane] for plane in algebra.structure]
+
+
+def test_validate_rejects_a_flipped_antisymmetric_entry():
+    algebra = build_conformal(2, 0)
+    i, j = algebra.basis_index("P_1"), algebra.basis_index("K_1")
+    structure = _dense(algebra)
+    l = algebra.basis_index("D")
+    assert structure[i][j][l] != 0
+    structure[i][j][l] = -structure[i][j][l]
+    with pytest.raises(StructureError, match=rf"antisymmetry fails at \({i},{j},{l}\)"):
+        _mutated(algebra, structure).validate()
+
+
+def test_validate_rejects_a_jacobi_violation():
+    # scaling [P_1, K_1] and [K_1, P_1] together keeps antisymmetry and the
+    # grading, and breaks Jacobi on (P_1, P_2, K_1)
+    algebra = build_conformal(2, 0)
+    i, j = algebra.basis_index("P_1"), algebra.basis_index("K_1")
+    structure = _dense(algebra)
+    structure[i][j] = [2 * c for c in structure[i][j]]
+    structure[j][i] = [2 * c for c in structure[j][i]]
+    with pytest.raises(StructureError, match=r"Jacobi identity fails on triple \(0,1,4\)"):
+        _mutated(algebra, structure).validate()
+
+
+def _with_central_vector(algebra, grade):
+    dim = algebra.dim
+    structure = [[list(algebra.structure[i][j]) + [0] if i < dim and j < dim
+                  else [0] * (dim + 1) for j in range(dim + 1)]
+                 for i in range(dim + 1)]
+    return algebra.basis_names + ("C",), algebra.grade + (grade,), structure
+
+
+def test_validate_rejects_a_negative_part_not_generated_by_grade_minus_one():
+    # so(3,1) plus a central grade -2 vector, which no bracket of grade -1 reaches
+    algebra = build_conformal(2, 0)
+    names, grades, structure = _with_central_vector(algebra, -2)
+    with pytest.raises(StructureError, match="negative part is not generated by grade -1"):
+        _mutated(algebra, structure, names, grades, k=2).validate()
+
+
+def test_validate_rejects_a_degenerate_killing_form():
+    algebra = build_conformal(2, 0)
+    names, grades, structure = _with_central_vector(algebra, 0)
+    with pytest.raises(StructureError, match="Killing form is degenerate"):
+        _mutated(algebra, structure, names, grades).validate()
+
+
+def _realified(m, entries):
+    """Real 2m x 2m matrix of the complex m x m matrix given as (i, j, re, im)."""
+    mat = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
+    for i, j, re, im in entries:
+        mat[i][j] += re
+        mat[i][j + m] -= im
+        mat[i + m][j] += im
+        mat[i + m][j + m] += re
+    return mat
+
+
+@pytest.mark.parametrize("entries,message", [
+    # E_11 is Hermitian, not skew-Hermitian, for the form
+    ([(1, 1, 1, 0)], "violates the Hermitian form condition"),
+    # i E_11 is skew-Hermitian but has complex trace i
+    ([(1, 1, 0, 1)], "is not traceless"),
+])
+def test_su_conditions_reject_bad_realified_matrices(entries, message):
+    m = 3
+    form = _realified(m, [(0, 2, 1, 0), (2, 0, 1, 0), (1, 1, 1, 0)])
+    with pytest.raises(StructureError, match=message):
+        _check_su_conditions(_realified(m, entries), form, m, "X")

@@ -94,6 +94,29 @@ def test_from_parts_rejects_non_skew(so41):
                                       0, [0, 0, 0], algebra=so41)
 
 
+@pytest.mark.parametrize("part", ["a", "s", "linear", "b"])
+@pytest.mark.parametrize("bad", ["1/0", 0.1, True, "x"])
+def test_from_parts_rejects_inexact_values(so41, part, bad):
+    parts = {"a": [0, 0, 0], "linear": zero_matrix(3), "s": 0, "b": [0, 0, 0]}
+    if part == "s":
+        parts["s"] = bad
+    elif part == "linear":
+        parts["linear"][1][1] = bad
+    else:
+        parts[part][2] = bad
+    with pytest.raises(DomainError):
+        FlatConformalField.from_parts(3, 0, parts["a"], parts["linear"],
+                                      parts["s"], parts["b"], algebra=so41)
+
+
+def test_from_parts_accepts_rational_strings(so41):
+    f = FlatConformalField.from_parts(3, 0, ["1/2", 0, 0], zero_matrix(3),
+                                      Fraction(-3, 2), [0, 0, "2"], algebra=so41)
+    assert f.a == (Fraction(1, 2), 0, 0)
+    assert f.s == Fraction(-3, 2)
+    assert f.b == (0, 0, 2)
+
+
 def test_from_parts_skew_is_signature_dependent():
     alg = build_conformal(1, 1)
     # A = [[0, 1], [1, 0]] is skew for the (1,1) inner product
