@@ -460,9 +460,11 @@ class GradedLieAlgebra:
         whether E exists.
         """
         self._check_killing_nondegenerate()
-        c = self.structure
-        rhs = [sum((self.grade[l] * c[j][l][l] for l in range(self.dim)), ZERO)
-               for j in range(self.dim)]
+        rhs = [ZERO] * self.dim
+        for (j, l), entries in self._pair_table.items():
+            for m, c in entries:
+                if m == l:
+                    rhs[j] += self.grade[l] * c
         e = AlgebraElement(self, linalg.solve(self.killing_matrix, rhs))
         for i in range(self.dim):
             ei = self.basis_element(i)
@@ -559,8 +561,13 @@ class GradedLieAlgebra:
         if linalg.rank(span) != neg_dim:
             raise StructureError("negative part is not generated by grade -1")
 
+    @cached_property
+    def _killing_rank(self):
+        # shared by validate() and grading_element, which both need it
+        return linalg.rank([list(r) for r in self.killing_matrix])
+
     def _check_killing_nondegenerate(self):
-        if linalg.rank([list(r) for r in self.killing_matrix]) != self.dim:
+        if self._killing_rank != self.dim:
             raise StructureError("Killing form is degenerate")
 
     # -- realization access ----------------------------------------------------

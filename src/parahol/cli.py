@@ -14,11 +14,9 @@ import json
 import sys
 from fractions import Fraction
 
-import jsonschema
-
 from . import schemas
 from .classify import HolonomyDatum, classify
-from .errors import ParaholError, StructureError
+from .errors import ParaholError, SchemaViolation, StructureError
 from .families import build, build_conformal
 from .flat import FlatConformalField, classify_at
 from .identities import run_flat_identity_suite
@@ -43,9 +41,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload = _read_payload(args)
-        _validate_payload(args.command, payload)
+        schemas.validate(payload, schemas.BY_COMMAND[args.command])
         report = _dispatch(args.command, payload, args)
-    except jsonschema.ValidationError as exc:
+    except SchemaViolation as exc:
         _emit_error(args, f"schema violation: {exc.message}", exc.json_path)
         return 1
     except json.JSONDecodeError as exc:
@@ -95,10 +93,6 @@ def _read_payload(args):
     if not text:
         return {}
     return json.loads(text)
-
-
-def _validate_payload(command, payload):
-    jsonschema.validate(payload, schemas.BY_COMMAND[command])
 
 
 def _dispatch(command, payload, args):
@@ -208,11 +202,12 @@ def _verify_identities(payload, args):
     t = payload.get("t", 0.1)
     with at_path("signature"):
         algebra = build_conformal(p, q)
-    return {
-        "command": "verify-identities",
-        **run_flat_identity_suite(p=p, q=q, samples=samples,
-                                  seed=args.seed, t=t, algebra=algebra),
-    }
+    # the signature is built above and the schema bounds the sample count,
+    # so a domain error in the suite (a flow leaving the chart) is due to t
+    with at_path("t"):
+        residuals = run_flat_identity_suite(p=p, q=q, samples=samples,
+                                            seed=args.seed, t=t, algebra=algebra)
+    return {"command": "verify-identities", **residuals}
 
 
 def _oracle_compare(payload, args):

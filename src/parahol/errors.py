@@ -33,6 +33,19 @@ class DomainError(ParaholError):
     """An argument lies outside the operation's domain."""
 
 
+class SchemaViolation(ParaholError):
+    """A request does not match its JSON schema.
+
+    `message` and `json_path` are the ones jsonschema reports for the same
+    request and schema (see `schemas.validate`).
+    """
+
+    def __init__(self, message, json_path):
+        super().__init__(message)
+        self.message = message
+        self.json_path = json_path
+
+
 class UnsupportedDepthError(ParaholError):
     """The grading depth k of the algebra is not supported by this operation."""
 

@@ -13,14 +13,15 @@ are rejected rather than continued through a chart transition.
 This module also carries the numeric identity checks: vanishing of the
 adjoint-tractor derivative of the field's tractor, Maurer-Cartan flatness,
 flow equivariance in exponential coordinates, and commutation of the flow
-with the exponential-coordinate Weyl section in the witness gauge.
+with the exponential-coordinate Weyl section in the witness gauge. Only
+these float checks use numpy and scipy, and they import them when called,
+so the exact paths (construction, `evaluate`, `holonomy_at`,
+`classify_at`) run on the standard library alone.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import linalg
 from .classify import HolonomyDatum, classify
@@ -185,6 +186,8 @@ class FlatConformalField:
 
     def evaluate_float(self, point):
         """Float evaluation on numpy arrays; the integrators' hot path."""
+        import numpy as np
+
         x = np.asarray(point, dtype=float)
         a, lin, b, met, s = self._float_parts
         xx = (met * x) @ x
@@ -195,6 +198,8 @@ class FlatConformalField:
     def _float_parts(self):
         cached = getattr(self, "_float_parts_cache", None)
         if cached is None:
+            import numpy as np
+
             cached = (
                 np.array([float(v) for v in self.a]),
                 np.array([[float(v) for v in row] for row in self.linear]),
@@ -399,6 +404,8 @@ def curvature_check(y1, y2):
 
 def _integrate_chart_flow(field, start, t, step=RK4_STEP):
     """Classical RK4 for the chart ODE x' = X(x); rejects chart escapes."""
+    import numpy as np
+
     x = np.array([float(v) for v in start], dtype=float)
     if t == 0:
         return x
@@ -435,6 +442,8 @@ def _integrate_bundle_flow(xi_matrix, g0, t, step=RK4_STEP):
 
 
 def _float_matrix(rows):
+    import numpy as np
+
     return np.array([[float(v) for v in row] for row in rows], dtype=float)
 
 
@@ -467,6 +476,8 @@ def _translation_matrix(algebra, point):
 
 def _chart_of_group_point(g):
     """Chart coordinates of g·(base point), via homogeneous coordinates."""
+    import numpy as np
+
     col = g[:, 0]
     scale = col[0]
     if abs(scale) < CHART_HOMOGENEOUS_TOL * max(1.0, float(np.linalg.norm(col))):
@@ -482,6 +493,7 @@ def equivariance_check(field, base_point, direction, t):
     as exp^ω(u, Ad(h^t)Y)·h^t in the matrix realization. Returns the chart
     distance.
     """
+    import numpy as np
     import scipy.linalg
 
     algebra = field.algebra
@@ -515,6 +527,8 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
     (Inessential or WeylReducible); otherwise no Weyl structure is
     preserved and the check refuses.
     """
+    import numpy as np
+
     algebra = field.algebra
     datum = holonomy_at(field, base_point)
     result = classify(datum)
@@ -557,6 +571,8 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
 
 
 def _sample_offsets(n, n_samples, scale):
+    import numpy as np
+
     offsets = [np.zeros(n)]
     for i in range(min(n, max(0, n_samples - 1))):
         e = np.zeros(n)
@@ -577,6 +593,8 @@ def _positive_offset(q, rho_p, n):
     element. Anything that fails to factor (lower-left leakage) counts
     toward the defect as well.
     """
+    import numpy as np
+
     size = q.shape[0]
     y = _chart_of_group_point(q)
     m = sum((-float(yi) * rp for yi, rp in zip(y, rho_p)), np.zeros((size, size)))

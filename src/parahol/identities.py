@@ -9,8 +9,6 @@ commutation 1e-6, structure equation exactly zero.
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from .classify import classify
 from .families import build_conformal
 from .flat import (
@@ -38,6 +36,8 @@ def conformal_killing_residual_fd(field, point, h=1e-5):
     Independent of the exact polynomial identity used at construction:
     derivatives come from central differences of evaluate().
     """
+    import numpy as np
+
     n = field.n
     met = [float(m) for m in field.metric]
     x = np.array([float(v) for v in point], dtype=float)

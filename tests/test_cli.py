@@ -152,6 +152,7 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
     ("algebra-info", {"family": "conformal", "params": [1, 0]}, "$.params"),
     ("algebra-info", {"family": "cr", "params": [0]}, "$.params"),
     ("verify-identities", {"signature": [1, 0]}, "$.signature"),
+    ("verify-identities", {"signature": [3, 0], "t": 10}, "$.t"),
     ("classify", {"family": "conformal", "params": [3, 0],
                   "element": {"P_1": 1}}, "$.element"),
     ("flat-classify", _flat_request(point=(0, 0)), "$.point"),
@@ -226,6 +227,78 @@ def test_file_input(tmp_path):
     code, out = run_cli("algebra-info", None, "--file", str(req))
     assert code == 0
     assert json.loads(out)["dim"] == 10
+
+
+def _schema_keywords(schema):
+    found = set(schema)
+    for sub in schema.get("properties", {}).values():
+        found |= _schema_keywords(sub)
+    for key in ("items", "additionalProperties"):
+        if isinstance(schema.get(key), dict):
+            found |= _schema_keywords(schema[key])
+    return found
+
+
+def test_validator_implements_exactly_the_keywords_the_schemas_use():
+    used = set().union(*map(_schema_keywords, schemas.BY_COMMAND.values()))
+    assert used == schemas.KEYWORDS
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "minProperties": 1},
+    {"properties": {"a": {"const": 1}}},         # on a branch the payload skips
+    {"items": {"format": "date"}},
+    {"additionalProperties": {"oneOf": []}},
+    {"items": True},
+    {"enum": [1, 2]},
+    {"type": "float"},
+])
+def test_validate_raises_on_an_unsupported_keyword(schema):
+    with pytest.raises(NotImplementedError):
+        schemas.validate({}, schema)
+
+
+# Every request but verify-identities runs on the standard library alone.
+_IMPORT_PROBE = """
+import json, sys
+import parahol.cli
+code = parahol.cli.main(sys.argv[1:])
+heavy = [m for m in ("numpy", "scipy", "jsonschema") if m in sys.modules]
+sys.stderr.write(json.dumps(heavy))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command,payload,flags,code", [
+    ("classify", {"family": "cr", "params": [1],
+                  "element": {"E": "1/2", "S": 1}}, (), 0),
+    ("flat-classify", _flat_request(), (), 0),
+    ("algebra-info", {"family": "conformal", "params": [3, 0]}, (), 0),
+    ("algebra-verify", {"family": "cr", "params": [2]}, (), 0),
+    ("oracle-compare", {"family": "cr", "params": [1]},
+     ("--instances", "10"), 0),
+    ("classify", {"family": "conformal", "params": [3, 0],
+                  "element": {"D": "1/x"}}, (), 1),
+])
+def test_requests_import_neither_numpy_scipy_nor_jsonschema(command, payload,
+                                                             flags, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, command, *flags],
+        input=json.dumps(payload), capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == code, proc.stdout
+    assert json.loads(proc.stderr) == []
+
+
+def test_package_names_resolve_after_importing_the_cli():
+    import inspect
+
+    import parahol
+    import parahol.cli  # noqa: F401  (loads the submodule parahol.classify)
+
+    assert inspect.isfunction(parahol.classify)
+    for name in parahol.__all__:
+        assert getattr(parahol, name) is not None
 
 
 def test_shipped_schemas_match_source():
