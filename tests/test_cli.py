@@ -152,7 +152,6 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
     ("algebra-info", {"family": "conformal", "params": [1, 0]}, "$.params"),
     ("algebra-info", {"family": "cr", "params": [0]}, "$.params"),
     ("verify-identities", {"signature": [1, 0]}, "$.signature"),
-    ("verify-identities", {"signature": [3, 0], "t": 10}, "$.t"),
     ("classify", {"family": "conformal", "params": [3, 0],
                   "element": {"P_1": 1}}, "$.element"),
     ("flat-classify", _flat_request(point=(0, 0)), "$.point"),
@@ -162,6 +161,7 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
     ("flat-classify", _flat_request(a=(0, 0), linear=[[0, 1], [1, 0]], s=0,
                                     b=(0, 0), signature=(2, 0), point=(0, 0)),
      "$.field"),
+    ("verify-identities", {"signature": [3, 0], "t": 10}, "$.t"),
 ])
 def test_request_field_errors_carry_a_path(command, payload, path):
     code, out = run_cli(command, payload)
