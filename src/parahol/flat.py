@@ -448,23 +448,26 @@ def _float_matrix(rows):
 
 
 def _exp_nilpotent_exact(mat):
-    """Exact matrix exponential of a nilpotent Fraction matrix."""
+    """Exact matrix exponential of a nilpotent Fraction matrix.
+
+    Sums mat^m / m! until the power vanishes. The powers are sparse
+    products and only their nonzero entries are added: the realization
+    matrices of grade -1 and positive elements are mostly zero.
+    """
     n = len(mat)
-    out = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    term = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    factorial = 1
+    out = linalg.identity_vectors(n)
+    term = mat
+    inv_factorial = ONE
     for m in range(1, n + 1):
+        nonzero = [(i, j, v) for i, row in enumerate(term)
+                   for j, v in enumerate(row) if v != 0]
+        if not nonzero:
+            return out
+        inv_factorial /= m
+        for i, j, v in nonzero:
+            out[i][j] += inv_factorial * v
         term = linalg.matmul(term, mat)
-        if all(v == 0 for row in term for v in row):
-            break
-        factorial *= m
-        inv = Fraction(1, factorial)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += inv * term[i][j]
-    else:
-        raise ValueError("matrix is not nilpotent")
-    return out
+    raise ValueError("matrix is not nilpotent")
 
 
 def _translation_matrix(algebra, point):
@@ -475,12 +478,17 @@ def _translation_matrix(algebra, point):
 
 
 def _chart_of_group_point(g):
-    """Chart coordinates of g·(base point), via homogeneous coordinates."""
+    """Chart coordinates of g·(base point), via homogeneous coordinates.
+
+    A non-finite point, or a homogeneous scale too small to divide by, has
+    left the chart.
+    """
     import numpy as np
 
     col = g[:, 0]
     scale = col[0]
-    if abs(scale) < CHART_HOMOGENEOUS_TOL * max(1.0, float(np.linalg.norm(col))):
+    if (not np.isfinite(col).all()
+            or abs(scale) < CHART_HOMOGENEOUS_TOL * max(1.0, float(np.linalg.norm(col)))):
         raise ChartEscapeError("group point left the chart")
     return col[1:-1] / scale
 
@@ -510,10 +518,13 @@ def equivariance_check(field, base_point, direction, t):
     start = [float(v) + yi for v, yi in zip(base_point, y)]
     lhs = _integrate_chart_flow(field, start, t)
 
-    h_t = scipy.linalg.expm(t * rho_h)
-    h_t_inv = scipy.linalg.expm(-t * rho_h)
-    w = h_t @ rho_y @ h_t_inv            # Ad(h^t)(Y) in the realization
-    rhs_group = u @ scipy.linalg.expm(w)
+    # for large |t| these products overflow; the non-finite group point
+    # that results is rejected below as a chart escape
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_t = scipy.linalg.expm(t * rho_h)
+        h_t_inv = scipy.linalg.expm(-t * rho_h)
+        w = h_t @ rho_y @ h_t_inv            # Ad(h^t)(Y) in the realization
+        rhs_group = u @ scipy.linalg.expm(w)
     rhs = _chart_of_group_point(rhs_group)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -526,9 +537,16 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
     Requires the holonomy at the base point to be conjugate into grade 0
     (Inessential or WeylReducible); otherwise no Weyl structure is
     preserved and the check refuses.
+
+    The samples share one integration: their starting group elements sit
+    side by side in one size × (n_samples·size) matrix, and the bundle ODE
+    G' = rho(xi)·G moves each column on its own, so one RK4 run flows them
+    all.
     """
     import numpy as np
 
+    if n_samples < 1:
+        raise DomainError("the Weyl-section check needs at least one sample")
     algebra = field.algebra
     datum = holonomy_at(field, base_point)
     result = classify(datum)
@@ -558,15 +576,15 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
              for i in range(n)]
 
     size = len(u_prime)
-    offsets = _sample_offsets(n, n_samples, sample_scale)
-    worst = 0.0
-    for offset in offsets:
+    starts = []
+    for offset in _sample_offsets(n, n_samples, sample_scale):
         m = sum((c * rp for c, rp in zip(offset, rho_p)), np.zeros((size, size)))
         exp_y = np.eye(size) + m + (m @ m) / 2.0
-        start = uf @ exp_y
-        flowed = _integrate_bundle_flow(rho_xi, start, t)
-        q = uf_inv @ flowed
-        worst = max(worst, _positive_offset(q, rho_p, n))
+        starts.append(uf @ exp_y)
+    flowed = _integrate_bundle_flow(rho_xi, np.hstack(starts), t)
+    worst = 0.0
+    for block in np.hsplit(flowed, len(starts)):
+        worst = max(worst, _positive_offset(uf_inv @ block, rho_p, n))
     return worst
 
 

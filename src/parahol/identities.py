@@ -9,13 +9,12 @@ commutation 1e-6, structure equation exactly zero.
 import random
 from fractions import Fraction
 
-from .classify import classify
+from .errors import WeylSectionInapplicableError
 from .families import build_conformal
 from .flat import (
     FlatConformalField,
     curvature_check,
     equivariance_check,
-    holonomy_at,
     tractor_derivative,
     weyl_section_check,
 )
@@ -92,10 +91,12 @@ def run_flat_identity_suite(p=3, q=0, samples=20, seed=42, t=0.1, algebra=None):
         equiv_worst = max(
             equiv_worst, equivariance_check(field, [0] * n, direction, t)
         )
-        if classify(holonomy_at(field, [0] * n)).witness is not None:
-            weyl_worst = max(weyl_worst,
-                             weyl_section_check(field, [0] * n, t))
-            weyl_cases += 1
+        try:
+            weyl = weyl_section_check(field, [0] * n, t)
+        except WeylSectionInapplicableError:
+            continue
+        weyl_worst = max(weyl_worst, weyl)
+        weyl_cases += 1
 
     residuals = {
         "conformal_killing": ckv_worst,

@@ -17,17 +17,28 @@ def frac_rows(rows):
     return [[Fraction(v) for v in row] for row in rows]
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def matvec(rows, vec):
     return [sum((r[j] * vec[j] for j in range(len(vec))), ZERO) for r in rows]
 
 
 def matmul(a, b):
-    bt = transpose(b)
-    return [[sum((ra[t] * cb[t] for t in range(len(ra))), ZERO) for cb in bt] for ra in a]
+    """A·B, multiplying only nonzero entries of A by nonzero entries of B.
+
+    Exact arithmetic makes the skipped products contribute nothing, so the
+    result equals the dense product; the realization matrices this is used
+    on are mostly zero.
+    """
+    ncols = len(b[0]) if b else 0
+    b_rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in b]
+    out = []
+    for ra in a:
+        row = [ZERO] * ncols
+        for t, x in enumerate(ra):
+            if x != 0:
+                for j, v in b_rows[t]:
+                    row[j] += x * v
+        out.append(row)
+    return out
 
 
 def dot(u, v):

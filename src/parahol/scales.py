@@ -63,8 +63,17 @@ class ScaleData:
 
 
 def default_scale(algebra):
-    """The scale determined by the grading element (exists for every family)."""
-    return scale_from_element(algebra, algebra.grading_element)
+    """The scale determined by the grading element (exists for every family).
+
+    Computed once per algebra, since algebras are immutable. The memo is
+    kept on the algebra itself, so it is freed with it: a weak-keyed map
+    would pin every algebra, because its scale refers back to it.
+    """
+    scale = getattr(algebra, "_default_scale", None)
+    if scale is None:
+        scale = scale_from_element(algebra, algebra.grading_element)
+        algebra._default_scale = scale
+    return scale
 
 
 def scale_from_element(algebra, e):

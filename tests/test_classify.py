@@ -269,7 +269,7 @@ def test_verdict_invariant_under_grade_preserving_rotations(so41):
 
     def conjugate_element(g, x):
         gm = linalg.matmul(g, real.matrix_of(x))
-        g_inv = linalg.transpose(g)  # orthogonal for the Euclidean block
+        g_inv = [list(col) for col in zip(*g)]  # orthogonal for the Euclidean block
         coords = real.coordinates(linalg.matmul(gm, g_inv))
         assert coords is not None
         return so41.element_from_coeffs(coords)

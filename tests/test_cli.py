@@ -192,6 +192,20 @@ def test_oracle_compare_rejects_bad_flags(family, params, flags, path):
     assert json.loads(out)["error"]["path"] == path
 
 
+def test_verify_identities_overflow_is_a_quiet_chart_escape():
+    # at t = 10 the group-side exponentials overflow; the request fails on
+    # the non-finite group point without numpy warnings on stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "parahol.cli", "verify-identities"],
+        input=json.dumps({"signature": [3, 0], "t": 10}),
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == {
+        "message": "group point left the chart", "path": "$.t"}
+    assert proc.stderr == ""
+
+
 def test_verify_identities_small_run():
     code, out = run_cli("verify-identities", {"samples": 4})
     assert code == 0

@@ -1,13 +1,16 @@
 """Flat conformal model: field formula, transport, holonomy, numeric identities."""
 
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from parahol import flat, linalg
 from parahol.classify import Verdict, classify, conjugate_by_exp
-from parahol.constants import FIELD_BRACKET_SIGN
+from parahol.constants import FIELD_BRACKET_SIGN, RK4_STEP
 from parahol.errors import (
     ChartEscapeError,
     DomainError,
@@ -17,6 +20,9 @@ from parahol.errors import (
 from parahol.families import build_conformal
 from parahol.flat import (
     FlatConformalField,
+    _exp_nilpotent_exact,
+    _positive_offset,
+    _sample_offsets,
     classify_at,
     curvature_check,
     equivariance_check,
@@ -27,8 +33,8 @@ from parahol.flat import (
     translation_element,
     weyl_section_check,
 )
-from parahol.identities import conformal_killing_residual_fd
-from parahol.sampling import random_element, random_p_element
+from parahol.identities import conformal_killing_residual_fd, run_flat_identity_suite
+from parahol.sampling import random_element, random_p_element, random_positive_element
 from parahol.scales import default_scale
 
 
@@ -373,6 +379,15 @@ def test_flow_escape_raises_with_time(so41):
     assert 0 < err.value.escape_time <= 25.0
 
 
+def test_group_side_overflow_is_a_chart_escape(so41):
+    # the chart flow contracts to the origin, but exp(t·rho(h)) overflows
+    field = FlatConformalField(so41, so41.element({"D": 100}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartEscapeError, match="group point left the chart"):
+            equivariance_check(field, [0, 0, 0], so41.basis_element("P_1"), 10.0)
+
+
 # -- Weyl section --------------------------------------------------------------------
 
 
@@ -391,6 +406,12 @@ def test_weyl_section_refuses_unkillable(so41):
     field = FlatConformalField(so41, so41.basis_element("K_1"))
     with pytest.raises(WeylSectionInapplicableError):
         weyl_section_check(field, [0, 0, 0], 0.1)
+
+
+def test_weyl_section_needs_a_sample(so41):
+    field = FlatConformalField(so41, so41.basis_element("D"))
+    with pytest.raises(DomainError, match="at least one sample"):
+        weyl_section_check(field, [0, 0, 0], 0.1, n_samples=0)
 
 
 def test_weyl_section_requires_singularity(so41):
@@ -414,3 +435,134 @@ def test_field_requires_exact_coefficients(so41):
     xi = so41.element_from_coeffs([0.25] + [0] * (so41.dim - 1))
     with pytest.raises(DomainError):
         FlatConformalField(so41, xi)
+
+
+# -- sparse exact exponentials and the batched Weyl-section flow ----------------
+
+
+def _dense_exp_series(mat):
+    """Σ_m mat^m / m! with dense products, up to the matrix size."""
+    n = len(mat)
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    term = [row[:] for row in out]
+    for m in range(1, n + 1):
+        term = [[sum((term[i][t] * mat[t][j] for t in range(n)), Fraction(0)) / m
+                 for j in range(n)] for i in range(n)]
+        out = [[o + v for o, v in zip(ro, rt)] for ro, rt in zip(out, term)]
+    return out
+
+
+def _nilpotent_samples(algebra, rng, count=6):
+    """Realization matrices of random grade -1 and positive elements."""
+    real = algebra.require_realization()
+    for _ in range(count):
+        yield real.matrix_of(random_element(algebra, rng, grades=[-1]))
+        yield real.matrix_of(random_positive_element(algebra, rng))
+
+
+@pytest.mark.parametrize("signature", [(3, 0), (2, 1), (4, 0)])
+def test_exp_nilpotent_exact_matches_the_dense_series(signature):
+    algebra = build_conformal(*signature)
+    rng = random.Random(sum(signature) * 7 + signature[1])
+    for mat in _nilpotent_samples(algebra, rng):
+        exp_plus = _exp_nilpotent_exact(mat)
+        assert exp_plus == _dense_exp_series(mat)
+        exp_minus = _exp_nilpotent_exact([[-v for v in row] for row in mat])
+        n = len(mat)
+        assert linalg.matmul(exp_plus, exp_minus) == [
+            [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def test_exp_nilpotent_exact_of_a_full_jordan_block():
+    # the shift's (n-1)-th power is nonzero: the series runs to the matrix size
+    n = 4
+    shift = [[Fraction(int(j == i + 1)) for j in range(n)] for i in range(n)]
+    assert _exp_nilpotent_exact(shift) == [
+        [Fraction(1, math.factorial(j - i)) if j >= i else Fraction(0)
+         for j in range(n)] for i in range(n)]
+
+
+def test_exp_nilpotent_exact_rejects_a_non_nilpotent_matrix():
+    with pytest.raises(ValueError, match="not nilpotent"):
+        _exp_nilpotent_exact([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
+
+
+@pytest.mark.parametrize("signature", [(3, 0), (2, 1)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suite_counts_every_field_with_a_witness(signature, seed):
+    p, q = signature
+    n = p + q
+    samples = 4
+    algebra = build_conformal(p, q)
+    suite = run_flat_identity_suite(p, q, samples=samples, seed=seed,
+                                    algebra=algebra)
+    # replay the suite's draws: the first loop's fields, points and
+    # directions, then the singular fields of the Weyl-section loop
+    rng = random.Random(seed)
+    for _ in range(samples):
+        random_element(algebra, rng, max_abs=4)
+        [rng.randint(-4, 4) for _ in range(n)]
+        rng.randint(1, n)
+    expected = 0
+    for _ in range(max(4, samples // 4)):
+        field = FlatConformalField(algebra, random_p_element(algebra, rng, max_abs=3))
+        rng.randint(1, n)
+        expected += classify(holonomy_at(field, [0] * n)).witness is not None
+    assert suite["weyl_section_cases"] == expected
+
+
+def _weyl_groups_one_run_per_sample(field, t, n_samples, sample_scale):
+    """The Weyl-section group elements q, each sample integrated on its own."""
+    algebra = field.algebra
+    real = algebra.require_realization()
+    n = field.n
+    zeros = [0] * n
+    zw = classify(holonomy_at(field, zeros)).witness
+    exp_z = _exp_nilpotent_exact(real.matrix_of(zw))
+    exp_minus_z = _exp_nilpotent_exact([[-v for v in row] for row in real.matrix_of(zw)])
+    uf = np.array([[float(v) for v in row] for row in exp_minus_z])
+    uf_inv = np.array([[float(v) for v in row] for row in exp_z])
+    rho_xi = np.array([[float(v) for v in row] for row in real.matrix_of(field.xi)])
+    rho_p = [np.array([[float(v) for v in row]
+                       for row in real.matrix_of(algebra.basis_element(f"P_{i + 1}"))])
+             for i in range(n)]
+    size = len(uf)
+    steps = max(1, int(round(abs(t) / RK4_STEP)))
+    h = t / steps
+    out = []
+    for offset in _sample_offsets(n, n_samples, sample_scale):
+        m = sum((c * rp for c, rp in zip(offset, rho_p)), np.zeros((size, size)))
+        g = uf @ (np.eye(size) + m + (m @ m) / 2.0)
+        for _ in range(steps):
+            k1 = rho_xi @ g
+            k2 = rho_xi @ (g + 0.5 * h * k1)
+            k3 = rho_xi @ (g + 0.5 * h * k2)
+            k4 = rho_xi @ (g + h * k3)
+            g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(uf_inv @ g)
+    return out, rho_p
+
+
+@pytest.mark.parametrize("signature,seed", [((3, 0), 3), ((2, 1), 4), ((4, 0), 5)])
+def test_batched_weyl_section_matches_one_run_per_sample(signature, seed, monkeypatch):
+    algebra = build_conformal(*signature)
+    rng = random.Random(seed)
+    n = sum(signature)
+    while True:
+        field = FlatConformalField(algebra, random_p_element(algebra, rng, max_abs=3))
+        if classify(holonomy_at(field, [0] * n)).witness is not None:
+            break
+    seen = []
+
+    def spy(q, rho_p, n):
+        seen.append(q)
+        return _positive_offset(q, rho_p, n)
+
+    monkeypatch.setattr(flat, "_positive_offset", spy)
+    worst = weyl_section_check(field, [0] * n, 0.1, n_samples=5)
+    reference, rho_p = _weyl_groups_one_run_per_sample(field, 0.1, 5, 0.15)
+    assert len(seen) == len(reference) == 5
+    for q, q_ref in zip(seen, reference):
+        assert np.max(np.abs(q - q_ref)) < 1e-12
+    expected = max(_positive_offset(q, rho_p, n) for q in reference)
+    assert abs(worst - expected) < 1e-12

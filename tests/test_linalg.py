@@ -94,3 +94,26 @@ def test_nullspace_dimension_and_membership():
         assert len(basis) == 6 - linalg.rank(a)
         for v in basis:
             assert linalg.is_zero_vector(linalg.matvec(a, v))
+
+
+def _dense_matmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+@pytest.mark.parametrize("m,r,n", [(3, 4, 2), (1, 5, 4), (4, 1, 3), (5, 3, 5)])
+def test_sparse_matmul_matches_dense_reference(m, r, n):
+    rng = random.Random(m * 100 + r * 10 + n)
+    for _ in range(20):
+        a = rand_matrix(rng, m, r)
+        b = rand_matrix(rng, r, n)
+        # zero rows and columns in both factors, and scattered zero entries
+        a[rng.randrange(m)] = [Fraction(0)] * r
+        for row in b:
+            row[rng.randrange(n)] = Fraction(0)
+        for row in a:
+            row[rng.randrange(r)] = Fraction(0)
+        b[rng.randrange(r)] = [Fraction(0)] * n
+        product = linalg.matmul(a, b)
+        assert product == _dense_matmul(a, b)
+        assert all(isinstance(v, Fraction) for row in product for v in row)

@@ -1,11 +1,13 @@
 """Scale elements, the exactness functional and its kernel."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from parahol import linalg
-from parahol.classify import conjugate_by_exp
+from parahol.classify import HolonomyDatum, conjugate_by_exp
 from parahol.errors import DomainError, InvalidScaleError
 from parahol.families import build_conformal, build_cr
 from parahol.sampling import random_p_element, random_positive_element
@@ -145,3 +147,27 @@ def test_scale_serialization_shape(so41):
     assert len(doc["e_lambda"]) == so41.dim
     assert set(doc["lambda_prime"]) == {"D", "M_12", "M_13", "M_23"}
     assert len(doc["kernel"]) == 3
+
+
+def test_default_scale_is_computed_once_per_algebra(so41):
+    assert default_scale(so41) is default_scale(so41)
+    fresh = scale_from_element(so41, so41.grading_element)
+    assert default_scale(so41).to_json_dict() == fresh.to_json_dict()
+
+
+def test_separate_builds_get_their_own_scale():
+    first, second = build_conformal(2, 1), build_conformal(2, 1)
+    assert default_scale(first) is not default_scale(second)
+    assert default_scale(first).algebra is first
+    assert default_scale(second).algebra is second
+    with pytest.raises(DomainError, match="scale belongs to a different algebra"):
+        HolonomyDatum(first, first.basis_element("D"), default_scale(second))
+
+
+def test_default_scale_does_not_keep_its_algebra_alive():
+    algebra = build_cr(1)
+    default_scale(algebra)
+    ref = weakref.ref(algebra)
+    del algebra
+    gc.collect()
+    assert ref() is None
