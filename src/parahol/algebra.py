@@ -1,14 +1,15 @@
 """Graded semisimple Lie algebras with exact rational structure constants.
 
 A GradedLieAlgebra stores a basis, one integer grade per basis vector and
-the rank-3 structure constant array over Fraction, with a sparse table of
-the nonzero constants of each basis pair. From a matrix realization, each
-structure constant row is the sparse commutator of two basis matrices
-expressed through the Frobenius dual basis, checked by exact
-reconstruction. Validation checks the algebra axioms exactly on the sparse
-table (antisymmetry, grading additivity, Jacobi, generation of the
-negative part by grade −1, nondegenerate Killing form), so downstream code
-can rely on them without tolerances.
+a sparse table of the nonzero Fraction structure constants of each basis
+pair; the dense rank-3 array is only derived on request. From a matrix
+realization, the bracket of each basis pair i < j is the sparse commutator
+of the two basis matrices expressed through the Frobenius dual basis,
+checked by exact reconstruction, and the pair (j, i) gets its negation.
+Validation checks the algebra axioms exactly on the sparse table
+(antisymmetry, grading additivity, Jacobi, generation of the negative part
+by grade −1, nondegenerate Killing form), so downstream code can rely on
+them without tolerances.
 
 The grade layout of the basis is known here only: callers reach ad(x) one
 grade block at a time through `ad_block(x, source_grade, target_grade)`,
@@ -16,6 +17,7 @@ and read or write one grade's coordinates through `grade_coords` and
 `from_grade_coords`.
 """
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -194,9 +196,17 @@ class MatrixRealization:
 
     def coordinates(self, matrix):
         """Express an exact matrix in the basis; None when outside the span."""
-        return self._sparse_coordinates(_sparse(matrix))
+        entries = self._sparse_coordinates(_sparse(matrix))
+        if entries is None:
+            return None
+        out = [ZERO] * len(self.basis_matrices)
+        for k, c in entries:
+            out[k] = c
+        return out
 
     def _sparse_coordinates(self, sparse):
+        """((k, c_k), ...) over the nonzero coordinates of a sparse matrix,
+        in increasing k; None when the matrix is outside the span."""
         inner = {}
         for pos, v in sparse.items():
             for l, b in self._position_index.get(pos, ()):
@@ -212,10 +222,7 @@ class MatrixRealization:
                 rebuilt[pos] = rebuilt.get(pos, ZERO) + c * v
         if {pos: v for pos, v in rebuilt.items() if v != 0} != sparse:
             return None
-        out = [ZERO] * len(self.basis_matrices)
-        for k, c in coords.items():
-            out[k] = c
-        return out
+        return tuple(sorted((k, c) for k, c in coords.items() if c != 0))
 
     def _basis_commutator(self, i, j):
         """[B_i, B_j] as a sparse map of its nonzero entries."""
@@ -232,23 +239,34 @@ class MatrixRealization:
 class GradedLieAlgebra:
     """Finite-dimensional |k|-graded Lie algebra given by structure constants.
 
-    [e_i, e_j] = Σ_l structure[i][j][l] e_l, with grade(i) ∈ [-k, k].
-    Instances are immutable after construction; all cached data is derived.
+    [e_i, e_j] = Σ_l c_ij^l e_l, with grade(i) ∈ [-k, k]. Only the nonzero
+    constants are stored: each basis pair (i, j) with a nonzero bracket maps
+    to its ((l, c_ij^l), ...) entries in increasing l. Instances are
+    immutable after construction; all cached data is derived.
     """
 
     def __init__(self, basis_names, grades, structure, k, family, params,
                  realization=None):
+        """`structure[i][j][l]` is c_ij^l; only its nonzero entries are kept."""
+        table = {}
+        for i, plane in enumerate(structure):
+            for j, row in enumerate(plane):
+                entries = tuple(
+                    (l, c if type(c) is Fraction else Fraction(c))
+                    for l, c in enumerate(row) if c != 0)
+                if entries:
+                    table[(i, j)] = entries
+        self._store(basis_names, grades, table, k, family, params, realization)
+
+    def _store(self, basis_names, grades, table, k, family, params,
+               realization):
         self.basis_names = tuple(basis_names)
         self.grade = tuple(int(g) for g in grades)
         self.dim = len(self.basis_names)
         self.k = int(k)
         self.family = family
         self.params = tuple(params)
-        self.structure = tuple(
-            tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row)
-                  for row in plane)
-            for plane in structure
-        )
+        self._pair_table = table
         self.realization = realization
         self._name_index = {n: i for i, n in enumerate(self.basis_names)}
         if len(self._name_index) != self.dim:
@@ -263,27 +281,30 @@ class GradedLieAlgebra:
                       form):
         """Build structure constants from a faithful matrix realization.
 
-        Each commutator [B_i, B_j] is formed sparsely and expressed in the
-        basis through the Frobenius dual basis (see MatrixRealization); an
-        exact reconstruction check rejects a bracket outside the span, and
-        a linearly dependent basis is rejected too. Both raise
-        StructureError.
+        Each commutator [B_i, B_j] with i < j is formed sparsely and
+        expressed in the basis through the Frobenius dual basis (see
+        MatrixRealization); an exact reconstruction check rejects a bracket
+        outside the span, and a linearly dependent basis is rejected too.
+        Both raise StructureError. [B_j, B_i] = -[B_i, B_j] and
+        [B_i, B_i] = 0 hold exactly for matrices, so they are not formed.
         """
         realization = MatrixRealization(matrices, form)
         dim = len(basis_names)
-        structure = []
+        table = {}
         for i in range(dim):
-            plane = []
-            for j in range(dim):
-                coords = realization._sparse_coordinates(
+            for j in range(i + 1, dim):
+                entries = realization._sparse_coordinates(
                     realization._basis_commutator(i, j))
-                if coords is None:
+                if entries is None:
                     raise StructureError(
                         "matrix brackets leave the span of the basis")
-                plane.append(coords)
-            structure.append(plane)
-        return cls(basis_names, grades, structure, k, family, params,
-                   realization=realization)
+                if entries:
+                    table[(i, j)] = entries
+                    table[(j, i)] = tuple((l, -c) for l, c in entries)
+        algebra = cls.__new__(cls)
+        algebra._store(basis_names, grades, table, k, family, params,
+                       realization)
+        return algebra
 
     # -- basic queries ---------------------------------------------------------
 
@@ -330,16 +351,18 @@ class GradedLieAlgebra:
     # -- core operations -------------------------------------------------------
 
     @cached_property
-    def _pair_table(self):
-        table = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entries = tuple(
-                    (l, c) for l, c in enumerate(self.structure[i][j]) if c != 0
-                )
-                if entries:
-                    table[(i, j)] = entries
-        return table
+    def structure(self):
+        """Dense view of the constants: structure[i][j][l] = c_ij^l.
+
+        Built on first access from the sparse table; nothing in the algebra
+        reads it.
+        """
+        dense = [[[ZERO] * self.dim for _ in range(self.dim)]
+                 for _ in range(self.dim)]
+        for (i, j), entries in self._pair_table.items():
+            for l, c in entries:
+                dense[i][j][l] = c
+        return tuple(tuple(tuple(row) for row in plane) for plane in dense)
 
     def bracket(self, x, y):
         """Lie bracket, bilinear over the structure constants (exact for exact inputs)."""
@@ -531,20 +554,43 @@ class GradedLieAlgebra:
                     )
 
     def _check_jacobi(self):
-        """[[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j] = 0 on i < j < l."""
-        table = self._pair_table
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for l in range(j + 1, self.dim):
-                    total = {}
-                    for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
-                        for p, cp in table.get((a, b), ()):
-                            for m, cm in table.get((p, c), ()):
-                                total[m] = total.get(m, ZERO) + cp * cm
-                    if any(v != 0 for v in total.values()):
-                        raise StructureError(
-                            f"Jacobi identity fails on triple ({i},{j},{l})"
-                        )
+        """[[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j] = 0 on i < j < l.
+
+        Only triples with a nonzero product c_ab^p·c_pc^m, for some order
+        (a, b, c) of the three, are visited; every other triple sums to
+        zero. They are visited in lexicographic order, so the first failing
+        triple is the first among all triples. The sums run on integers,
+        the constants scaled by the lcm of their denominators, which keeps
+        each sum's zeroness exact.
+        """
+        scale = 1
+        for entries in self._pair_table.values():
+            for _, c in entries:
+                scale = math.lcm(scale, c.denominator)
+        table = {
+            pair: tuple((l, c.numerator * (scale // c.denominator))
+                        for l, c in entries)
+            for pair, entries in self._pair_table.items()
+        }
+        partners = [[] for _ in range(self.dim)]  # p -> each c with [e_p,e_c] != 0
+        for p, c in table:
+            partners[p].append(c)
+        triples = set()
+        for (a, b), entries in table.items():
+            for p, _ in entries:
+                for c in partners[p]:
+                    if c != a and c != b:
+                        triples.add(tuple(sorted((a, b, c))))
+        for i, j, l in sorted(triples):
+            total = {}
+            for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
+                for p, cp in table.get((a, b), ()):
+                    for m, cm in table.get((p, c), ()):
+                        total[m] = total.get(m, 0) + cp * cm
+            if any(total.values()):
+                raise StructureError(
+                    f"Jacobi identity fails on triple ({i},{j},{l})"
+                )
 
     def _check_generated_by_first_negative(self):
         neg_dim = sum(len(self.indices_of_grade(-g)) for g in range(1, self.k + 1))

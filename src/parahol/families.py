@@ -23,6 +23,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
+# Largest algebra dimension `build` constructs. On a shared 2-core host,
+# CLI algebra-info took 3.5 s on conformal(21,0) (dim 253) and 4.7-5.0 s on
+# cr(13) (dim 224); the next sizes, cr(14) (dim 255) and conformal(24,0)
+# (dim 325), took 6.4 and 5.4 s.
+MAX_BUILD_DIM = 253
+
 
 def build_conformal(p, q):
     """so(p+1, q+1) with the |1|-grading of conformal geometry.
@@ -214,13 +220,28 @@ def _check_su_conditions(mat, form, m, name):
 
 
 def build(family, params):
-    """Dispatch used by the CLI: family name + parameter list."""
+    """Dispatch used by the CLI: family name + parameter list.
+
+    An algebra whose dimension exceeds MAX_BUILD_DIM is rejected with a
+    ValueError before any work; build_conformal and build_cr themselves
+    take any size.
+    """
     if family == "conformal":
         if len(params) != 2:
             raise ValueError("conformal family takes params [p, q]")
-        return build_conformal(int(params[0]), int(params[1]))
+        p, q = int(params[0]), int(params[1])
+        _check_build_budget(family, (p + q + 1) * (p + q + 2) // 2)
+        return build_conformal(p, q)
     if family == "cr":
         if len(params) != 1:
             raise ValueError("cr family takes params [n]")
-        return build_cr(int(params[0]))
+        n = int(params[0])
+        _check_build_budget(family, (n + 1) * (n + 3))
+        return build_cr(n)
     raise ValueError(f"unknown family {family!r}")
+
+
+def _check_build_budget(family, dim):
+    if dim > MAX_BUILD_DIM:
+        raise ValueError(f"{family} algebra of dimension {dim} exceeds the "
+                         f"build budget of dimension {MAX_BUILD_DIM}")

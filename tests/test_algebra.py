@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parahol import linalg
+from parahol import families, linalg
 from parahol.algebra import GradedLieAlgebra
 from parahol.errors import (
     GradeRangeError,
@@ -424,6 +424,70 @@ def test_validate_rejects_a_jacobi_violation():
         _mutated(algebra, structure).validate()
 
 
+def _first_jacobi_failure(structure):
+    """Exhaustive reference: the first i < j < l, in lexicographic order,
+    whose Jacobi sum is nonzero, or None."""
+    dim = len(structure)
+
+    def term(a, b, c):
+        out = [Fraction(0)] * dim
+        for p, cp in enumerate(structure[a][b]):
+            if cp != 0:
+                for m, cm in enumerate(structure[p][c]):
+                    out[m] += cp * cm
+        return out
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for l in range(j + 1, dim):
+                terms = zip(term(i, j, l), term(j, l, i), term(l, i, j))
+                if any(x + y + z != 0 for x, y, z in terms):
+                    return (i, j, l)
+    return None
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: build_conformal(2, 0),
+    lambda: build_conformal(3, 0),
+    lambda: build_cr(1),
+])
+def test_pruned_jacobi_matches_an_exhaustive_reference(maker):
+    # each mutation keeps antisymmetry: it scales the brackets of one
+    # nonzero pair (i, j) and (j, i) together, or gives one commuting pair a
+    # bracket, so the check visits triples it skipped on the built algebra
+    algebra = maker()
+    dim = algebra.dim
+    assert _first_jacobi_failure(_dense(algebra)) is None
+    _mutated(algebra, _dense(algebra))._check_jacobi()
+    rng = random.Random(83)
+    failures = 0
+    for step in range(12):
+        structure = _dense(algebra)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)
+                 if any(structure[i][j]) == (step % 2 == 0)]
+        i, j = rng.choice(pairs)
+        if step % 2 == 0:
+            f = rng.choice([Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+            structure[i][j] = [f * c for c in structure[i][j]]
+            structure[j][i] = [f * c for c in structure[j][i]]
+        else:
+            l = rng.randrange(dim)
+            c = rng.choice([Fraction(1), Fraction(-2), Fraction(1, 3)])
+            structure[i][j][l] = c
+            structure[j][i][l] = -c
+        expected = _first_jacobi_failure(structure)
+        mutated = _mutated(algebra, structure)
+        if expected is None:
+            mutated._check_jacobi()
+        else:
+            failures += 1
+            a, b, c = expected
+            with pytest.raises(StructureError,
+                               match=rf"Jacobi identity fails on triple \({a},{b},{c}\)$"):
+                mutated._check_jacobi()
+    assert failures > 0
+
+
 def _with_central_vector(algebra, grade):
     dim = algebra.dim
     structure = [[list(algebra.structure[i][j]) + [0] if i < dim and j < dim
@@ -469,3 +533,15 @@ def test_su_conditions_reject_bad_realified_matrices(entries, message):
     form = _realified(m, [(0, 2, 1, 0), (2, 0, 1, 0), (1, 1, 1, 0)])
     with pytest.raises(StructureError, match=message):
         _check_su_conditions(_realified(m, entries), form, m, "X")
+
+
+def test_build_budget_is_the_closed_form_dimension(monkeypatch):
+    monkeypatch.setattr(families, "MAX_BUILD_DIM", 15)
+    assert build("conformal", [2, 2]).dim == 15
+    assert build("cr", [2]).dim == 15
+    with pytest.raises(ValueError, match="dimension 21 exceeds"):
+        build("conformal", [3, 2])
+    with pytest.raises(ValueError, match="dimension 24 exceeds"):
+        build("cr", [3])
+    # the family constructors themselves are not budgeted
+    assert build_cr(3).dim == 24

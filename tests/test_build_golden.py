@@ -10,6 +10,7 @@ conformal signatures.
 import hashlib
 import json
 
+from parahol.algebra import GradedLieAlgebra
 from parahol.families import build
 
 ALGEBRAS = (
@@ -36,3 +37,12 @@ def test_construction_output_matches_golden_hash():
                _strings(algebra.grading_element.coeffs)]
         digest.update(json.dumps(doc).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_the_sparse_table_is_the_only_stored_structure():
+    for family, params in ALGEBRAS:
+        algebra = build(family, list(params))
+        assert "structure" not in vars(algebra)
+        rebuilt = GradedLieAlgebra(algebra.basis_names, algebra.grade,
+                                   algebra.structure, algebra.k, family, params)
+        assert rebuilt._pair_table == algebra._pair_table

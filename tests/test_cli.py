@@ -162,6 +162,11 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
                                     b=(0, 0), signature=(2, 0), point=(0, 0)),
      "$.field"),
     ("verify-identities", {"signature": [3, 0], "t": 10}, "$.t"),
+    # over the build budget (families.MAX_BUILD_DIM = 253)
+    ("algebra-info", {"family": "cr", "params": [14]}, "$.params"),
+    ("algebra-verify", {"family": "conformal", "params": [22, 0]}, "$.params"),
+    ("classify", {"family": "conformal", "params": [11, 11],
+                  "element": {"D": 1}}, "$.params"),
 ])
 def test_request_field_errors_carry_a_path(command, payload, path):
     code, out = run_cli(command, payload)
