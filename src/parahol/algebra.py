@@ -23,6 +23,7 @@ from functools import cached_property
 
 from . import linalg
 from .errors import (
+    DomainError,
     GradeRangeError,
     MismatchedAlgebraError,
     NoRealizationError,
@@ -33,22 +34,20 @@ ZERO = Fraction(0)
 
 
 def _as_scalar(v):
-    """Normalize a coefficient: ints and Fractions stay exact, floats stay float."""
+    """A coefficient as a Fraction; only ints and Fractions are accepted."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, float):
-        return v
-    raise TypeError(f"unsupported coefficient type {type(v).__name__}")
+    raise DomainError(
+        f"coefficients must be exact rationals, got {type(v).__name__}")
 
 
 class AlgebraElement:
     """A vector in a fixed algebra, stored as one coefficient per basis vector.
 
-    Immutable. Coefficients are exact Fractions unless the element was built
-    from floats, in which case `exact` is False and numeric consumers must
-    treat results as approximate.
+    Immutable. Coefficients are exact Fractions: ints become Fractions, and
+    any other coefficient (a float included) raises DomainError.
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -64,10 +63,6 @@ class AlgebraElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
-
-    @property
-    def exact(self):
-        return all(isinstance(c, Fraction) for c in self.coeffs)
 
     @property
     def is_zero(self):
@@ -123,9 +118,6 @@ class AlgebraElement:
 
     def coeff(self, name):
         return self.coeffs[self.algebra.basis_index(name)]
-
-    def float_coeffs(self):
-        return [float(c) for c in self.coeffs]
 
     def __repr__(self):
         if self.is_zero:
@@ -184,7 +176,7 @@ class MatrixRealization:
         )
 
     def matrix_of(self, element):
-        """Matrix of an element (exact when the element is exact)."""
+        """Exact matrix of an element."""
         n = self.size
         out = [[ZERO] * n for _ in range(n)]
         for c, m in zip(element.coeffs, self.basis_matrices):
@@ -365,7 +357,7 @@ class GradedLieAlgebra:
         return tuple(tuple(tuple(row) for row in plane) for plane in dense)
 
     def bracket(self, x, y):
-        """Lie bracket, bilinear over the structure constants (exact for exact inputs)."""
+        """Lie bracket, bilinear over the structure constants."""
         if x.algebra is not self or y.algebra is not self:
             raise MismatchedAlgebraError("bracket arguments must live in this algebra")
         out = [ZERO] * self.dim

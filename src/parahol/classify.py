@@ -99,16 +99,14 @@ class Classification:
 class HolonomyDatum:
     """Generator of the holonomy of a singularity, in a fixed gauge.
 
-    x must lie in the nonnegative part (grades 0..k) with exact
-    coefficients; gauge changes act by conjugation and never produce
-    negative components over a fixed point.
+    x must lie in the nonnegative part (grades 0..k); its coefficients are
+    exact, as every element's are. Gauge changes act by conjugation and
+    never produce negative components over a fixed point.
     """
 
     def __init__(self, algebra, x, scale=None):
         if x.algebra is not algebra:
             raise DomainError("datum element belongs to a different algebra")
-        if not x.exact:
-            raise DomainError("holonomy data must have exact rational coefficients")
         bad = [g for g in x.grades() if g < 0]
         if bad:
             raise DomainError(
@@ -122,7 +120,7 @@ class HolonomyDatum:
 
 
 def conjugate_by_exp(z, x):
-    """e^{ad z}(x) for z in the positive part; finite sum, exact on exact input.
+    """e^{ad z}(x) for z in the positive part; an exact finite sum.
 
     ad(z) strictly raises degree, so the series terminates after at most 2k
     steps.

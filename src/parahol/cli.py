@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import schemas
 from .classify import HolonomyDatum, classify
 from .errors import ParaholError, SchemaViolation, StructureError
-from .families import build, build_conformal
+from .families import build
 from .flat import FlatConformalField, classify_at
 from .identities import run_flat_identity_suite
 from .jsonio import (
@@ -197,11 +197,11 @@ def _flat_classify(payload):
 
 
 def _verify_identities(payload, args):
-    p, q = payload.get("signature", [3, 0])
     samples = payload.get("samples", 20)
     t = payload.get("t", 0.1)
     with at_path("signature"):
-        algebra = build_conformal(p, q)
+        algebra = build("conformal", payload.get("signature", [3, 0]))
+    p, q = algebra.params
     # the signature is built above and the schema bounds the sample count,
     # so a domain error in the suite (a flow leaving the chart) is due to t
     with at_path("t"):

@@ -23,8 +23,10 @@ FIELD_BRACKET_SIGN = -1
 # classical fixed-step fourth-order integration of polynomial flows
 RK4_STEP = 1e-3
 
-# central finite differences for the adjoint-tractor derivative
-FD_STEP = 1e-5
+# exact central differences for the adjoint-tractor derivative; the gauge
+# tractor is quadratic in the point, so any nonzero step gives the exact
+# derivative
+FD_STEP = Fraction(1, 100000)
 
 # chart guards: reject trajectories this far out (the chart boundary is at
 # infinity) and group elements whose homogeneous coordinate degenerates

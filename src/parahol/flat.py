@@ -10,13 +10,14 @@ the dilation coefficient and b the special-conformal part. The chart is a
 single affine chart of the homogeneous model; points whose flow leaves it
 are rejected rather than continued through a chart transition.
 
-This module also carries the numeric identity checks: vanishing of the
-adjoint-tractor derivative of the field's tractor, Maurer-Cartan flatness,
-flow equivariance in exponential coordinates, and commutation of the flow
-with the exponential-coordinate Weyl section in the witness gauge. Only
-these float checks use numpy and scipy, and they import them when called,
-so the exact paths (construction, `evaluate`, `holonomy_at`,
-`classify_at`) run on the standard library alone.
+This module also carries the identity checks: the exact ones, vanishing of
+the adjoint-tractor derivative of the field's tractor and Maurer-Cartan
+flatness, and the float ones, flow equivariance in exponential coordinates
+and commutation of the flow with the exponential-coordinate Weyl section
+in the witness gauge. Only the float checks use numpy and scipy, and they
+import them when called, so the exact paths (construction, `evaluate`,
+`holonomy_at`, `classify_at`, `tractor_derivative`) run on the standard
+library alone.
 """
 
 from dataclasses import dataclass
@@ -52,21 +53,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _exactify(values):
-    out = []
-    for v in values:
-        if isinstance(v, (float, int, Fraction, str)):
-            out.append(Fraction(v))
-        else:
-            raise TypeError(f"unsupported point coordinate {type(v).__name__}")
-    return out
-
-
 def _exact_parts(values, name):
-    """Field data taken strictly: ints, Fractions and 'p/q' strings.
+    """Field data and points taken strictly: ints, Fractions and 'p/q' strings.
 
-    Floats, booleans and malformed strings raise DomainError, so a field
-    never reports itself exact on data that was not.
+    Floats, booleans and malformed strings raise DomainError, so nothing is
+    decided on a binary approximation of the value that was meant.
     """
     return [_exact_part(v, f"{name}[{i}]") for i, v in enumerate(values)]
 
@@ -83,8 +74,6 @@ class FlatConformalField:
             raise DomainError("flat model fields require a conformal algebra")
         if xi.algebra is not algebra:
             raise DomainError("element belongs to a different algebra")
-        if not xi.exact:
-            raise DomainError("field coefficients must be exact rationals")
         self.algebra = algebra
         self.xi = xi
         p, q = algebra.params
@@ -172,7 +161,7 @@ class FlatConformalField:
 
     def evaluate(self, point):
         """Value of the polynomial vector field; exact Fractions."""
-        x = _exactify(point)
+        x = _exact_parts(point, "point")
         if len(x) != self.n:
             raise DomainError(f"point must have dimension {self.n}")
         xx = sum((self.metric[i] * x[i] * x[i] for i in range(self.n)), ZERO)
@@ -211,7 +200,7 @@ class FlatConformalField:
         return cached
 
     def is_singular_at(self, point):
-        """Whether the field vanishes at the point (exact for rational input)."""
+        """Whether the field vanishes at the point, decided exactly."""
         return all(v == 0 for v in self.evaluate(point))
 
     def poly_coeffs(self):
@@ -277,7 +266,7 @@ class FlatConformalField:
 
 def translation_element(algebra, point):
     """The grade -1 element whose chart flow is translation by `point`."""
-    coords = _exactify(point)
+    coords = _exact_parts(point, "point")
     named = {f"P_{i + 1}": c for i, c in enumerate(coords) if c != 0}
     return algebra.element(named)
 
@@ -354,26 +343,27 @@ def classify_at(field, point):
 def adjoint_connection(fn, direction, base_point):
     """Tractor connection along a grade -1 direction in the flat gauge.
 
-    Central finite differences of the gauge function plus the exact
-    algebraic bracket term with the direction.
+    The exact central difference of the gauge function at x0 ± h·y, plus the
+    algebraic bracket term with the direction. The difference equals the
+    derivative whenever fn is at most quadratic in x, as the gauge tractor
+    is (ad(x̂)³ = 0 on a |1|-grading).
     """
     algebra = direction.algebra
     if direction.grades() not in ([], [-1]):
         raise DomainError("direction must have pure grade -1")
-    y = [float(c) for c in algebra.grade_coords(direction, -1)]
-    x0 = [float(v) for v in base_point]
+    y = algebra.grade_coords(direction, -1)
+    x0 = _exact_parts(base_point, "point")
     h = FD_STEP
     plus = fn([xi + h * yi for xi, yi in zip(x0, y)])
     minus = fn([xi - h * yi for xi, yi in zip(x0, y)])
-    derivative = algebra.element_from_coeffs(
-        [(cp - cm) / (2 * h) for cp, cm in zip(plus.coeffs, minus.coeffs)]
-    )
-    bracket_term = algebra.bracket(direction, fn(base_point))
+    derivative = (plus - minus) * (1 / (2 * h))
+    bracket_term = algebra.bracket(direction, fn(x0))
     return derivative + bracket_term
 
 
 def tractor_derivative(field, direction, base_point):
-    """Derivative of the field's adjoint tractor; ~0 for conformal Killing fields."""
+    """Derivative of the field's adjoint tractor; exactly zero, since every
+    field here is a conformal Killing field."""
     return adjoint_connection(lambda x: gauge_tractor(field, x),
                               direction, base_point)
 
@@ -402,43 +392,37 @@ def curvature_check(y1, y2):
 # -- numeric flow machinery --------------------------------------------------------
 
 
-def _integrate_chart_flow(field, start, t, step=RK4_STEP):
-    """Classical RK4 for the chart ODE x' = X(x); rejects chart escapes."""
+def _rk4(f, y, t, after_step=None):
+    """Classical fixed-step RK4 for the autonomous ODE y' = f(y) from 0 to t.
+
+    after_step(y, time) runs after every step; it may raise to stop the
+    integration.
+    """
+    if t == 0:
+        return y
+    n_steps = max(1, int(round(abs(t) / RK4_STEP)))
+    h = t / n_steps
+    for i in range(1, n_steps + 1):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if after_step is not None:
+            after_step(y, i * h)
+    return y
+
+
+def _integrate_chart_flow(field, start, t):
+    """RK4 for the chart ODE x' = X(x); rejects chart escapes."""
     import numpy as np
 
-    x = np.array([float(v) for v in start], dtype=float)
-    if t == 0:
-        return x
-    n_steps = max(1, int(round(abs(t) / step)))
-    h = t / n_steps
-    f = field.evaluate_float
-    for i in range(n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    def escape_guard(x, time):
         if np.linalg.norm(x) > CHART_NORM_LIMIT:
-            raise ChartEscapeError("flow left the chart",
-                                   escape_time=(i + 1) * h)
-    return x
+            raise ChartEscapeError("flow left the chart", escape_time=time)
 
-
-def _integrate_bundle_flow(xi_matrix, g0, t, step=RK4_STEP):
-    """RK4 for the right-invariant bundle ODE G' = rho(xi)·G."""
-    g = g0.copy()
-    if t == 0:
-        return g
-    n_steps = max(1, int(round(abs(t) / step)))
-    h = t / n_steps
-    a = xi_matrix
-    for _ in range(n_steps):
-        k1 = a @ g
-        k2 = a @ (g + 0.5 * h * k1)
-        k3 = a @ (g + 0.5 * h * k2)
-        k4 = a @ (g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return g
+    x = np.array([float(v) for v in start], dtype=float)
+    return _rk4(field.evaluate_float, x, t, escape_guard)
 
 
 def _float_matrix(rows):
@@ -565,7 +549,7 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
     )
     exp_plus_z = _exp_nilpotent_exact(realization.matrix_of(zw))
     u_prime = linalg.matmul(u_mat, exp_minus_z)
-    minus_base = [-v for v in _exactify(base_point)]
+    minus_base = [-v for v in _exact_parts(base_point, "point")]
     u_prime_inv = linalg.matmul(exp_plus_z,
                                 _translation_matrix(algebra, minus_base))
 
@@ -581,7 +565,8 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
         m = sum((c * rp for c, rp in zip(offset, rho_p)), np.zeros((size, size)))
         exp_y = np.eye(size) + m + (m @ m) / 2.0
         starts.append(uf @ exp_y)
-    flowed = _integrate_bundle_flow(rho_xi, np.hstack(starts), t)
+    # the right-invariant bundle ODE G' = rho(xi)·G
+    flowed = _rk4(lambda g: rho_xi @ g, np.hstack(starts), t)
     worst = 0.0
     for block in np.hsplit(flowed, len(starts)):
         worst = max(worst, _positive_offset(uf_inv @ block, rho_p, n))

@@ -14,11 +14,8 @@ from .errors import DomainError, ParaholError
 
 
 def fraction_to_json(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else str(v)
-    if isinstance(v, int):
-        return v
-    return float(v)
+    """A Fraction as a JSON integer when integral, else a "p/q" string."""
+    return int(v) if v.denominator == 1 else str(v)
 
 
 def _domain_error(message, path):

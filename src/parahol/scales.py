@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, InvalidScaleError
+from .jsonio import fraction_to_json
 
 ZERO = Fraction(0)
 
@@ -53,12 +54,13 @@ class ScaleData:
         alg = self.algebra
         zero_idx = alg.indices_of_grade(0)
         return {
-            "e_lambda": [str(c) for c in self.e_lambda.coeffs],
+            "e_lambda": [fraction_to_json(c) for c in self.e_lambda.coeffs],
             "lambda_prime": {
-                alg.basis_names[i]: str(self.covector[t])
+                alg.basis_names[i]: fraction_to_json(self.covector[t])
                 for t, i in enumerate(zero_idx)
             },
-            "kernel": [[str(c) for c in v.coeffs] for v in self.kernel_basis],
+            "kernel": [[fraction_to_json(c) for c in v.coeffs]
+                       for v in self.kernel_basis],
         }
 
 

@@ -8,6 +8,7 @@ import pytest
 from parahol import families, linalg
 from parahol.algebra import GradedLieAlgebra
 from parahol.errors import (
+    DomainError,
     GradeRangeError,
     MismatchedAlgebraError,
     StructureError,
@@ -295,10 +296,20 @@ def test_element_immutable(so41):
 
 def test_exactness_flag(so41):
     x = so41.basis_element("D")
-    assert x.exact
-    y = so41.element_from_coeffs([0.5] + [0] * (so41.dim - 1))
-    assert not y.exact
-    assert y.float_coeffs()[0] == 0.5
+    assert all(type(c) is Fraction for c in x.coeffs)
+    with pytest.raises(DomainError):
+        so41.element_from_coeffs([0.5] + [0] * (so41.dim - 1))
+
+
+@pytest.mark.parametrize("construct", [
+    pytest.param(lambda a: a.element({"D": 0.5}), id="element"),
+    pytest.param(lambda a: 0.5 * a.basis_element("D"), id="left_scalar"),
+    pytest.param(lambda a: a.basis_element("D") * 2.0, id="right_scalar"),
+    pytest.param(lambda a: a.element({"D": "1/2"}), id="string"),
+])
+def test_inexact_coefficients_raise_domain_error(so41, construct):
+    with pytest.raises(DomainError):
+        construct(so41)
 
 
 def test_exp_ad_rejects_mixed_sign(so41):

@@ -167,6 +167,7 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
     ("algebra-verify", {"family": "conformal", "params": [22, 0]}, "$.params"),
     ("classify", {"family": "conformal", "params": [11, 11],
                   "element": {"D": 1}}, "$.params"),
+    ("verify-identities", {"signature": [22, 0], "samples": 1}, "$.signature"),
 ])
 def test_request_field_errors_carry_a_path(command, payload, path):
     code, out = run_cli(command, payload)

@@ -280,6 +280,7 @@ def test_tractor_derivative_vanishes_on_killing_fields(so41):
         direction = so41.basis_element(f"P_{rng.randint(1, 3)}")
         out = tractor_derivative(field, direction, base)
         assert max(abs(float(c)) for c in out.coeffs) < 1e-6
+        assert out.is_zero
 
 
 def test_adjoint_connection_of_constant_is_bracket_term(so41):
@@ -432,9 +433,26 @@ def test_field_requires_conformal_family():
 
 
 def test_field_requires_exact_coefficients(so41):
-    xi = so41.element_from_coeffs([0.25] + [0] * (so41.dim - 1))
     with pytest.raises(DomainError):
-        FlatConformalField(so41, xi)
+        FlatConformalField(so41, so41.element_from_coeffs([0.25] + [0] * (so41.dim - 1)))
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+@pytest.mark.parametrize("call", [
+    lambda field, point: field.evaluate(point),
+    lambda field, point: field.is_singular_at(point),
+    lambda field, point: holonomy_at(field, point),
+    lambda field, point: classify_at(field, point),
+    lambda field, point: translation_element(field.algebra, point),
+    lambda field, point: tractor_derivative(
+        field, field.algebra.basis_element("P_1"), point),
+], ids=["evaluate", "is_singular_at", "holonomy_at", "classify_at",
+        "translation_element", "tractor_derivative"])
+def test_inexact_point_coordinates_raise_domain_error(so41, call, bad):
+    # the zero field vanishes everywhere, so only the coordinate can fail
+    field = FlatConformalField(so41, so41.zero())
+    with pytest.raises(DomainError):
+        call(field, [bad, 0, 0])
 
 
 # -- sparse exact exponentials and the batched Weyl-section flow ----------------

@@ -147,6 +147,9 @@ def test_scale_serialization_shape(so41):
     assert len(doc["e_lambda"]) == so41.dim
     assert set(doc["lambda_prime"]) == {"D", "M_12", "M_13", "M_23"}
     assert len(doc["kernel"]) == 3
+    # rationals go through the one JSON encoder: integers stay integers
+    assert doc["lambda_prime"]["D"] == 6
+    assert type(doc["lambda_prime"]["D"]) is int
 
 
 def test_default_scale_is_computed_once_per_algebra(so41):
