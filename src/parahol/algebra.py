@@ -34,10 +34,10 @@ ZERO = Fraction(0)
 
 
 def _as_scalar(v):
-    """A coefficient as a Fraction; only ints and Fractions are accepted."""
+    """A coefficient as a Fraction; only ints (not bools) and Fractions pass."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     raise DomainError(
         f"coefficients must be exact rationals, got {type(v).__name__}")
@@ -47,7 +47,7 @@ class AlgebraElement:
     """A vector in a fixed algebra, stored as one coefficient per basis vector.
 
     Immutable. Coefficients are exact Fractions: ints become Fractions, and
-    any other coefficient (a float included) raises DomainError.
+    any other coefficient (a float or a bool included) raises DomainError.
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -143,7 +143,9 @@ class MatrixRealization:
     nonzero entries. A matrix is expressed in the basis through the
     Frobenius dual basis: with G_kl = <B_k, B_l> the Gram matrix of the
     entrywise inner product, the coordinates of M are G⁻¹·(<B_l, M>)_l,
-    followed by an exact check that they reconstruct M. G is positive
+    followed by an exact check that they reconstruct M. G⁻¹ comes from one
+    sparse elimination of [G | I] (`linalg.solve_many`); on the built-in
+    families G has one or two nonzero entries per row. G is positive
     definite exactly when the basis is linearly independent, so a singular
     G is rejected on construction.
     """
@@ -416,25 +418,21 @@ class GradedLieAlgebra:
     def killing_matrix(self):
         """Gram matrix of the Killing form, B_ij = trace(ad e_i ∘ ad e_j).
 
-        The trace is Σ_{l,m} c_il^m c_jm^l, summed over the nonzero
-        structure constants of the pair table.
+        The trace is Σ_{l,m} c_il^m c_jm^l. Each nonzero c_il^m is matched
+        with the nonzero c_jm^l through an index (m, l) -> [(j, c_jm^l)]
+        built once from the pair table, so only products of two nonzero
+        constants are formed.
         """
-        # ad(e_i) as {(m, l): c_il^m}
-        ads = [{} for _ in range(self.dim)]
-        for (i, l), entries in self._pair_table.items():
-            for m, c in entries:
-                ads[i][(m, l)] = c
+        index = {}
+        for (j, m), entries in self._pair_table.items():
+            for l, c in entries:
+                index.setdefault((m, l), []).append((j, c))
         b = [[ZERO] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                adj = ads[j]
-                total = ZERO
-                for (m, l), c in ads[i].items():
-                    cj = adj.get((l, m))
-                    if cj is not None:
-                        total += c * cj
-                b[i][j] = total
-                b[j][i] = total
+        for (i, l), entries in self._pair_table.items():
+            row = b[i]
+            for m, c in entries:
+                for j, cj in index.get((m, l), ()):
+                    row[j] += c * cj
         return tuple(tuple(r) for r in b)
 
     def killing_form(self, x, y):
@@ -471,8 +469,9 @@ class GradedLieAlgebra:
 
         Such an E has ad E = diag(grades), so B(E, e_j) = Σ_l grade(l)·c_{jl}^l:
         one solve in the Killing matrix, whose nondegeneracy (checked here)
-        makes E unique. An exact check on every basis vector then decides
-        whether E exists.
+        makes E unique. An exact check of [E, e_i] on every basis vector,
+        summed from the pair table over E's support, then decides whether E
+        exists.
         """
         self._check_killing_nondegenerate()
         rhs = [ZERO] * self.dim
@@ -481,9 +480,13 @@ class GradedLieAlgebra:
                 if m == l:
                     rhs[j] += self.grade[l] * c
         e = AlgebraElement(self, linalg.solve(self.killing_matrix, rhs))
-        for i in range(self.dim):
-            ei = self.basis_element(i)
-            if self.bracket(e, ei) != self.grade[i] * ei:
+        support = [(j, c) for j, c in enumerate(e.coeffs) if c]
+        for i, g in enumerate(self.grade):
+            image = {}  # [E, e_i]
+            for j, c in support:
+                for l, v in self._pair_table.get((j, i), ()):
+                    image[l] = image.get(l, ZERO) + c * v
+            if {l: v for l, v in image.items() if v} != ({i: g} if g else {}):
                 raise StructureError("no grading element exists")
         return e
 
@@ -602,7 +605,7 @@ class GradedLieAlgebra:
     @cached_property
     def _killing_rank(self):
         # shared by validate() and grading_element, which both need it
-        return linalg.rank([list(r) for r in self.killing_matrix])
+        return linalg.rank(self.killing_matrix)
 
     def _check_killing_nondegenerate(self):
         if self._killing_rank != self.dim:

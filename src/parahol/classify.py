@@ -76,10 +76,6 @@ class Classification:
     certificate: Optional[object] = None
 
     @property
-    def exact(self):
-        return True
-
-    @property
     def is_essential(self):
         return self.verdict is not Verdict.INESSENTIAL
 

@@ -24,9 +24,9 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 # Largest algebra dimension `build` constructs. On a shared 2-core host,
-# CLI algebra-info took 3.5 s on conformal(21,0) (dim 253) and 4.7-5.0 s on
-# cr(13) (dim 224); the next sizes, cr(14) (dim 255) and conformal(24,0)
-# (dim 325), took 6.4 and 5.4 s.
+# CLI algebra-info took 1.1-1.4 s on conformal(21,0) (dim 253) and 1.9-2.3 s
+# on cr(13) (dim 224); building the next sizes in-process, cr(14) (dim 255)
+# and conformal(24,0) (dim 325), took 3.1-3.4 and 1.9-2.1 s.
 MAX_BUILD_DIM = 253
 
 

@@ -3,22 +3,15 @@
 Matrices are lists of lists of Fraction, vectors are lists of Fraction.
 Everything here is tolerance-free: rank, kernel and solvability answers are
 decided by exact arithmetic, which is what the classifier's rank tests
-require.
+require. Rank, kernel and every solve sit on one Gauss–Jordan elimination
+of sparse rows (`_eliminate`): the Gram and Killing matrices that
+construction reduces have one or two nonzero entries per row.
 """
 
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def frac_rows(rows):
-    """Copy `rows` into mutable lists of Fraction."""
-    return [[Fraction(v) for v in row] for row in rows]
-
-
-def matvec(rows, vec):
-    return [sum((r[j] * vec[j] for j in range(len(vec))), ZERO) for r in rows]
 
 
 def matmul(a, b):
@@ -49,87 +42,76 @@ def is_zero_vector(vec):
     return all(v == 0 for v in vec)
 
 
-def rref(rows, aug=0):
-    """Reduced row echelon form in place; returns the pivot column list.
+def _subtract(row, f, other):
+    """row -= f·other on sparse rows, in place, dropping entries that cancel."""
+    for j, v in other.items():
+        w = row.get(j, ZERO) - f * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
 
-    The trailing `aug` columns are treated as augmentation: they are swept
-    by row operations but never chosen as pivots.
+
+def _eliminate(a_rows, b_cols=()):
+    """Reduced row echelon form of [A | B], pivoting in A's columns only.
+
+    B is given as columns; column t of B is column n + t of the rows, with
+    n the column count of A. Rows are {column: Fraction} maps of their
+    nonzero entries. Each row of [A | B] is reduced by the pivot rows so
+    far; its first nonzero entry on A, scaled to 1, then becomes a pivot
+    that is cleared from them. Returns (pivots, n, consistent): `pivots`
+    maps each pivot column to its row, whose A-part is that row of rref(A)
+    (unique, whatever B is); `consistent` is False when some row reduces
+    to zero on A but not on B, i.e. when A·X = B has no solution.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0]) - aug
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    n = len(a_rows[0]) if a_rows else 0
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in a_rows]
+    for t, col in enumerate(b_cols):
+        for i, v in enumerate(col):
+            if v:
+                rows[i][n + t] = Fraction(v)
+    pivots = {}
+    consistent = True
+    for row in rows:
+        # a pivot row vanishes on every other pivot column, so one pass suffices
+        for c in [c for c in row if c in pivots]:
+            _subtract(row, row[c], pivots[c])
+        lead = min((j for j in row if j < n), default=None)
+        if lead is None:
+            consistent = consistent and not row
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+        inv = ONE / row[lead]
+        row = {j: v * inv for j, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        pivots[lead] = row
+    return pivots, n, consistent
 
 
 def rank(rows):
-    if not rows:
-        return 0
-    work = frac_rows(rows)
-    return len(rref(work))
+    return len(_eliminate(rows)[0])
 
 
-def _reduce(a_rows, b_cols):
-    """RREF of [A | B], B given as columns, pivoting in A's columns only.
-
-    Returns (work, pivots, n) with n the column count of A; the A-columns of
-    `work` are rref(A), whatever B is.
-    """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    work = [
-        [Fraction(a_rows[i][j]) for j in range(n)]
-        + [Fraction(col[i]) for col in b_cols]
-        for i in range(m)
-    ]
-    return work, rref(work, aug=len(b_cols)), n
+def _particulars(pivots, n, count):
+    """The solution for each of `count` B-columns with every free variable zero."""
+    xs = [[ZERO] * n for _ in range(count)]
+    for c, row in pivots.items():
+        for j, v in row.items():
+            if j >= n:
+                xs[j - n][c] = v
+    return xs
 
 
-def _consistent(work, pivots, n):
-    return all(v == 0 for row in work[len(pivots):] for v in row[n:])
-
-
-def _particular(work, pivots, n, t):
-    """The solution for augmented column t with every free variable zero."""
-    x = [ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = work[r][n + t]
-    return x
-
-
-def _kernel(work, pivots, n):
-    """Kernel basis of A from the A-columns of a reduced [A | B]."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        vec = [ZERO] * n
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
-    return basis
+def _kernel(pivots, n):
+    """Kernel basis of A from the pivot rows: one vector per free column."""
+    basis = {fc: [ONE if i == fc else ZERO for i in range(n)]
+             for fc in range(n) if fc not in pivots}
+    for pc, row in pivots.items():
+        for j, v in row.items():
+            if j in basis:
+                basis[j][pc] = -v
+    return list(basis.values())
 
 
 def solve_many(a_rows, b_cols):
@@ -139,17 +121,17 @@ def solve_many(a_rows, b_cols):
     column; meant for systems known to be solvable (e.g. inverting a
     nonsingular matrix against the identity columns).
     """
-    work, pivots, n = _reduce(a_rows, b_cols)
-    if not _consistent(work, pivots, n):
+    pivots, n, consistent = _eliminate(a_rows, b_cols)
+    if not consistent:
         raise ValueError("inconsistent linear system")
-    return [_particular(work, pivots, n, t) for t in range(len(b_cols))]
+    return _particulars(pivots, n, len(b_cols))
 
 
 def solve(a_rows, b):
     """One exact solution of A·x = b, or None when none exists.
 
-    The elimination is solve_many's. Free variables are set to zero: this
-    is *a* solution, not the minimum-norm one (see solve_min_norm).
+    Free variables are set to zero: this is *a* solution, not the
+    minimum-norm one (see solve_min_norm).
     """
     try:
         return solve_many(a_rows, [b])[0]
@@ -167,11 +149,11 @@ def solve_min_norm(a_rows, b):
     injective. The answer is unique, exact over the rationals and
     deterministic; this is the tie-breaking rule for witness selection.
     """
-    work, pivots, n = _reduce(a_rows, [b])
-    if not _consistent(work, pivots, n):
+    pivots, n, consistent = _eliminate(a_rows, [b])
+    if not consistent:
         return None
-    x = _particular(work, pivots, n, 0)
-    kernel = _kernel(work, pivots, n)
+    x = _particulars(pivots, n, 1)[0]
+    kernel = _kernel(pivots, n)
     t = solve([[dot(u, v) for v in kernel] for u in kernel],
               [dot(u, x) for u in kernel])
     for u, tu in zip(kernel, t):
@@ -185,6 +167,5 @@ def identity_vectors(n):
 
 def nullspace(a_rows):
     """Basis of the kernel of A (list of vectors)."""
-    if not a_rows:
-        return []
-    return _kernel(*_reduce(a_rows, []))
+    pivots, n, _ = _eliminate(a_rows)
+    return _kernel(pivots, n)

@@ -128,7 +128,7 @@ def test_dictionary_vs_oracle_depth_two():
     for x in elements:
         datum = HolonomyDatum(algebra, x, scale)
         ours = classify(datum)
-        all_exact = all_exact and ours.exact
+        all_exact = all_exact and ours.to_json_dict()["exact"] is True
         oracle = brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=1)
         if not oracle.decided:
             continue

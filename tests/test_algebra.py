@@ -94,6 +94,19 @@ def test_grading_element_names(so41, su21):
     assert su21.grading_element == su21.basis_element("E")
 
 
+def test_grading_element_rejects_grades_that_are_no_grading(so41):
+    # swapping the grades of P_1 and K_1 keeps the Killing form
+    # nondegenerate, but [P_2, K_1] in g_0 would then need grade -2
+    grades = list(so41.grade)
+    p1, k1 = so41.basis_index("P_1"), so41.basis_index("K_1")
+    grades[p1], grades[k1] = grades[k1], grades[p1]
+    relabelled = GradedLieAlgebra(so41.basis_names, grades, so41.structure,
+                                  so41.k, "conformal", so41.params)
+    relabelled._check_killing_nondegenerate()
+    with pytest.raises(StructureError, match="no grading element"):
+        relabelled.grading_element
+
+
 def test_bracket_pk_matches_matrix_realization(so41):
     """Independent route: multiply realization matrices and re-express."""
     real = so41.require_realization()
@@ -306,6 +319,8 @@ def test_exactness_flag(so41):
     pytest.param(lambda a: 0.5 * a.basis_element("D"), id="left_scalar"),
     pytest.param(lambda a: a.basis_element("D") * 2.0, id="right_scalar"),
     pytest.param(lambda a: a.element({"D": "1/2"}), id="string"),
+    pytest.param(lambda a: a.element({"D": True}), id="boolean"),
+    pytest.param(lambda a: True * a.basis_element("D"), id="boolean_scalar"),
 ])
 def test_inexact_coefficients_raise_domain_error(so41, construct):
     with pytest.raises(DomainError):

@@ -131,7 +131,7 @@ def test_dilation_is_essential_weyl_reducible(so41):
     assert result.is_essential
     assert result.certificate == LambdaNonzero(Fraction(6))
     assert result.witness == so41.zero()
-    assert result.exact
+    assert result.to_json_dict()["exact"] is True
 
 
 def test_rotation_is_inessential(so41):
@@ -184,7 +184,7 @@ def test_cr_rotation_plus_special_has_degree_two_obstruction(su21):
     result = classify(HolonomyDatum(su21, x))
     assert result.verdict is Verdict.ESSENTIAL
     assert result.certificate == DegreeUnkillable(2)
-    assert result.exact
+    assert result.to_json_dict()["exact"] is True
 
 
 def test_cr_pure_top_grade_unkillable(su21):
@@ -207,7 +207,7 @@ def test_cr_depth_two_instances_all_exact(su21):
     for _ in range(60):
         x = random_instance(su21, scale, rng)
         result = classify(HolonomyDatum(su21, x, scale))
-        assert result.exact
+        assert result.to_json_dict()["exact"] is True
         if result.witness is not None:
             conj = conjugate_by_exp(result.witness, x)
             for g in (1, 2):
@@ -224,7 +224,6 @@ def test_numeric_witness_assembly_reports_residual(su21):
     assert result.witness == su21.element({"K_1": -1, "S": -1})
     assert all(type(c) is Fraction for c in result.witness.coeffs)
     assert conjugate_by_exp(result.witness, planted) == x0
-    assert result.exact
     report = result.to_json_dict()
     assert report["exact"] is True
     assert report["residual"] is None
