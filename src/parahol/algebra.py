@@ -150,10 +150,9 @@ class MatrixRealization:
     G is rejected on construction.
     """
 
-    def __init__(self, basis_matrices, form):
+    def __init__(self, basis_matrices):
         self.size = len(basis_matrices[0])
         self.basis_matrices = tuple(_sparse(m) for m in basis_matrices)
-        self.form = tuple(tuple(Fraction(v) for v in row) for row in form)
         self._rows = tuple(_by_row(m) for m in self.basis_matrices)
         # position -> ((basis index, value), ...) over the nonzero entries
         index = {}
@@ -271,8 +270,7 @@ class GradedLieAlgebra:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_matrices(cls, basis_names, grades, matrices, k, family, params,
-                      form):
+    def from_matrices(cls, basis_names, grades, matrices, k, family, params):
         """Build structure constants from a faithful matrix realization.
 
         Each commutator [B_i, B_j] with i < j is formed sparsely and
@@ -282,7 +280,7 @@ class GradedLieAlgebra:
         Both raise StructureError. [B_j, B_i] = -[B_i, B_j] and
         [B_i, B_i] = 0 hold exactly for matrices, so they are not formed.
         """
-        realization = MatrixRealization(matrices, form)
+        realization = MatrixRealization(matrices)
         dim = len(basis_names)
         table = {}
         for i in range(dim):
@@ -588,19 +586,15 @@ class GradedLieAlgebra:
                 )
 
     def _check_generated_by_first_negative(self):
-        neg_dim = sum(len(self.indices_of_grade(-g)) for g in range(1, self.k + 1))
+        """[g_-1, g_-(d-1)] = g_-d for d = 2..k, which by induction on d
+        says that grade −1 generates the negative part. The blocks ad(e_i)
+        come from the pair table, sound once grading additivity holds."""
         gen = [self.basis_element(i) for i in self.indices_of_grade(-1)]
-        span = [list(e.coeffs) for e in gen]
-        frontier = gen
-        for _ in range(1, self.k):
-            frontier = [
-                self.bracket(self.basis_element(i), f)
-                for i in self.indices_of_grade(-1)
-                for f in frontier
-            ]
-            span.extend(list(f.coeffs) for f in frontier if not f.is_zero)
-        if linalg.rank(span) != neg_dim:
-            raise StructureError("negative part is not generated by grade -1")
+        for d in range(2, self.k + 1):
+            columns = [list(col) for e in gen
+                       for col in zip(*self.ad_block(e, 1 - d, -d))]
+            if linalg.rank(columns) != len(self.indices_of_grade(-d)):
+                raise StructureError("negative part is not generated by grade -1")
 
     @cached_property
     def _killing_rank(self):

@@ -79,14 +79,8 @@ def build_conformal(p, q):
         grades.append(1)
         mats.append(m)
 
-    form = blank()
-    form[0][size - 1] = ONE
-    form[size - 1][0] = ONE
-    for a in range(n):
-        form[1 + a][1 + a] = j_diag[a]
-
     algebra = GradedLieAlgebra.from_matrices(
-        names, grades, mats, k=1, family="conformal", params=(p, q), form=form
+        names, grades, mats, k=1, family="conformal", params=(p, q)
     )
     algebra.validate()
     if algebra.grading_element != algebra.basis_element("D"):
@@ -180,7 +174,7 @@ def build_cr(n):
         _check_su_conditions(mat, form, m, name)
 
     algebra = GradedLieAlgebra.from_matrices(
-        names, grades, mats, k=2, family="cr", params=(n,), form=form
+        names, grades, mats, k=2, family="cr", params=(n,)
     )
     algebra.validate()
     if algebra.grading_element != algebra.basis_element("E"):

@@ -5,6 +5,9 @@ contract: conformal Killing residual 1e-8 (finite differences), flow
 equivariance 1e-6 for |t| <= 0.1, Weyl-section commutation 1e-6. The
 adjoint derivative (an exact central difference) and the structure
 equation are exactly zero; the adjoint derivative keeps its 1e-6 bound.
+The structure equation is taken on constant frame fields, where it
+vanishes by construction. A wrong coefficient in the field formula shows
+as an equivariance residual far above its bound.
 """
 
 import random
@@ -33,8 +36,9 @@ TOLERANCES = {
 def conformal_killing_residual_fd(field, point, h=1e-5):
     """Finite-difference residual of the conformal Killing equation.
 
-    Independent of the exact polynomial identity used at construction:
-    derivatives come from central differences of evaluate().
+    Derivatives come from float central differences of evaluate_float().
+    The exact identity for evaluate() is a test on each basis element; this
+    residual samples the float path that the flows integrate.
     """
     import numpy as np
 

@@ -361,7 +361,7 @@ def test_from_matrices_rejects_brackets_leaving_the_span():
     with pytest.raises(StructureError):
         GradedLieAlgebra.from_matrices(
             ["X", "Y"], [1, -1], [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], 1,
-            "gl", (2,), [[1, 0], [0, 1]],
+            "gl", (2,),
         )
 
 
@@ -412,7 +412,7 @@ def test_from_matrices_rejects_a_linearly_dependent_basis():
     with pytest.raises(StructureError):
         GradedLieAlgebra.from_matrices(
             ["X", "Y"], [1, 1], [[[0, 1], [0, 0]], [[0, 2], [0, 0]]], 1,
-            "gl", (2,), [[1, 0], [0, 1]],
+            "gl", (2,),
         )
 
 

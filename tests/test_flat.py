@@ -175,20 +175,77 @@ def test_algebra_to_field_is_anti_homomorphism(so31):
             # at rational points (degree <= 2, so a 3-point stencil is exact)
             vx = f_xi.evaluate(x)
             vy = f_eta.evaluate(x)
-            dy_vx = _exact_directional(f_eta, x, vx)
-            dx_vy = _exact_directional(f_xi, x, vy)
+            dy_vx = _exact_directional(f_eta.evaluate, x, vx)
+            dx_vy = _exact_directional(f_xi.evaluate, x, vy)
             commutator = tuple(a - b for a, b in zip(dy_vx, dx_vy))
             expected = f_br.evaluate(x)
             assert tuple(FIELD_BRACKET_SIGN * c for c in commutator) == expected
 
 
-def _exact_directional(field, x, direction):
+def _exact_directional(evaluate, x, direction):
     """Directional derivative of a degree-2 polynomial field, exactly:
     central difference with rational step h = 1 is exact for quadratics."""
     h = Fraction(1, 1)
-    plus = field.evaluate([a + h * d for a, d in zip(x, direction)])
-    minus = field.evaluate([a - h * d for a, d in zip(x, direction)])
+    plus = evaluate([a + h * d for a, d in zip(x, direction)])
+    minus = evaluate([a - h * d for a, d in zip(x, direction)])
     return tuple((p - m) / (2 * h) for p, m in zip(plus, minus))
+
+
+def _conformal_killing_defects(evaluate, metric):
+    """Nonzero entries of the conformal Killing operator of a degree-2 field,
+    J_jj ∂_i X_j + J_ii ∂_j X_i - (2/n) div X J_ii δ_ij, exactly.
+
+    The operator is affine in x, so it vanishes everywhere when it vanishes
+    at the origin and at each unit vector, the points taken here.
+    """
+    n = len(metric)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    defects = []
+    for x in [[0] * n] + units:
+        grad = [_exact_directional(evaluate, x, e) for e in units]
+        div = sum(grad[i][i] for i in range(n))
+        for i in range(n):
+            for j in range(n):
+                c = metric[j] * grad[i][j] + metric[i] * grad[j][i]
+                if i == j:
+                    c -= Fraction(2, n) * div * metric[i]
+                if c != 0:
+                    defects.append((tuple(x), i, j, c))
+    return defects
+
+
+@pytest.mark.parametrize("signature", [(3, 0), (2, 1), (4, 0), (2, 2)])
+def test_evaluate_is_conformal_killing_on_every_basis_element(signature):
+    """evaluate() is linear in the algebra element, so the identity on each
+    basis element proves it for every field of the signature."""
+    algebra = build_conformal(*signature)
+    for i in range(algebra.dim):
+        field = FlatConformalField(algebra, algebra.basis_element(i))
+        assert _conformal_killing_defects(field.evaluate, field.metric) == [], \
+            algebra.basis_names[i]
+
+
+def test_conformal_killing_defects_detect_a_halved_special_part(so41):
+    # -<b,x> x in place of -2 <b,x> x: add one <b,x> x back to evaluate()
+    field = FlatConformalField(so41, so41.basis_element("K_2"))
+
+    def halved(x):
+        bx = sum(m * b * v for m, b, v in zip(field.metric, field.b, x))
+        return tuple(v + bx * xi for v, xi in zip(field.evaluate(x), x))
+
+    assert _conformal_killing_defects(halved, field.metric) != []
+
+
+@pytest.mark.parametrize("name,value", [
+    ("FIELD_SPECIAL_FACTOR", Fraction(1, 2)),
+    ("FIELD_SPECIAL_FACTOR", Fraction(3)),
+    ("FIELD_DILATION_SIGN", Fraction(1)),
+])
+def test_identity_suite_fails_on_a_flipped_field_constant(so41, name, value, monkeypatch):
+    monkeypatch.setattr(flat, name, value)
+    suite = run_flat_identity_suite(3, 0, samples=4, seed=42, algebra=so41)
+    assert suite["pass"] is False
+    assert suite["max_residuals"]["equivariance"] > 1e-6
 
 
 # -- singularities and holonomy ---------------------------------------------------
