@@ -16,7 +16,6 @@ from .classify import (
     Verdict,
     classify,
     conjugate_by_exp,
-    holonomy_flow,
     kill_positive_part,
 )
 from .families import build_conformal, build_cr
@@ -28,6 +27,7 @@ from .flat import (
     equivariance_check,
     gauge_tractor,
     holonomy_at,
+    holonomy_flow,
     tractor_derivative,
     weyl_section_check,
 )

@@ -24,7 +24,7 @@ none exists the verdict is Essential with the certificate that degree d is
 unkillable. Adding Z_d changes no component of degree <= d, and if any Z in
 p_+ conjugates X into g_0 then every partial solution leaves an r_d in the
 image of ad(X_0), so a failure at degree d is a proof. Depth k >= 3 is
-rejected.
+rejected. Every step is exact; nothing in this module computes in floats.
 """
 
 import enum
@@ -159,16 +159,6 @@ def conjugable_verdict(ell, witness):
         return Classification(Verdict.INESSENTIAL, witness=witness)
     return Classification(Verdict.WEYL_REDUCIBLE, witness=witness,
                           certificate=LambdaNonzero(ell))
-
-
-def holonomy_flow(datum, t):
-    """exp(t·x) in the registered matrix realization (float matrix)."""
-    import numpy as np
-    import scipy.linalg
-
-    realization = datum.algebra.require_realization()
-    mat = realization.matrix_of(datum.x)
-    return scipy.linalg.expm(t * np.array(mat, dtype=float))
 
 
 # -- elimination stages --------------------------------------------------------

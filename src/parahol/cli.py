@@ -181,7 +181,9 @@ def _classify(payload):
 
 
 def _flat_classify(payload):
-    field = FlatConformalField.from_json_dict(payload["field"])
+    with at_path("field.signature"):
+        algebra = build("conformal", payload["field"]["signature"])
+    field = FlatConformalField.from_json_dict(payload["field"], algebra=algebra)
     with at_path("point"):
         point = vector_from_json(payload["point"])
         if len(point) != field.n:

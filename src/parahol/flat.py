@@ -19,11 +19,15 @@ the adjoint-tractor derivative of the field's tractor and the structure
 equation on constant frame fields (zero by construction), and the float
 ones, flow equivariance in exponential coordinates and commutation of the
 flow with the exponential-coordinate Weyl section in the witness gauge.
-Only the float checks use numpy and scipy, and they import them when
-called, so the exact paths (construction, `evaluate`, `holonomy_at`,
-`classify_at`, `tractor_derivative`) run on the standard library alone.
+No module but this one and the identity suite built on it computes in
+floats. Every flow is classical fixed-step RK4; a linear flow
+(`holonomy_flow`, the bundle flow) is a power of the one-step matrix. The
+float code imports numpy when called, so the exact paths (construction,
+`evaluate`, `holonomy_at`, `classify_at`, `tractor_derivative`) run on the
+standard library alone.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -95,7 +99,6 @@ class FlatConformalField:
         Each value is an int, a Fraction or a 'p/q' string; anything else
         (a float, a boolean, a malformed or zero-denominator string) raises
         DomainError."""
-        algebra = algebra if algebra is not None else build_conformal(p, q)
         n = p + q
         a = _exact_parts(a, "a")
         b = _exact_parts(b, "b")
@@ -103,6 +106,7 @@ class FlatConformalField:
         rows = [_exact_parts(row, f"linear[{i}]") for i, row in enumerate(linear)]
         if len(a) != n or len(b) != n or len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("field part dimensions do not match the signature")
+        algebra = algebra if algebra is not None else build_conformal(p, q)
         metric = [ONE] * p + [-ONE] * q
         for i in range(n):
             for j in range(n):
@@ -353,37 +357,51 @@ def curvature_check(y1, y2):
 # -- numeric flow machinery --------------------------------------------------------
 
 
-def _rk4(f, y, t, after_step=None):
-    """Classical fixed-step RK4 for the autonomous ODE y' = f(y) from 0 to t.
-
-    after_step(y, time) runs after every step; it may raise to stop the
-    integration.
-    """
-    if t == 0:
-        return y
-    n_steps = max(1, int(round(abs(t) / RK4_STEP)))
-    h = t / n_steps
-    for i in range(1, n_steps + 1):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if after_step is not None:
-            after_step(y, i * h)
-    return y
+def _step_count(t):
+    """RK4 steps for time t: |t| / RK4_STEP rounded, at least one; a time
+    with no finite step count (infinite, NaN or overflowing) is refused."""
+    steps = abs(t) / RK4_STEP
+    if not math.isfinite(steps):
+        raise DomainError(f"time {t!r} has no finite RK4 step count")
+    return max(1, int(round(steps)))
 
 
 def _integrate_chart_flow(field, start, t):
-    """RK4 for the chart ODE x' = X(x); rejects chart escapes."""
+    """Classical fixed-step RK4 for the chart ODE x' = X(x); rejects escapes."""
     import numpy as np
 
-    def escape_guard(x, time):
-        if np.linalg.norm(x) > CHART_NORM_LIMIT:
-            raise ChartEscapeError("flow left the chart", escape_time=time)
-
+    f = field.evaluate_float
     x = np.array([float(v) for v in start], dtype=float)
-    return _rk4(field.evaluate_float, x, t, escape_guard)
+    n_steps = _step_count(t)
+    h = t / n_steps
+    for i in range(1, n_steps + 1):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if np.linalg.norm(x) > CHART_NORM_LIMIT:
+            raise ChartEscapeError("flow left the chart", escape_time=i * h)
+    return x
+
+
+def _linear_flow(rho, t):
+    """Time-t flow of the linear ODE G' = rho·G by the chart flow's RK4: one
+    step of length h multiplies by R = I + A + A²/2 + A³/6 + A⁴/24 with
+    A = h·rho, so the whole run is a power of R."""
+    import numpy as np
+
+    n_steps = _step_count(t)
+    a = (t / n_steps) * rho
+    eye = np.eye(len(rho))
+    r = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+    return np.linalg.matrix_power(r, n_steps)
+
+
+def holonomy_flow(datum, t):
+    """exp(t·x) in the registered matrix realization, by `_linear_flow`."""
+    realization = datum.algebra.require_realization()
+    return _linear_flow(_float_matrix(realization.matrix_of(datum.x)), t)
 
 
 def _float_matrix(rows):
@@ -443,33 +461,28 @@ def equivariance_check(field, base_point, direction, t):
 
     Left side: RK4 integration of the chart flow started at the chart point
     of exp^ω(u, Y). Right side: the same point computed group-theoretically
-    as exp^ω(u, Ad(h^t)Y)·h^t in the matrix realization. Returns the chart
-    distance.
+    as exp^ω(u, Ad(h^t)Y)·h^t in the matrix realization, read at the base
+    point as u·h^t·exp(Y): every element of the parabolic maps the base
+    point's homogeneous line to itself, so (h^t)⁻¹ only rescales the column
+    that the chart reading divides out. Returns the chart distance.
     """
     import numpy as np
-    import scipy.linalg
 
     algebra = field.algebra
     if direction.grades() not in ([], [-1]):
         raise DomainError("direction must have pure grade -1")
     datum = holonomy_at(field, base_point)   # also enforces singularity
-    realization = algebra.require_realization()
-
+    y = algebra.grade_coords(direction, -1)
     u = _float_matrix(_translation_matrix(algebra, base_point))
-    rho_y = _float_matrix(realization.matrix_of(direction))
-    rho_h = _float_matrix(realization.matrix_of(datum.x))
+    exp_y = _float_matrix(_translation_matrix(algebra, y))
 
-    y = [float(c) for c in algebra.grade_coords(direction, -1)]
-    start = [float(v) + yi for v, yi in zip(base_point, y)]
+    start = [float(v) + float(yi) for v, yi in zip(base_point, y)]
     lhs = _integrate_chart_flow(field, start, t)
 
     # for large |t| these products overflow; the non-finite group point
     # that results is rejected below as a chart escape
     with np.errstate(over="ignore", invalid="ignore"):
-        h_t = scipy.linalg.expm(t * rho_h)
-        h_t_inv = scipy.linalg.expm(-t * rho_h)
-        w = h_t @ rho_y @ h_t_inv            # Ad(h^t)(Y) in the realization
-        rhs_group = u @ scipy.linalg.expm(w)
+        rhs_group = u @ holonomy_flow(datum, t) @ exp_y
     rhs = _chart_of_group_point(rhs_group)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -482,14 +495,7 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
     Requires the holonomy at the base point to be conjugate into grade 0
     (Inessential or WeylReducible); otherwise no Weyl structure is
     preserved and the check refuses.
-
-    The samples share one integration: their starting group elements sit
-    side by side in one size × (n_samples·size) matrix, and the bundle ODE
-    G' = rho(xi)·G moves each column on its own, so one RK4 run flows them
-    all.
     """
-    import numpy as np
-
     if n_samples < 1:
         raise DomainError("the Weyl-section check needs at least one sample")
     algebra = field.algebra
@@ -520,14 +526,11 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
     rho_p = [_float_matrix(realization.matrix_of(algebra.basis_element(f"P_{i + 1}")))
              for i in range(n)]
 
-    starts = [uf @ _exp_translation_float(offset, rho_p)
-              for offset in _sample_offsets(n, n_samples, sample_scale)]
-    # the right-invariant bundle ODE G' = rho(xi)·G
-    flowed = _rk4(lambda g: rho_xi @ g, np.hstack(starts), t)
-    worst = 0.0
-    for block in np.hsplit(flowed, len(starts)):
-        worst = max(worst, _positive_offset(uf_inv @ block, rho_p, n))
-    return worst
+    # the right-invariant bundle ODE G' = rho(xi)·G, in the witness gauge
+    flow = uf_inv @ _linear_flow(rho_xi, t) @ uf
+    return max(_positive_offset(flow @ _exp_translation_float(offset, rho_p),
+                                rho_p, n)
+               for offset in _sample_offsets(n, n_samples, sample_scale))
 
 
 def _exp_translation_float(coords, rho_p):

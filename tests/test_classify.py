@@ -15,11 +15,11 @@ from parahol.classify import (
     Verdict,
     classify,
     conjugate_by_exp,
-    holonomy_flow,
     kill_positive_part,
 )
 from parahol.errors import DomainError, UnsupportedDepthError
 from parahol.families import build_conformal, build_cr
+from parahol.flat import holonomy_flow
 from parahol.sampling import (
     kernel_instance,
     random_instance,

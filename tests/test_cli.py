@@ -168,6 +168,11 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
     ("classify", {"family": "conformal", "params": [11, 11],
                   "element": {"D": 1}}, "$.params"),
     ("verify-identities", {"signature": [22, 0], "samples": 1}, "$.signature"),
+    ("flat-classify", {"field": {"signature": [22, 0], "a": [], "A": [], "s": 0,
+                                 "b": []}, "point": []}, "$.field.signature"),
+    # times with no finite RK4 step count
+    ("verify-identities", {"t": float("inf")}, "$.t"),
+    ("verify-identities", {"t": 1e308}, "$.t"),
 ])
 def test_request_field_errors_carry_a_path(command, payload, path):
     code, out = run_cli(command, payload)
@@ -308,6 +313,16 @@ def test_requests_import_neither_numpy_scipy_nor_jsonschema(command, payload,
     )
     assert proc.returncode == code, proc.stdout
     assert json.loads(proc.stderr) == []
+
+
+def test_verify_identities_imports_numpy_but_neither_scipy_nor_jsonschema():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, "verify-identities"],
+        input=json.dumps({"samples": 4}), capture_output=True, text=True,
+        cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stderr) == ["numpy"]
 
 
 def test_package_names_resolve_after_importing_the_cli():
