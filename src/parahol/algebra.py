@@ -2,14 +2,18 @@
 
 A GradedLieAlgebra stores a basis, one integer grade per basis vector and
 a sparse table of the nonzero Fraction structure constants of each basis
-pair; the dense rank-3 array is only derived on request. From a matrix
-realization, the bracket of each basis pair i < j is the sparse commutator
-of the two basis matrices expressed through the Frobenius dual basis,
-checked by exact reconstruction, and the pair (j, i) gets its negation.
-Validation checks the algebra axioms exactly on the sparse table
-(antisymmetry, grading additivity, Jacobi, generation of the negative part
-by grade −1, nondegenerate Killing form), so downstream code can rely on
-them without tolerances.
+pair; the dense rank-3 array is only derived on request. Every algebra
+comes from a matrix realization (`GradedLieAlgebra.from_matrices`): the
+bracket of each basis pair i < j is the sparse commutator of the two basis
+matrices expressed through the Frobenius dual basis, checked by exact
+reconstruction, and the pair (j, i) gets its negation. Those exact checks,
+with the linear independence of the basis matrices, make e_i ↦ B_i an
+injective bracket-preserving map into a matrix algebra, so antisymmetry
+and the Jacobi identity hold by construction. Validation checks exactly
+the axioms that depend on the grade labels and the choice of algebra
+(grading additivity, generation of the negative part by grade −1,
+nondegenerate Killing form), so downstream code can rely on all of them
+without tolerances.
 
 The grade layout of the basis is known here only: callers reach ad(x) one
 grade block at a time through `ad_block(x, source_grade, target_grade)`,
@@ -17,7 +21,6 @@ and read or write one grade's coordinates through `grade_coords` and
 `from_grade_coords`.
 """
 
-import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,7 +29,6 @@ from .errors import (
     DomainError,
     GradeRangeError,
     MismatchedAlgebraError,
-    NoRealizationError,
     StructureError,
 )
 
@@ -147,11 +149,17 @@ class MatrixRealization:
     sparse elimination of [G | I] (`linalg.solve_many`); on the built-in
     families G has one or two nonzero entries per row. G is positive
     definite exactly when the basis is linearly independent, so a singular
-    G is rejected on construction.
+    G is rejected on construction, as are matrices that are not square or
+    not all of one size.
     """
 
     def __init__(self, basis_matrices):
-        self.size = len(basis_matrices[0])
+        sizes = {len(m) for m in basis_matrices}
+        sizes.update(len(row) for m in basis_matrices for row in m)
+        if len(sizes) != 1:
+            raise StructureError(
+                "a basis of square matrices of one size is required")
+        (self.size,) = sizes
         self.basis_matrices = tuple(_sparse(m) for m in basis_matrices)
         self._rows = tuple(_by_row(m) for m in self.basis_matrices)
         # position -> ((basis index, value), ...) over the nonzero entries
@@ -234,52 +242,34 @@ class GradedLieAlgebra:
 
     [e_i, e_j] = Σ_l c_ij^l e_l, with grade(i) ∈ [-k, k]. Only the nonzero
     constants are stored: each basis pair (i, j) with a nonzero bracket maps
-    to its ((l, c_ij^l), ...) entries in increasing l. Instances are
-    immutable after construction; all cached data is derived.
+    to its ((l, c_ij^l), ...) entries in increasing l. Instances are built
+    by `from_matrices` only, are immutable after construction, and all
+    cached data is derived.
     """
-
-    def __init__(self, basis_names, grades, structure, k, family, params,
-                 realization=None):
-        """`structure[i][j][l]` is c_ij^l; only its nonzero entries are kept."""
-        table = {}
-        for i, plane in enumerate(structure):
-            for j, row in enumerate(plane):
-                entries = tuple(
-                    (l, c if type(c) is Fraction else Fraction(c))
-                    for l, c in enumerate(row) if c != 0)
-                if entries:
-                    table[(i, j)] = entries
-        self._store(basis_names, grades, table, k, family, params, realization)
-
-    def _store(self, basis_names, grades, table, k, family, params,
-               realization):
-        self.basis_names = tuple(basis_names)
-        self.grade = tuple(int(g) for g in grades)
-        self.dim = len(self.basis_names)
-        self.k = int(k)
-        self.family = family
-        self.params = tuple(params)
-        self._pair_table = table
-        self.realization = realization
-        self._name_index = {n: i for i, n in enumerate(self.basis_names)}
-        if len(self._name_index) != self.dim:
-            raise StructureError("basis names are not distinct")
-        if len(self.grade) != self.dim:
-            raise StructureError("one grade per basis vector is required")
-
-    # -- construction helpers -------------------------------------------------
 
     @classmethod
     def from_matrices(cls, basis_names, grades, matrices, k, family, params):
         """Build structure constants from a faithful matrix realization.
 
-        Each commutator [B_i, B_j] with i < j is formed sparsely and
-        expressed in the basis through the Frobenius dual basis (see
-        MatrixRealization); an exact reconstruction check rejects a bracket
-        outside the span, and a linearly dependent basis is rejected too.
-        Both raise StructureError. [B_j, B_i] = -[B_i, B_j] and
-        [B_i, B_i] = 0 hold exactly for matrices, so they are not formed.
+        One basis name, one grade and one square matrix of a common size
+        per basis vector. Each commutator [B_i, B_j] with i < j is formed
+        sparsely and expressed in the basis through the Frobenius dual
+        basis (see MatrixRealization); an exact reconstruction check
+        rejects a bracket outside the span, and a linearly dependent basis
+        is rejected too. Both raise StructureError. [B_j, B_i] = -[B_i, B_j]
+        and [B_i, B_i] = 0 hold exactly for matrices, so they are not
+        formed. Once both checks pass, e_i ↦ B_i is an injective linear map
+        that carries the table's bracket to the matrix commutator, so the
+        table is antisymmetric and satisfies Jacobi. A semisimple algebra
+        known by its structure constants comes in through its adjoint
+        matrices, a faithful realization since its center is trivial.
         """
+        if not len(basis_names) == len(grades) == len(matrices):
+            raise StructureError(
+                "one grade and one matrix per basis vector are required")
+        name_index = {n: i for i, n in enumerate(basis_names)}
+        if len(name_index) != len(basis_names):
+            raise StructureError("basis names are not distinct")
         realization = MatrixRealization(matrices)
         dim = len(basis_names)
         table = {}
@@ -294,8 +284,15 @@ class GradedLieAlgebra:
                     table[(i, j)] = entries
                     table[(j, i)] = tuple((l, -c) for l, c in entries)
         algebra = cls.__new__(cls)
-        algebra._store(basis_names, grades, table, k, family, params,
-                       realization)
+        algebra.basis_names = tuple(basis_names)
+        algebra.grade = tuple(int(g) for g in grades)
+        algebra.dim = dim
+        algebra.k = int(k)
+        algebra.family = family
+        algebra.params = tuple(params)
+        algebra._pair_table = table
+        algebra.realization = realization
+        algebra._name_index = name_index
         return algebra
 
     # -- basic queries ---------------------------------------------------------
@@ -517,24 +514,17 @@ class GradedLieAlgebra:
     # -- validation ------------------------------------------------------------
 
     def validate(self):
-        """Check every structural invariant exactly; raises StructureError."""
-        self._check_antisymmetry()
+        """Check exactly the invariants that depend on the grade labels and
+        on the choice of algebra; raises StructureError.
+
+        These are grading additivity, generation of the negative part by
+        grade −1 and a nondegenerate Killing form. Antisymmetry and Jacobi
+        need no check: `from_matrices` proved them (see there).
+        """
         self._check_grading_additivity()
-        self._check_jacobi()
         self._check_generated_by_first_negative()
         self._check_killing_nondegenerate()
         return self
-
-    def _check_antisymmetry(self):
-        table = self._pair_table
-        for i, j in sorted({(min(p), max(p)) for p in table}):
-            ij = dict(table.get((i, j), ()))
-            ji = dict(table.get((j, i), ()))
-            for l in sorted(ij.keys() | ji.keys()):
-                if ij.get(l, ZERO) != -ji.get(l, ZERO):
-                    raise StructureError(
-                        f"antisymmetry fails at ({i},{j},{l})"
-                    )
 
     def _check_grading_additivity(self):
         for (i, j), entries in self._pair_table.items():
@@ -545,45 +535,6 @@ class GradedLieAlgebra:
                         f"grading additivity fails: [{self.basis_names[i]},"
                         f"{self.basis_names[j]}] has grade-{self.grade[l]} support"
                     )
-
-    def _check_jacobi(self):
-        """[[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j] = 0 on i < j < l.
-
-        Only triples with a nonzero product c_ab^p·c_pc^m, for some order
-        (a, b, c) of the three, are visited; every other triple sums to
-        zero. They are visited in lexicographic order, so the first failing
-        triple is the first among all triples. The sums run on integers,
-        the constants scaled by the lcm of their denominators, which keeps
-        each sum's zeroness exact.
-        """
-        scale = 1
-        for entries in self._pair_table.values():
-            for _, c in entries:
-                scale = math.lcm(scale, c.denominator)
-        table = {
-            pair: tuple((l, c.numerator * (scale // c.denominator))
-                        for l, c in entries)
-            for pair, entries in self._pair_table.items()
-        }
-        partners = [[] for _ in range(self.dim)]  # p -> each c with [e_p,e_c] != 0
-        for p, c in table:
-            partners[p].append(c)
-        triples = set()
-        for (a, b), entries in table.items():
-            for p, _ in entries:
-                for c in partners[p]:
-                    if c != a and c != b:
-                        triples.add(tuple(sorted((a, b, c))))
-        for i, j, l in sorted(triples):
-            total = {}
-            for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
-                for p, cp in table.get((a, b), ()):
-                    for m, cm in table.get((p, c), ()):
-                        total[m] = total.get(m, 0) + cp * cm
-            if any(total.values()):
-                raise StructureError(
-                    f"Jacobi identity fails on triple ({i},{j},{l})"
-                )
 
     def _check_generated_by_first_negative(self):
         """[g_-1, g_-(d-1)] = g_-d for d = 2..k, which by induction on d
@@ -604,15 +555,6 @@ class GradedLieAlgebra:
     def _check_killing_nondegenerate(self):
         if self._killing_rank != self.dim:
             raise StructureError("Killing form is degenerate")
-
-    # -- realization access ----------------------------------------------------
-
-    def require_realization(self):
-        if self.realization is None:
-            raise NoRealizationError(
-                f"{self.family} algebra has no registered matrix realization"
-            )
-        return self.realization
 
     # -- serialization ---------------------------------------------------------
 

@@ -137,8 +137,11 @@ def _algebra_info(payload):
 
 def _algebra_verify(payload):
     algebra = _build(payload)
-    # construction already validates; re-run explicitly so the report is
-    # a statement about this run, not about the constructor's promise
+    # "exact" for antisymmetry and jacobi holds by construction: the build
+    # reconstructed every matrix bracket exactly from its coordinates in a
+    # linearly independent basis, so the table is that of a matrix Lie
+    # algebra. validate() re-runs the other three checks so that the
+    # report is a statement about this run.
     algebra.validate()
     return {
         "command": "algebra-verify",

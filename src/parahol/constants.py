@@ -20,8 +20,10 @@ FIELD_SPECIAL_FACTOR = Fraction(-1, 2)
 #   field([x, y]) = FIELD_BRACKET_SIGN * [field(x), field(y)]
 FIELD_BRACKET_SIGN = -1
 
-# classical fixed-step fourth-order integration of polynomial flows
+# classical fixed-step fourth-order integration of polynomial flows; a
+# flow takes at most MAX_RK4_STEPS steps, so |t| <= 10
 RK4_STEP = 1e-3
+MAX_RK4_STEPS = 10_000
 
 # exact central differences for the adjoint-tractor derivative; the gauge
 # tractor is quadratic in the point, so any nonzero step gives the exact

@@ -14,7 +14,7 @@ class GradeRangeError(ParaholError):
 
 
 class StructureError(ParaholError):
-    """An algebra failed a structural invariant (Jacobi, grading, nondegeneracy...)."""
+    """An algebra failed a structural invariant (span, grading, nondegeneracy...)."""
 
 
 class InvalidScaleError(ParaholError):
@@ -48,10 +48,6 @@ class SchemaViolation(ParaholError):
 
 class UnsupportedDepthError(ParaholError):
     """The grading depth k of the algebra is not supported by this operation."""
-
-
-class NoRealizationError(ParaholError):
-    """The algebra has no registered matrix realization."""
 
 
 class NonSingularPointError(ParaholError):

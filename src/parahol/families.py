@@ -24,17 +24,18 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 # Largest algebra dimension `build` constructs. On a shared 2-core host,
-# CLI algebra-info took 1.1-1.4 s on conformal(21,0) (dim 253) and 1.9-2.3 s
+# CLI algebra-info took 1.0-1.1 s on conformal(21,0) (dim 253) and 1.5-1.6 s
 # on cr(13) (dim 224); building the next sizes in-process, cr(14) (dim 255)
-# and conformal(24,0) (dim 325), took 3.1-3.4 and 1.9-2.1 s.
+# and conformal(24,0) (dim 325), took 1.3 and 0.8-0.9 s.
 MAX_BUILD_DIM = 253
 
 
 def build_conformal(p, q):
     """so(p+1, q+1) with the |1|-grading of conformal geometry.
 
-    Requires p + q >= 2. All invariants are validated exactly on
-    construction and the matrix realization is registered.
+    Requires p + q >= 2. Every invariant holds exactly on return: building
+    from the matrix realization proves antisymmetry and Jacobi, and
+    validate() checks the rest.
     """
     n = p + q
     if n < 2 or p < 0 or q < 0:

@@ -40,6 +40,7 @@ from .constants import (
     FD_STEP,
     FIELD_DILATION_SIGN,
     FIELD_SPECIAL_FACTOR,
+    MAX_RK4_STEPS,
     RK4_STEP,
 )
 from .errors import (
@@ -94,7 +95,8 @@ class FlatConformalField:
     @classmethod
     def from_parts(cls, p, q, a, linear, s, b, algebra=None):
         """Field from formula data: translation a, skew matrix A, dilation s,
-        special part b. The matrix must be skew for the (p, q) inner product.
+        special part b. The matrix must be skew for the (p, q) inner product,
+        and a given `algebra` must have signature (p, q).
 
         Each value is an int, a Fraction or a 'p/q' string; anything else
         (a float, a boolean, a malformed or zero-denominator string) raises
@@ -106,7 +108,10 @@ class FlatConformalField:
         rows = [_exact_parts(row, f"linear[{i}]") for i, row in enumerate(linear)]
         if len(a) != n or len(b) != n or len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("field part dimensions do not match the signature")
-        algebra = algebra if algebra is not None else build_conformal(p, q)
+        if algebra is None:
+            algebra = build_conformal(p, q)
+        elif algebra.params != (p, q):
+            raise DomainError(f"the algebra's signature is not ({p}, {q})")
         metric = [ONE] * p + [-ONE] * q
         for i in range(n):
             for j in range(n):
@@ -358,12 +363,17 @@ def curvature_check(y1, y2):
 
 
 def _step_count(t):
-    """RK4 steps for time t: |t| / RK4_STEP rounded, at least one; a time
-    with no finite step count (infinite, NaN or overflowing) is refused."""
+    """RK4 steps for time t: |t| / RK4_STEP rounded, at least one. A time
+    with no finite step count (infinite, NaN or overflowing) is refused, and
+    so is one needing more than MAX_RK4_STEPS steps, which bounds the cost
+    of every flow."""
     steps = abs(t) / RK4_STEP
     if not math.isfinite(steps):
         raise DomainError(f"time {t!r} has no finite RK4 step count")
-    return max(1, int(round(steps)))
+    n_steps = max(1, int(round(steps)))
+    if n_steps > MAX_RK4_STEPS:
+        raise DomainError(f"time {t!r} needs more than {MAX_RK4_STEPS} RK4 steps")
+    return n_steps
 
 
 def _integrate_chart_flow(field, start, t):
@@ -399,9 +409,9 @@ def _linear_flow(rho, t):
 
 
 def holonomy_flow(datum, t):
-    """exp(t·x) in the registered matrix realization, by `_linear_flow`."""
-    realization = datum.algebra.require_realization()
-    return _linear_flow(_float_matrix(realization.matrix_of(datum.x)), t)
+    """exp(t·x) in the algebra's matrix realization, by `_linear_flow`."""
+    matrix = datum.algebra.realization.matrix_of(datum.x)
+    return _linear_flow(_float_matrix(matrix), t)
 
 
 def _float_matrix(rows):
@@ -435,9 +445,8 @@ def _exp_nilpotent_exact(mat):
 
 def _translation_matrix(algebra, point):
     """Exact group element exp(x̂) in the matrix realization."""
-    realization = algebra.require_realization()
     xhat = translation_element(algebra, point)
-    return _exp_nilpotent_exact(realization.matrix_of(xhat))
+    return _exp_nilpotent_exact(algebra.realization.matrix_of(xhat))
 
 
 def _chart_of_group_point(g):
@@ -506,7 +515,7 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
             "holonomy is not conjugate into the grade-0 part; no local "
             "Weyl structure is preserved"
         )
-    realization = algebra.require_realization()
+    realization = algebra.realization
     n = field.n
 
     u_mat = _translation_matrix(algebra, base_point)

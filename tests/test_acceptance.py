@@ -57,18 +57,58 @@ def report(name, ok, detail=""):
     assert ok, line
 
 
+def _first_jacobi_failure(structure):
+    """Exhaustive reference: the first i < j < l, in lexicographic order,
+    whose Jacobi sum on the dense table structure[i][j][l] is nonzero, or
+    None."""
+    dim = len(structure)
+
+    def term(a, b, c):
+        out = [Fraction(0)] * dim
+        for p, cp in enumerate(structure[a][b]):
+            if cp != 0:
+                for m, cm in enumerate(structure[p][c]):
+                    out[m] += cp * cm
+        return out
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for l in range(j + 1, dim):
+                terms = zip(term(i, j, l), term(j, l, i), term(l, i, j))
+                if any(x + y + z != 0 for x, y, z in terms):
+                    return (i, j, l)
+    return None
+
+
 def test_algebra_axioms():
-    """Exact Jacobi/antisymmetry/grading/nondegeneracy on all constructors, < 30 s."""
+    """Exact Jacobi/antisymmetry/grading/nondegeneracy on all constructors, < 30 s.
+
+    validate() checks grading, generation by grade -1 and the Killing form;
+    construction proves antisymmetry and Jacobi, and this test proves them
+    again on every pair and triple of the dense table, with a reference
+    that must reject so(3,1) with [P_1, K_1] and [K_1, P_1] doubled.
+    """
     start = time.monotonic()
     built = []
     for p, q in [(2, 0), (3, 0), (1, 1), (2, 1)]:
         built.append(build_conformal(p, q))
     built.append(build_cr(1))
+    ok = True
     for algebra in built:
-        # construction validates; re-run to make this test self-contained
         algebra.validate()
+        c = algebra.structure
+        ok &= all(c[i][j] == tuple(-v for v in c[j][i])
+                  for i in range(algebra.dim) for j in range(algebra.dim))
+        ok &= _first_jacobi_failure(c) is None
+    so31 = built[0]
+    doubled = [[list(row) for row in plane] for plane in so31.structure]
+    i, j = so31.basis_index("P_1"), so31.basis_index("K_1")
+    doubled[i][j] = [2 * v for v in doubled[i][j]]
+    doubled[j][i] = [2 * v for v in doubled[j][i]]
+    control = _first_jacobi_failure(doubled) is not None
     elapsed = time.monotonic() - start
-    report("algebra-axioms", elapsed < 30.0, f"{elapsed:.2f}s, residuals exactly 0")
+    report("algebra-axioms", ok and control and elapsed < 30.0,
+           f"{elapsed:.2f}s, residuals exactly 0, doubled [P_1, K_1] rejected")
 
 
 def test_grading_element():

@@ -15,6 +15,7 @@ from parahol.errors import (
 )
 from parahol.families import _check_su_conditions, build, build_conformal, build_cr
 from parahol.sampling import random_element
+from test_acceptance import _first_jacobi_failure
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +101,7 @@ def test_grading_element_rejects_grades_that_are_no_grading(so41):
     grades = list(so41.grade)
     p1, k1 = so41.basis_index("P_1"), so41.basis_index("K_1")
     grades[p1], grades[k1] = grades[k1], grades[p1]
-    relabelled = GradedLieAlgebra(so41.basis_names, grades, so41.structure,
-                                  so41.k, "conformal", so41.params)
+    relabelled = _relabelled(so41, grades)
     relabelled._check_killing_nondegenerate()
     with pytest.raises(StructureError, match="no grading element"):
         relabelled.grading_element
@@ -109,7 +109,7 @@ def test_grading_element_rejects_grades_that_are_no_grading(so41):
 
 def test_bracket_pk_matches_matrix_realization(so41):
     """Independent route: multiply realization matrices and re-express."""
-    real = so41.require_realization()
+    real = so41.realization
     for a in ("P_1", "P_2", "P_3"):
         for b in ("K_1", "K_2", "K_3"):
             x = so41.basis_element(a)
@@ -350,10 +350,7 @@ def test_structure_error_on_bad_grading():
     bad_grades = list(algebra.grade)
     bad_grades[0] = 1
     with pytest.raises(StructureError):
-        GradedLieAlgebra(
-            algebra.basis_names, bad_grades, algebra.structure, 1,
-            "conformal", (2, 0),
-        ).validate()
+        _relabelled(algebra, bad_grades).validate()
 
 
 def test_from_matrices_rejects_brackets_leaving_the_span():
@@ -370,25 +367,15 @@ def test_grading_element_rejects_non_additive_grades():
     bad_grades = list(algebra.grade)
     bad_grades[0] = 1
     with pytest.raises(StructureError):
-        GradedLieAlgebra(
-            algebra.basis_names, bad_grades, algebra.structure, 1,
-            "conformal", (2, 0),
-        ).grading_element
+        _relabelled(algebra, bad_grades).grading_element
 
 
 def test_grading_element_rejects_degenerate_killing_form():
     # so(3,1) plus a central grade-0 vector: the grading element is only
     # determined up to that vector
-    algebra = build_conformal(2, 0)
-    dim = algebra.dim
-    structure = [[list(algebra.structure[i][j]) + [0] if i < dim and j < dim
-                  else [0] * (dim + 1) for j in range(dim + 1)]
-                 for i in range(dim + 1)]
+    algebra = _with_central_vector(build_conformal(2, 0), 0)
     with pytest.raises(StructureError):
-        GradedLieAlgebra(
-            algebra.basis_names + ("C",), algebra.grade + (0,), structure, 1,
-            "conformal", (2, 0),
-        ).grading_element
+        algebra.grading_element
 
 
 def test_jacobi_residual_exactly_zero_conformal20():
@@ -416,60 +403,75 @@ def test_from_matrices_rejects_a_linearly_dependent_basis():
         )
 
 
-def _mutated(algebra, structure, names=None, grades=None, k=None):
-    return GradedLieAlgebra(
-        names or algebra.basis_names, grades or algebra.grade, structure,
-        k or algebra.k, algebra.family, algebra.params,
-    )
+_X, _Y, _H = [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]
+
+
+@pytest.mark.parametrize("names,grades,matrices", [
+    pytest.param(["X", "H", "Z"], [1, 0, 0], [_X, _H], id="fewer_matrices"),
+    pytest.param(["X"], [1], [_X, _Y, _H], id="more_matrices"),
+    pytest.param(["X", "Y"], [1, -1, 0], [_X, _Y], id="more_grades"),
+    pytest.param(["X"], [1], [[[0, 1, 0], [0, 0, 0]]], id="not_square"),
+    pytest.param(["X", "Y"], [1, -1], [_X, [[0, 0, 0], [1, 0, 0], [0, 0, 0]]],
+                 id="two_sizes"),
+    pytest.param([], [], [], id="empty"),
+])
+def test_from_matrices_rejects_malformed_input(names, grades, matrices):
+    with pytest.raises(StructureError):
+        GradedLieAlgebra.from_matrices(names, grades, matrices, 1, "gl", (2,))
+
+
+def _matrices(algebra):
+    """The dense basis matrices of the algebra's realization."""
+    real = algebra.realization
+    return [real.matrix_of(algebra.basis_element(i)) for i in range(algebra.dim)]
+
+
+def _relabelled(algebra, grades):
+    """The algebra rebuilt from its own matrices under other grade labels."""
+    return GradedLieAlgebra.from_matrices(
+        algebra.basis_names, grades, _matrices(algebra), algebra.k,
+        algebra.family, algebra.params)
+
+
+def _with_central_vector(algebra, grade, k=None):
+    """The algebra plus a central vector C of the given grade: each basis
+    matrix gets a zero 1x1 block, and C is the unit 1x1 block."""
+    size = algebra.realization.size
+    matrices = [[row + [0] for row in m] + [[0] * (size + 1)]
+                for m in _matrices(algebra)]
+    central = [[0] * (size + 1) for _ in range(size + 1)]
+    central[size][size] = 1
+    return GradedLieAlgebra.from_matrices(
+        algebra.basis_names + ("C",), algebra.grade + (grade,),
+        matrices + [central], k or algebra.k, algebra.family, algebra.params)
 
 
 def _dense(algebra):
     return [[list(row) for row in plane] for plane in algebra.structure]
 
 
-def test_validate_rejects_a_flipped_antisymmetric_entry():
-    algebra = build_conformal(2, 0)
-    i, j = algebra.basis_index("P_1"), algebra.basis_index("K_1")
-    structure = _dense(algebra)
-    l = algebra.basis_index("D")
-    assert structure[i][j][l] != 0
-    structure[i][j][l] = -structure[i][j][l]
-    with pytest.raises(StructureError, match=rf"antisymmetry fails at \({i},{j},{l}\)"):
-        _mutated(algebra, structure).validate()
+def _from_adjoint(algebra, structure):
+    """from_matrices on ad(e_i) of a structure table: entry (l, j) is c_ij^l."""
+    dim = len(structure)
+    adjoint = [[[structure[i][j][l] for j in range(dim)] for l in range(dim)]
+               for i in range(dim)]
+    return GradedLieAlgebra.from_matrices(
+        algebra.basis_names, algebra.grade, adjoint, algebra.k,
+        algebra.family, algebra.params)
 
 
-def test_validate_rejects_a_jacobi_violation():
+def test_from_matrices_rejects_a_jacobi_violation():
     # scaling [P_1, K_1] and [K_1, P_1] together keeps antisymmetry and the
-    # grading, and breaks Jacobi on (P_1, P_2, K_1)
+    # grading, and breaks Jacobi on (P_1, P_2, K_1); its adjoint matrices
+    # then do not close under the bracket it names
     algebra = build_conformal(2, 0)
     i, j = algebra.basis_index("P_1"), algebra.basis_index("K_1")
     structure = _dense(algebra)
     structure[i][j] = [2 * c for c in structure[i][j]]
     structure[j][i] = [2 * c for c in structure[j][i]]
-    with pytest.raises(StructureError, match=r"Jacobi identity fails on triple \(0,1,4\)"):
-        _mutated(algebra, structure).validate()
-
-
-def _first_jacobi_failure(structure):
-    """Exhaustive reference: the first i < j < l, in lexicographic order,
-    whose Jacobi sum is nonzero, or None."""
-    dim = len(structure)
-
-    def term(a, b, c):
-        out = [Fraction(0)] * dim
-        for p, cp in enumerate(structure[a][b]):
-            if cp != 0:
-                for m, cm in enumerate(structure[p][c]):
-                    out[m] += cp * cm
-        return out
-
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for l in range(j + 1, dim):
-                terms = zip(term(i, j, l), term(j, l, i), term(l, i, j))
-                if any(x + y + z != 0 for x, y, z in terms):
-                    return (i, j, l)
-    return None
+    assert _first_jacobi_failure(structure) == (0, 1, 4)
+    with pytest.raises(StructureError, match="leave the span"):
+        _from_adjoint(algebra, structure)
 
 
 @pytest.mark.parametrize("maker", [
@@ -477,16 +479,16 @@ def _first_jacobi_failure(structure):
     lambda: build_conformal(3, 0),
     lambda: build_cr(1),
 ])
-def test_pruned_jacobi_matches_an_exhaustive_reference(maker):
-    # each mutation keeps antisymmetry: it scales the brackets of one
-    # nonzero pair (i, j) and (j, i) together, or gives one commuting pair a
-    # bracket, so the check visits triples it skipped on the built algebra
+def test_adjoint_matrices_rebuild_the_table(maker):
+    # ad is faithful on a semisimple algebra, so its matrices rebuild the
+    # table exactly. Each mutation keeps antisymmetry: it scales the
+    # brackets of one nonzero pair (i, j) and (j, i) together, or gives one
+    # commuting pair a bracket. Each of these breaks Jacobi, by the
+    # exhaustive reference, and must be rejected
     algebra = maker()
     dim = algebra.dim
-    assert _first_jacobi_failure(_dense(algebra)) is None
-    _mutated(algebra, _dense(algebra))._check_jacobi()
+    assert _from_adjoint(algebra, _dense(algebra))._pair_table == algebra._pair_table
     rng = random.Random(83)
-    failures = 0
     for step in range(12):
         structure = _dense(algebra)
         pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)
@@ -501,40 +503,22 @@ def test_pruned_jacobi_matches_an_exhaustive_reference(maker):
             c = rng.choice([Fraction(1), Fraction(-2), Fraction(1, 3)])
             structure[i][j][l] = c
             structure[j][i][l] = -c
-        expected = _first_jacobi_failure(structure)
-        mutated = _mutated(algebra, structure)
-        if expected is None:
-            mutated._check_jacobi()
-        else:
-            failures += 1
-            a, b, c = expected
-            with pytest.raises(StructureError,
-                               match=rf"Jacobi identity fails on triple \({a},{b},{c}\)$"):
-                mutated._check_jacobi()
-    assert failures > 0
-
-
-def _with_central_vector(algebra, grade):
-    dim = algebra.dim
-    structure = [[list(algebra.structure[i][j]) + [0] if i < dim and j < dim
-                  else [0] * (dim + 1) for j in range(dim + 1)]
-                 for i in range(dim + 1)]
-    return algebra.basis_names + ("C",), algebra.grade + (grade,), structure
+        assert _first_jacobi_failure(structure) is not None
+        with pytest.raises(StructureError, match="leave the span"):
+            _from_adjoint(algebra, structure)
 
 
 def test_validate_rejects_a_negative_part_not_generated_by_grade_minus_one():
     # so(3,1) plus a central grade -2 vector, which no bracket of grade -1 reaches
-    algebra = build_conformal(2, 0)
-    names, grades, structure = _with_central_vector(algebra, -2)
+    algebra = _with_central_vector(build_conformal(2, 0), -2, k=2)
     with pytest.raises(StructureError, match="negative part is not generated by grade -1"):
-        _mutated(algebra, structure, names, grades, k=2).validate()
+        algebra.validate()
 
 
 def test_validate_rejects_a_degenerate_killing_form():
-    algebra = build_conformal(2, 0)
-    names, grades, structure = _with_central_vector(algebra, 0)
+    algebra = _with_central_vector(build_conformal(2, 0), 0)
     with pytest.raises(StructureError, match="Killing form is degenerate"):
-        _mutated(algebra, structure, names, grades).validate()
+        algebra.validate()
 
 
 def _realified(m, entries):

@@ -252,7 +252,7 @@ def test_verdict_invariant_under_positive_conjugation(family, so41, su21):
 def test_verdict_invariant_under_grade_preserving_rotations(so41):
     """Exact 90-degree rotations realize grade-preserving conjugations; the
     verdict must not depend on them (the elimination never searches them)."""
-    real = so41.require_realization()
+    real = so41.realization
     size = real.size
     scale = default_scale(so41)
 
@@ -313,7 +313,7 @@ def test_holonomy_flow_nilpotent_polynomial(so41):
     """For a special-conformal generator the flow is polynomial in t of
     degree <= 2: the symbolic exponential terminates after the square."""
     datum = HolonomyDatum(so41, so41.basis_element("K_1"))
-    real = so41.require_realization()
+    real = so41.realization
     mat = real.matrix_of(datum.x)
     sq = linalg.matmul(mat, mat)
     cube = linalg.matmul(sq, mat)
@@ -323,18 +323,6 @@ def test_holonomy_flow_nilpotent_polynomial(so41):
                 + t * np.array([[float(v) for v in r] for r in mat])
                 + (t * t / 2) * np.array([[float(v) for v in r] for r in sq]))
     assert np.max(np.abs(holonomy_flow(datum, t) - expected)) < 1e-12
-
-
-def test_holonomy_flow_requires_realization(so41):
-    from parahol.algebra import GradedLieAlgebra
-    from parahol.errors import NoRealizationError
-
-    bare = GradedLieAlgebra(so41.basis_names, so41.grade, so41.structure,
-                            1, "conformal", (3, 0))
-    datum = HolonomyDatum(bare, bare.basis_element("D"),
-                          scale=default_scale(bare))
-    with pytest.raises(NoRealizationError):
-        holonomy_flow(datum, 1.0)
 
 
 # -- serialization ------------------------------------------------------------------

@@ -173,6 +173,9 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
     # times with no finite RK4 step count
     ("verify-identities", {"t": float("inf")}, "$.t"),
     ("verify-identities", {"t": 1e308}, "$.t"),
+    # times over MAX_RK4_STEPS steps (|t| > 10)
+    ("verify-identities", {"t": 1e300, "samples": 1}, "$.t"),
+    ("verify-identities", {"t": 10.5}, "$.t"),
 ])
 def test_request_field_errors_carry_a_path(command, payload, path):
     code, out = run_cli(command, payload)

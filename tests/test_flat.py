@@ -135,6 +135,15 @@ def test_from_parts_skew_is_signature_dependent():
                                       [0, 0], algebra=alg)
 
 
+def test_from_parts_rejects_an_algebra_of_another_signature():
+    # skew for (2,1) only; the (3,0) algebra would read it as the field
+    # whose linear part is [[0, 0, -1], [0, 0, 0], [1, 0, 0]]
+    with pytest.raises(DomainError, match=r"signature is not \(2, 1\)"):
+        FlatConformalField.from_parts(2, 1, [0, 0, 0],
+                                      [[0, 0, 1], [0, 0, 0], [1, 0, 0]], 0,
+                                      [0, 0, 0], algebra=build_conformal(3, 0))
+
+
 def test_evaluate_equals_transported_tractor(so41):
     """Dual route: the chart field is the grade -1 slot of the gauge tractor."""
     rng = random.Random(29)
@@ -409,7 +418,7 @@ def test_equivariance_dilation_scales_direction(so41):
     """Ad(h^t)(Y) for the dilation holonomy is e^{-t}·Y in the realization."""
     field = FlatConformalField(so41, so41.basis_element("D"))
     datum = holonomy_at(field, [0, 0, 0])
-    real = so41.require_realization()
+    real = so41.realization
     rho_d = np.array([[float(v) for v in row]
                       for row in real.matrix_of(datum.x)])
     rho_y = np.array([[float(v) for v in row]
@@ -430,13 +439,17 @@ def test_equivariance_requires_singular_base(so41):
 
 
 def test_flow_escape_raises_with_time(so41):
-    # expanding Euler flow blows past the chart guard before t = 25
-    field = FlatConformalField.from_parts(3, 0, [0, 0, 0], zero_matrix(3), 1,
+    # the expanding Euler flow x(t) = e^{2t}·x(0) blows past the chart guard
+    # near t = 9.2, within the MAX_RK4_STEPS budget of |t| <= 10
+    field = FlatConformalField.from_parts(3, 0, [0, 0, 0], zero_matrix(3), 2,
                                           [0, 0, 0], algebra=so41)
     with pytest.raises(ChartEscapeError) as err:
-        equivariance_check(field, [0, 0, 0], so41.basis_element("P_1"), 25.0)
+        equivariance_check(field, [0, 0, 0], so41.basis_element("P_1"), 10.0)
     assert err.value.escape_time is not None
-    assert 0 < err.value.escape_time <= 25.0
+    assert 9 < err.value.escape_time <= 10.0
+    # a longer flow is refused before any step is taken
+    with pytest.raises(DomainError, match="needs more than 10000 RK4 steps"):
+        equivariance_check(field, [0, 0, 0], so41.basis_element("P_1"), 25.0)
 
 
 def test_group_side_overflow_is_a_chart_escape(so41):
@@ -531,7 +544,7 @@ def _dense_exp_series(mat):
 
 def _nilpotent_samples(algebra, rng, count=6):
     """Realization matrices of random grade -1 and positive elements."""
-    real = algebra.require_realization()
+    real = algebra.realization
     for _ in range(count):
         yield real.matrix_of(random_element(algebra, rng, grades=[-1]))
         yield real.matrix_of(random_positive_element(algebra, rng))
@@ -591,7 +604,7 @@ def test_suite_counts_every_field_with_a_witness(signature, seed):
 def _weyl_groups_one_run_per_sample(field, t, n_samples, sample_scale):
     """The Weyl-section group elements q, each sample integrated on its own."""
     algebra = field.algebra
-    real = algebra.require_realization()
+    real = algebra.realization
     n = field.n
     zeros = [0] * n
     zw = classify(holonomy_at(field, zeros)).witness
