@@ -101,16 +101,6 @@ def build_cr(n):
     m = n + 2
 
     # complex entries are (row, col, re, im) quadruples
-    def realify(entries):
-        size = 2 * m
-        mat = [[ZERO] * size for _ in range(size)]
-        for i, j, re, im in entries:
-            mat[i][j] += re
-            mat[i][j + m] += -im
-            mat[i + m][j] += im
-            mat[i + m][j + m] += re
-        return mat
-
     names, grades, entry_lists = [], [], []
 
     names.append("T")
@@ -161,18 +151,18 @@ def build_cr(n):
     grades.append(2)
     entry_lists.append([(0, m - 1, ZERO, ONE)])
 
-    hermitian = [[ZERO] * m for _ in range(m)]
-    hermitian[0][m - 1] = ONE
-    hermitian[m - 1][0] = ONE
-    for a in range(1, n + 1):
-        hermitian[a][a] = ONE
-    form = realify([(i, j, hermitian[i][j], ZERO)
-                    for i in range(m) for j in range(m)
-                    if hermitian[i][j] != 0])
-
-    mats = [realify(entries) for entries in entry_lists]
-    for name, mat in zip(names, mats):
+    # the Hermitian form: a hyperbolic pair in the first and last
+    # coordinates, the identity between them
+    form = _form_index(_realify(m, [(0, m - 1, ONE, ZERO), (m - 1, 0, ONE, ZERO)]
+                                + [(a, a, ONE, ZERO) for a in range(1, n + 1)]))
+    mats = []
+    for name, entries in zip(names, entry_lists):
+        mat = _realify(m, entries)
         _check_su_conditions(mat, form, m, name)
+        dense = [[ZERO] * (2 * m) for _ in range(2 * m)]
+        for (i, j), v in mat.items():
+            dense[i][j] = v
+        mats.append(dense)
 
     algebra = GradedLieAlgebra.from_matrices(
         names, grades, mats, k=2, family="cr", params=(n,)
@@ -183,33 +173,48 @@ def build_cr(n):
     return algebra
 
 
+def _realify(m, entries):
+    """The real 2m×2m matrix of the complex m×m matrix given by (row, col,
+    re, im) quadruples, as {(row, col): value} over its nonzero entries."""
+    mat = {}
+    for i, j, re, im in entries:
+        for pos, v in (((i, j), re), ((i, j + m), -im),
+                       ((i + m, j), im), ((i + m, j + m), re)):
+            mat[pos] = mat.get(pos, ZERO) + v
+    return {pos: v for pos, v in mat.items() if v != 0}
+
+
+def _form_index(form):
+    """Row and column index of a sparse form {(i, j): value}:
+    i -> [(j, value)] and j -> [(i, value)]."""
+    rows, cols = {}, {}
+    for (i, j), v in form.items():
+        rows.setdefault(i, []).append((j, v))
+        cols.setdefault(j, []).append((i, v))
+    return rows, cols
+
+
 def _check_su_conditions(mat, form, m, name):
     """Realified su condition: matᵀ·form + form·mat = 0 and complex trace 0.
 
-    Summed over the nonzero entries of both matrices only.
+    `mat` is a sparse matrix from `_realify` and `form` the `_form_index`
+    of the realified Hermitian form, so the products are summed over the
+    nonzero entries of both only.
     """
-    size = 2 * m
-    entries = [(i, j, mat[i][j]) for i in range(size) for j in range(size)
-               if mat[i][j] != 0]
-    form_rows, form_cols = {}, {}
-    for i in range(size):
-        for j in range(size):
-            if form[i][j] != 0:
-                form_rows.setdefault(i, []).append((j, form[i][j]))
-                form_cols.setdefault(j, []).append((i, form[i][j]))
+    form_rows, form_cols = form
     total = {}
-    for t, i, v in entries:
+    for (t, i), v in mat.items():
         # matᵀ·form: mat[t][i]·form[t][j] lands at (i, j)
         for j, f in form_rows.get(t, ()):
             total[(i, j)] = total.get((i, j), ZERO) + v * f
-    for t, j, v in entries:
+    for (t, j), v in mat.items():
         # form·mat: form[i][t]·mat[t][j] lands at (i, j)
         for i, f in form_cols.get(t, ()):
             total[(i, j)] = total.get((i, j), ZERO) + f * v
     if any(v != 0 for v in total.values()):
         raise StructureError(f"{name} violates the Hermitian form condition")
-    re_tr = sum((mat[i][i] for i in range(m)), ZERO)
-    im_tr = sum((mat[i + m][i] for i in range(m)), ZERO)
+    re_tr = sum((mat.get((i, i), ZERO) for i in range(m)), ZERO)
+    im_tr = sum((mat.get((i + m, i), ZERO) for i in range(m)), ZERO)
     if re_tr != 0 or im_tr != 0:
         raise StructureError(f"{name} is not traceless")
 

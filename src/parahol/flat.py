@@ -22,6 +22,9 @@ flow with the exponential-coordinate Weyl section in the witness gauge.
 No module but this one and the identity suite built on it computes in
 floats. Every flow is classical fixed-step RK4; a linear flow
 (`holonomy_flow`, the bundle flow) is a power of the one-step matrix. The
+chart flows of many fields run as one stacked RK4 (`_integrate_chart_flow`
+on `_field_values`, the one float copy of the field formula), so the
+identity suite integrates all its equivariance samples together. The
 float code imports numpy when called, so the exact paths (construction,
 `evaluate`, `holonomy_at`, `classify_at`, `tractor_derivative`) run on the
 standard library alone.
@@ -184,31 +187,12 @@ class FlatConformalField:
             out.append(v)
         return tuple(out)
 
-    def evaluate_float(self, point):
-        """Float evaluation on numpy arrays; the integrators' hot path."""
+    def evaluate_float(self, points):
+        """Float values at the rows of an m×n array of points: the stacked
+        formula `_field_values` on a stack of this one field."""
         import numpy as np
 
-        x = np.asarray(point, dtype=float)
-        a, lin, b, met, s = self._float_parts
-        xx = (met * x) @ x
-        bx = (met * b) @ x
-        return a + lin @ x + s * x + xx * b - 2.0 * bx * x
-
-    @property
-    def _float_parts(self):
-        cached = getattr(self, "_float_parts_cache", None)
-        if cached is None:
-            import numpy as np
-
-            cached = (
-                np.array([float(v) for v in self.a]),
-                np.array([[float(v) for v in row] for row in self.linear]),
-                np.array([float(v) for v in self.b]),
-                np.array([float(v) for v in self.metric]),
-                float(self.s),
-            )
-            self._float_parts_cache = cached
-        return cached
+        return _field_values(_float_fields([self]), np.asarray(points, dtype=float))
 
     def is_singular_at(self, point):
         """Whether the field vanishes at the point, decided exactly."""
@@ -376,34 +360,80 @@ def _step_count(t):
     return n_steps
 
 
-def _integrate_chart_flow(field, start, t):
-    """Classical fixed-step RK4 for the chart ODE x' = X(x); rejects escapes."""
+def _float_fields(fields):
+    """Float parts a, A, s, b and the metric of a stack of fields of one
+    signature, each stacked along a first axis; s and the metric are n
+    copies wide, so that every product in `_field_values` is row by row."""
     import numpy as np
 
-    f = field.evaluate_float
-    x = np.array([float(v) for v in start], dtype=float)
+    return (np.array([[float(v) for v in f.a] for f in fields]),
+            np.array([[[float(v) for v in row] for row in f.linear] for f in fields]),
+            np.array([[float(f.s)] * f.n for f in fields]),
+            np.array([[float(v) for v in f.b] for f in fields]),
+            np.array([[float(v) for v in f.metric] for f in fields]))
+
+
+def _field_values(parts, x):
+    """X_k(x_k) = a_k + A_k x_k + s_k x_k + <x_k,x_k> b_k - 2<b_k,x_k> x_k at
+    each row x_k of the array x, for the stacked parts of `_float_fields`.
+
+    The only float copy of the field formula. A stack of one field
+    broadcasts over every row.
+    """
+    import numpy as np
+
+    a, lin, s, b, met = parts
+    mx = met * x
+    xx = np.add.reduce(mx * x, axis=1, keepdims=True)
+    bx = np.add.reduce(mx * b, axis=1, keepdims=True)
+    return a + np.matmul(lin, x[:, :, None])[:, :, 0] + s * x + xx * b - 2.0 * bx * x
+
+
+def _integrate_chart_flow(fields, starts, t):
+    """Classical fixed-step RK4 for the chart ODEs x_k' = X_k(x_k) of a stack
+    of fields of one signature, run together from the rows of `starts` to
+    time t. The identity suite's equivariance samples take this one run.
+
+    Returns the end points and, for each row, None or the time of the step
+    at which it left the chart: a norm above CHART_NORM_LIMIT, or a point
+    that is not finite. Nothing is raised mid-run; a row that left goes on
+    silently and its end point means nothing.
+    """
+    import numpy as np
+
+    parts = _float_fields(fields)
+    x = np.array(starts, dtype=float)
     n_steps = _step_count(t)
     h = t / n_steps
-    for i in range(1, n_steps + 1):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.linalg.norm(x) > CHART_NORM_LIMIT:
-            raise ChartEscapeError("flow left the chart", escape_time=i * h)
-    return x
+    escape_times = [None] * len(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            k1 = _field_values(parts, x)
+            k2 = _field_values(parts, x + 0.5 * h * k1)
+            k3 = _field_values(parts, x + 0.5 * h * k2)
+            k4 = _field_values(parts, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            # NaN compares False, so a non-finite row is outside too
+            inside = np.add.reduce(x * x, axis=1) <= CHART_NORM_LIMIT ** 2
+            if not inside.all():
+                for k in np.flatnonzero(~inside):
+                    if escape_times[k] is None:
+                        escape_times[k] = i * h
+                if None not in escape_times:
+                    break
+    return x, escape_times
 
 
 def _linear_flow(rho, t):
     """Time-t flow of the linear ODE G' = rho·G by the chart flow's RK4: one
     step of length h multiplies by R = I + A + A²/2 + A³/6 + A⁴/24 with
-    A = h·rho, so the whole run is a power of R."""
+    A = h·rho, so the whole run is a power of R. A stack of matrices rho
+    gives the stack of their flows."""
     import numpy as np
 
     n_steps = _step_count(t)
     a = (t / n_steps) * rho
-    eye = np.eye(len(rho))
+    eye = np.eye(rho.shape[-1])
     r = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
     return np.linalg.matrix_power(r, n_steps)
 
@@ -473,27 +503,63 @@ def equivariance_check(field, base_point, direction, t):
     as exp^ω(u, Ad(h^t)Y)·h^t in the matrix realization, read at the base
     point as u·h^t·exp(Y): every element of the parabolic maps the base
     point's homogeneous line to itself, so (h^t)⁻¹ only rescales the column
-    that the chart reading divides out. Returns the chart distance.
+    that the chart reading divides out. Returns the chart distance, or
+    raises ChartEscapeError when either side leaves the chart.
+
+    A batch of one of `equivariance_residuals`.
+    """
+    (result,) = equivariance_residuals([(field, direction)], base_point, t)
+    if isinstance(result, ChartEscapeError):
+        raise result
+    return result
+
+
+def equivariance_residuals(samples, base_point, t):
+    """`equivariance_check` for (field, direction) samples of one algebra
+    that share the base point and t: one stacked chart-flow run and one
+    stacked group side.
+
+    Returns, for each sample, its residual or the ChartEscapeError that
+    `equivariance_check` raises for it: the chart flow's escape, with its
+    time, before the group side's. An argument that is wrong for any sample
+    (a direction not of grade -1, a base point where a field does not
+    vanish, a t over the step budget) raises at once.
     """
     import numpy as np
 
-    algebra = field.algebra
-    if direction.grades() not in ([], [-1]):
-        raise DomainError("direction must have pure grade -1")
-    datum = holonomy_at(field, base_point)   # also enforces singularity
-    y = algebra.grade_coords(direction, -1)
-    u = _float_matrix(_translation_matrix(algebra, base_point))
-    exp_y = _float_matrix(_translation_matrix(algebra, y))
+    algebra = samples[0][0].algebra
+    x0 = _exact_parts(base_point, "point")
+    rhos, exp_ys, starts = [], [], []
+    for field, direction in samples:
+        if field.algebra is not algebra:
+            raise DomainError("sample fields belong to different algebras")
+        if direction.grades() not in ([], [-1]):
+            raise DomainError("direction must have pure grade -1")
+        datum = holonomy_at(field, x0)   # also enforces singularity
+        y = algebra.grade_coords(direction, -1)
+        rhos.append(_float_matrix(algebra.realization.matrix_of(datum.x)))
+        exp_ys.append(_float_matrix(_translation_matrix(algebra, y)))
+        starts.append([float(v) + float(yi) for v, yi in zip(x0, y)])
+    lhs, escape_times = _integrate_chart_flow([f for f, _ in samples], starts, t)
 
-    start = [float(v) + float(yi) for v, yi in zip(base_point, y)]
-    lhs = _integrate_chart_flow(field, start, t)
-
+    u = _float_matrix(_translation_matrix(algebra, x0))
     # for large |t| these products overflow; the non-finite group point
     # that results is rejected below as a chart escape
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs_group = u @ holonomy_flow(datum, t) @ exp_y
-    rhs = _chart_of_group_point(rhs_group)
-    return float(np.max(np.abs(lhs - rhs)))
+        rhs_groups = u @ _linear_flow(np.array(rhos), t) @ np.array(exp_ys)
+    results = []
+    for x, escape_time, group in zip(lhs, escape_times, rhs_groups):
+        if escape_time is not None:
+            results.append(ChartEscapeError("flow left the chart",
+                                            escape_time=escape_time))
+            continue
+        try:
+            rhs = _chart_of_group_point(group)
+        except ChartEscapeError as err:
+            results.append(err)
+            continue
+        results.append(float(np.max(np.abs(x - rhs))))
+    return results
 
 
 def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):

@@ -13,7 +13,14 @@ from parahol.errors import (
     MismatchedAlgebraError,
     StructureError,
 )
-from parahol.families import _check_su_conditions, build, build_conformal, build_cr
+from parahol.families import (
+    _check_su_conditions,
+    _form_index,
+    _realify,
+    build,
+    build_conformal,
+    build_cr,
+)
 from parahol.sampling import random_element
 from test_acceptance import _first_jacobi_failure
 
@@ -521,17 +528,6 @@ def test_validate_rejects_a_degenerate_killing_form():
         algebra.validate()
 
 
-def _realified(m, entries):
-    """Real 2m x 2m matrix of the complex m x m matrix given as (i, j, re, im)."""
-    mat = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
-    for i, j, re, im in entries:
-        mat[i][j] += re
-        mat[i][j + m] -= im
-        mat[i + m][j] += im
-        mat[i + m][j + m] += re
-    return mat
-
-
 @pytest.mark.parametrize("entries,message", [
     # E_11 is Hermitian, not skew-Hermitian, for the form
     ([(1, 1, 1, 0)], "violates the Hermitian form condition"),
@@ -540,9 +536,9 @@ def _realified(m, entries):
 ])
 def test_su_conditions_reject_bad_realified_matrices(entries, message):
     m = 3
-    form = _realified(m, [(0, 2, 1, 0), (2, 0, 1, 0), (1, 1, 1, 0)])
+    form = _form_index(_realify(m, [(0, 2, 1, 0), (2, 0, 1, 0), (1, 1, 1, 0)]))
     with pytest.raises(StructureError, match=message):
-        _check_su_conditions(_realified(m, entries), form, m, "X")
+        _check_su_conditions(_realify(m, entries), form, m, "X")
 
 
 def test_build_budget_is_the_closed_form_dimension(monkeypatch):

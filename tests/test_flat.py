@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from parahol import flat, linalg
+from parahol import flat, identities, linalg
 from parahol.classify import Verdict, classify, conjugate_by_exp
-from parahol.constants import FIELD_BRACKET_SIGN, RK4_STEP
+from parahol.constants import CHART_NORM_LIMIT, FIELD_BRACKET_SIGN, RK4_STEP
 from parahol.errors import (
     ChartEscapeError,
     DomainError,
@@ -21,11 +21,13 @@ from parahol.families import build_conformal
 from parahol.flat import (
     FlatConformalField,
     _exp_nilpotent_exact,
+    _integrate_chart_flow,
     _positive_offset,
     _sample_offsets,
     classify_at,
     curvature_check,
     equivariance_check,
+    equivariance_residuals,
     adjoint_connection,
     gauge_tractor,
     holonomy_at,
@@ -459,6 +461,123 @@ def test_group_side_overflow_is_a_chart_escape(so41):
         warnings.simplefilter("error")
         with pytest.raises(ChartEscapeError, match="group point left the chart"):
             equivariance_check(field, [0, 0, 0], so41.basis_element("P_1"), 10.0)
+
+
+@pytest.mark.parametrize("coefficient", [10**30, 10**60])
+def test_non_finite_chart_point_is_a_quiet_escape(so41, coefficient):
+    # the first RK4 step overflows to inf and NaN; that is an escape at
+    # that step, not a NaN residual that no tolerance fails
+    field = FlatConformalField(so41, so41.element({"K_1": coefficient}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartEscapeError, match="flow left the chart") as err:
+            equivariance_check(field, [0, 0, 0], so41.basis_element("P_1"), 0.1)
+    assert err.value.escape_time is not None
+
+
+def _chart_flow_one_sample(field, start, t):
+    """Reference chart flow: RK4 for one field on its own, with the field
+    formula written out here. Returns the end point and the escape time."""
+    a = np.array([float(v) for v in field.a])
+    lin = np.array([[float(v) for v in row] for row in field.linear])
+    s = float(field.s)
+    b = np.array([float(v) for v in field.b])
+    met = np.array([float(v) for v in field.metric])
+
+    def f(x):
+        return a + lin @ x + s * x + ((met * x) @ x) * b - 2.0 * ((met * b) @ x) * x
+
+    x = np.array(start, dtype=float)
+    steps = max(1, int(round(abs(t) / RK4_STEP)))
+    h = t / steps
+    for i in range(1, steps + 1):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.linalg.norm(x) <= CHART_NORM_LIMIT:
+            return x, i * h
+    return x, None
+
+
+@pytest.mark.parametrize("signature", [(3, 0), (2, 1), (4, 0), (2, 2)])
+@pytest.mark.parametrize("stack", [1, 5])
+def test_stacked_chart_flow_matches_one_run_per_sample(signature, stack):
+    algebra = build_conformal(*signature)
+    n = sum(signature)
+    rng = random.Random(sum(signature) * 10 + stack)
+    fields = [FlatConformalField(algebra, random_element(algebra, rng, max_abs=3))
+              for _ in range(stack)]
+    starts = [[rng.uniform(-0.5, 0.5) for _ in range(n)] for _ in range(stack)]
+    ends, escape_times = _integrate_chart_flow(fields, starts, 0.1)
+    assert ends.shape == (stack, n)
+    for field, start, end, escape_time in zip(fields, starts, ends, escape_times):
+        expected, expected_escape = _chart_flow_one_sample(field, start, 0.1)
+        assert escape_time is expected_escape is None
+        assert np.max(np.abs(end - expected)) < 1e-12
+
+
+def _euler_field(algebra, s):
+    return FlatConformalField.from_parts(3, 0, [0, 0, 0], zero_matrix(3), s,
+                                         [0, 0, 0], algebra=algebra)
+
+
+def test_an_escaping_sample_leaves_the_others_their_residuals(so41):
+    direction = so41.basis_element("P_1")
+    rotation = FlatConformalField(so41, so41.basis_element("M_12"))
+    blowup = FlatConformalField(so41, so41.element({"K_1": 10**30}))
+    residual, escape = equivariance_residuals(
+        [(rotation, direction), (blowup, direction)], [0, 0, 0], 0.1)
+    alone = equivariance_check(rotation, [0, 0, 0], direction, 0.1)
+    assert abs(residual - alone) < 1e-12
+    assert isinstance(escape, ChartEscapeError)
+    assert str(escape) == "flow left the chart"
+
+
+def test_each_escaping_sample_gets_its_own_escape_time(so41):
+    # x(t) = e^{st}·x(0) leaves the chart near t = ln(1e8)/s
+    direction = so41.basis_element("P_1")
+    slow, fast = _euler_field(so41, 200), _euler_field(so41, 400)
+    errors = equivariance_residuals([(slow, direction), (fast, direction)],
+                                    [0, 0, 0], 0.1)
+    for field, err, leaves in zip((slow, fast), errors, (0.092, 0.046)):
+        assert isinstance(err, ChartEscapeError)
+        assert abs(err.escape_time - leaves) < 2e-3
+        with pytest.raises(ChartEscapeError) as alone:
+            equivariance_check(field, [0, 0, 0], direction, 0.1)
+        assert alone.value.escape_time == err.escape_time
+
+
+def test_equivariance_samples_share_one_algebra(so41, so31):
+    samples = [(FlatConformalField(so41, so41.basis_element("D")), so41.basis_element("P_1")),
+               (FlatConformalField(so31, so31.basis_element("D")), so31.basis_element("P_1"))]
+    with pytest.raises(DomainError, match="different algebras"):
+        equivariance_residuals(samples, [0, 0, 0], 0.1)
+
+
+def test_suite_raises_the_first_escape_in_draw_order(so41, monkeypatch):
+    # sample 1 leaves the chart later than sample 2, but is drawn first;
+    # no Weyl-section check runs past sample 0. An Euler flow leaves at the
+    # same step from every unit start, whichever direction was drawn
+    drawn = iter([so41.basis_element("M_12"), so41.element({"D": -200}),
+                  so41.element({"D": -400}), so41.basis_element("M_12")])
+    monkeypatch.setattr(identities, "random_p_element",
+                        lambda algebra, rng, max_abs: next(drawn))
+    weyl_fields = []
+
+    def spy(field, base_point, t):
+        weyl_fields.append(field)
+        return weyl_section_check(field, base_point, t)
+
+    monkeypatch.setattr(identities, "weyl_section_check", spy)
+    with pytest.raises(ChartEscapeError) as err:
+        run_flat_identity_suite(3, 0, samples=4, seed=0, algebra=so41)
+    with pytest.raises(ChartEscapeError) as first:
+        equivariance_check(_euler_field(so41, 200), [0, 0, 0],
+                           so41.basis_element("P_1"), 0.1)
+    assert err.value.escape_time == first.value.escape_time
+    assert [f.xi for f in weyl_fields] == [so41.basis_element("M_12")]
 
 
 # -- Weyl section --------------------------------------------------------------------
