@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import schemas
 from .classify import HolonomyDatum, classify
-from .errors import ParaholError, SchemaViolation, StructureError
+from .errors import OracleRefusedError, ParaholError, SchemaViolation, StructureError
 from .families import build
 from .flat import FlatConformalField, classify_at
 from .identities import run_flat_identity_suite
@@ -237,8 +237,12 @@ def _oracle_compare(payload, args):
     for index, element in enumerate(elements):
         datum = HolonomyDatum(algebra, element, scale)
         ours = classify(datum)
-        report = brute_force_oracle(datum, grid_radius=radius,
-                                    grid_steps=args.grid_steps)
+        try:
+            report = brute_force_oracle(datum, grid_radius=radius,
+                                        grid_steps=args.grid_steps)
+        except OracleRefusedError as exc:
+            exc.path = "$.params" if exc.argument == "algebra" else "--grid-steps"
+            raise
         if not report.decided:
             continue
         certified += 1

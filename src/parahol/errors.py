@@ -71,4 +71,13 @@ class WeylSectionInapplicableError(ParaholError):
 
 
 class OracleRefusedError(ParaholError):
-    """The brute-force oracle refuses instances it cannot search exhaustively."""
+    """The brute-force oracle refuses instances it cannot search exhaustively.
+
+    `argument` names the oracle argument that is too large: "algebra" for a
+    positive part over the dimension limit, "grid_steps" for a lattice over
+    the point limit.
+    """
+
+    def __init__(self, message, argument):
+        super().__init__(message)
+        self.argument = argument

@@ -20,14 +20,17 @@ equation on constant frame fields (zero by construction), and the float
 ones, flow equivariance in exponential coordinates and commutation of the
 flow with the exponential-coordinate Weyl section in the witness gauge.
 No module but this one and the identity suite built on it computes in
-floats. Every flow is classical fixed-step RK4; a linear flow
-(`holonomy_flow`, the bundle flow) is a power of the one-step matrix. The
-chart flows of many fields run as one stacked RK4 (`_integrate_chart_flow`
-on `_field_values`, the one float copy of the field formula), so the
-identity suite integrates all its equivariance samples together. The
-float code imports numpy when called, so the exact paths (construction,
-`evaluate`, `holonomy_at`, `classify_at`, `tractor_derivative`) run on the
-standard library alone.
+floats. Every flat-model group element exp(m) of a grade -1 or grade 1
+element (a translation, the witness factor exp(±Z), a Weyl-section
+sample) is the float closed form I + m + m²/2 (`_exp_grade_one`): the
+realization on R^{n+2} has three grade levels, so m³ = 0. Every flow is
+classical fixed-step RK4; a linear flow (`holonomy_flow`, the bundle flow)
+is a power of the one-step matrix. The chart flows of many fields run as
+one stacked RK4 (`_integrate_chart_flow` on `_field_values`, the one float
+copy of the field formula), so the identity suite integrates all its
+equivariance samples together. The float code imports numpy when called,
+so the exact paths (construction, `evaluate`, `holonomy_at`,
+`classify_at`, `tractor_derivative`) run on the standard library alone.
 """
 
 import math
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import linalg
 from .classify import HolonomyDatum, classify
 from .constants import (
     CHART_HOMOGENEOUS_TOL,
@@ -450,33 +452,17 @@ def _float_matrix(rows):
     return np.array([[float(v) for v in row] for row in rows], dtype=float)
 
 
-def _exp_nilpotent_exact(mat):
-    """Exact matrix exponential of a nilpotent Fraction matrix.
+def _exp_grade_one(m):
+    """exp(m) = I + m + m²/2 for the float realization matrix m of an
+    element of grade -1 or of grade 1.
 
-    Sums mat^m / m! until the power vanishes. The powers are sparse
-    products and only their nonzero entries are added: the realization
-    matrices of grade -1 and positive elements are mostly zero.
+    The series ends there: on R^{n+2} the grading element has only the
+    eigenvalues 1, 0 and -1, and m moves each eigenspace one level, so
+    m³ = 0.
     """
-    n = len(mat)
-    out = linalg.identity_vectors(n)
-    term = mat
-    inv_factorial = ONE
-    for m in range(1, n + 1):
-        nonzero = [(i, j, v) for i, row in enumerate(term)
-                   for j, v in enumerate(row) if v != 0]
-        if not nonzero:
-            return out
-        inv_factorial /= m
-        for i, j, v in nonzero:
-            out[i][j] += inv_factorial * v
-        term = linalg.matmul(term, mat)
-    raise ValueError("matrix is not nilpotent")
+    import numpy as np
 
-
-def _translation_matrix(algebra, point):
-    """Exact group element exp(x̂) in the matrix realization."""
-    xhat = translation_element(algebra, point)
-    return _exp_nilpotent_exact(algebra.realization.matrix_of(xhat))
+    return np.eye(m.shape[-1]) + m + (m @ m) / 2.0
 
 
 def _chart_of_group_point(g):
@@ -528,6 +514,7 @@ def equivariance_residuals(samples, base_point, t):
     import numpy as np
 
     algebra = samples[0][0].algebra
+    realization = algebra.realization
     x0 = _exact_parts(base_point, "point")
     rhos, exp_ys, starts = [], [], []
     for field, direction in samples:
@@ -537,12 +524,13 @@ def equivariance_residuals(samples, base_point, t):
             raise DomainError("direction must have pure grade -1")
         datum = holonomy_at(field, x0)   # also enforces singularity
         y = algebra.grade_coords(direction, -1)
-        rhos.append(_float_matrix(algebra.realization.matrix_of(datum.x)))
-        exp_ys.append(_float_matrix(_translation_matrix(algebra, y)))
+        rhos.append(_float_matrix(realization.matrix_of(datum.x)))
+        exp_ys.append(_exp_grade_one(_float_matrix(realization.matrix_of(direction))))
         starts.append([float(v) + float(yi) for v, yi in zip(x0, y)])
     lhs, escape_times = _integrate_chart_flow([f for f, _ in samples], starts, t)
 
-    u = _float_matrix(_translation_matrix(algebra, x0))
+    u = _exp_grade_one(_float_matrix(
+        realization.matrix_of(translation_element(algebra, x0))))
     # for large |t| these products overflow; the non-finite group point
     # that results is rejected below as a chart escape
     with np.errstate(over="ignore", invalid="ignore"):
@@ -571,6 +559,8 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
     (Inessential or WeylReducible); otherwise no Weyl structure is
     preserved and the check refuses.
     """
+    import numpy as np
+
     if n_samples < 1:
         raise DomainError("the Weyl-section check needs at least one sample")
     algebra = field.algebra
@@ -584,41 +574,20 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
     realization = algebra.realization
     n = field.n
 
-    u_mat = _translation_matrix(algebra, base_point)
-    zw = result.witness
-    exp_minus_z = _exp_nilpotent_exact(
-        [[-v for v in row] for row in realization.matrix_of(zw)]
-    )
-    exp_plus_z = _exp_nilpotent_exact(realization.matrix_of(zw))
-    u_prime = linalg.matmul(u_mat, exp_minus_z)
-    minus_base = [-v for v in _exact_parts(base_point, "point")]
-    u_prime_inv = linalg.matmul(exp_plus_z,
-                                _translation_matrix(algebra, minus_base))
+    def rho(element):
+        return _float_matrix(realization.matrix_of(element))
 
-    uf = _float_matrix(u_prime)
-    uf_inv = _float_matrix(u_prime_inv)
-    rho_xi = _float_matrix(realization.matrix_of(field.xi))
-    rho_p = [_float_matrix(realization.matrix_of(algebra.basis_element(f"P_{i + 1}")))
-             for i in range(n)]
+    xhat = rho(translation_element(algebra, base_point))
+    z = rho(result.witness)
+    u_prime = _exp_grade_one(xhat) @ _exp_grade_one(-z)
+    u_prime_inv = _exp_grade_one(z) @ _exp_grade_one(-xhat)
+    rho_p = np.array([rho(algebra.basis_element(f"P_{i + 1}")) for i in range(n)])
 
     # the right-invariant bundle ODE G' = rho(xi)·G, in the witness gauge
-    flow = uf_inv @ _linear_flow(rho_xi, t) @ uf
-    return max(_positive_offset(flow @ _exp_translation_float(offset, rho_p),
+    flow = u_prime_inv @ _linear_flow(rho(field.xi), t) @ u_prime
+    return max(_positive_offset(flow @ _exp_grade_one(np.tensordot(offset, rho_p, 1)),
                                 rho_p, n)
                for offset in _sample_offsets(n, n_samples, sample_scale))
-
-
-def _exp_translation_float(coords, rho_p):
-    """exp(m) with m = Σ cᵢ·ρ(Pᵢ), in floats: I + m + m²/2.
-
-    The series ends there, since every product of three grade -1
-    realization matrices vanishes.
-    """
-    import numpy as np
-
-    size = rho_p[0].shape[0]
-    m = sum((c * rp for c, rp in zip(coords, rho_p)), np.zeros((size, size)))
-    return np.eye(size) + m + (m @ m) / 2.0
 
 
 def _sample_offsets(n, n_samples, scale):
@@ -647,7 +616,7 @@ def _positive_offset(q, rho_p, n):
     import numpy as np
 
     y = _chart_of_group_point(q)
-    q2 = _exp_translation_float([-float(yi) for yi in y], rho_p) @ q
+    q2 = _exp_grade_one(-np.tensordot(y, rho_p, 1)) @ q
     c = q2[0, 0]
     if abs(c) < CHART_HOMOGENEOUS_TOL:
         raise ChartEscapeError("parabolic factor degenerated")

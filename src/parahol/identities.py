@@ -20,7 +20,7 @@ would raise.
 import random
 from fractions import Fraction
 
-from .errors import ChartEscapeError, WeylSectionInapplicableError
+from .errors import ChartEscapeError, DomainError, WeylSectionInapplicableError
 from .families import build_conformal
 from .flat import (
     FlatConformalField,
@@ -68,8 +68,13 @@ def conformal_killing_residual_fd(field, point, h=1e-5):
 
 
 def run_flat_identity_suite(p=3, q=0, samples=20, seed=42, t=0.1, algebra=None):
-    """Max residuals of every flat-model identity over seeded samples."""
-    algebra = algebra if algebra is not None else build_conformal(p, q)
+    """Max residuals of every flat-model identity over seeded samples.
+
+    A given `algebra` must have signature (p, q)."""
+    if algebra is None:
+        algebra = build_conformal(p, q)
+    elif algebra.params != (p, q):
+        raise DomainError(f"the algebra's signature is not ({p}, {q})")
     n = p + q
     rng = random.Random(seed)
 

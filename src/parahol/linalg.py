@@ -14,26 +14,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def matmul(a, b):
-    """A·B, multiplying only nonzero entries of A by nonzero entries of B.
-
-    Exact arithmetic makes the skipped products contribute nothing, so the
-    result equals the dense product; the realization matrices this is used
-    on are mostly zero.
-    """
-    ncols = len(b[0]) if b else 0
-    b_rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in b]
-    out = []
-    for ra in a:
-        row = [ZERO] * ncols
-        for t, x in enumerate(ra):
-            if x != 0:
-                for j, v in b_rows[t]:
-                    row[j] += x * v
-        out.append(row)
-    return out
-
-
 def dot(u, v):
     return sum((u[i] * v[i] for i in range(len(u))), ZERO)
 

@@ -62,8 +62,8 @@ def brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=2):
                for i in algebra.indices_of_grade(g)]
     if len(pos_idx) > MAX_POSITIVE_DIM:
         raise OracleRefusedError(
-            f"positive part has dimension {len(pos_idx)} > {MAX_POSITIVE_DIM}"
-        )
+            f"positive part has dimension {len(pos_idx)} > {MAX_POSITIVE_DIM}",
+            "algebra")
 
     grid_radius = Fraction(grid_radius)
     lattice_witness, points = (None, 0)
@@ -105,8 +105,7 @@ def _lattice_search(datum, pos_idx, radius, steps):
     total = len(axis) ** len(pos_idx)
     if total > MAX_LATTICE_POINTS:
         raise OracleRefusedError(
-            f"lattice has {total} points > {MAX_LATTICE_POINTS}"
-        )
+            f"lattice has {total} points > {MAX_LATTICE_POINTS}", "grid_steps")
     checked = 0
     for combo in itertools.product(axis, repeat=len(pos_idx)):
         checked += 1

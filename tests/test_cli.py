@@ -198,6 +198,10 @@ def test_oracle_compare_small_run():
     ("cr", [1], ("--grid-steps", "-2"), "--grid-steps"),
     ("cr", [1], ("--grid-steps", "0"), "--grid-steps"),
     ("cr", [1], ("--grid-radius", "1/0"), "--grid-radius"),
+    # positive part of dimension 9 > oracle.MAX_POSITIVE_DIM
+    ("conformal", [9, 0], (), "$.params"),
+    # 81^7 lattice points > oracle.MAX_LATTICE_POINTS
+    ("cr", [3], ("--grid-steps", "40"), "--grid-steps"),
 ])
 def test_oracle_compare_rejects_bad_flags(family, params, flags, path):
     code, out = run_cli("oracle-compare", {"family": family, "params": params},

@@ -1,6 +1,5 @@
 """Flat conformal model: field formula, transport, holonomy, numeric identities."""
 
-import math
 import random
 import warnings
 from fractions import Fraction
@@ -8,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from parahol import flat, identities, linalg
+from parahol import flat, identities
 from parahol.classify import Verdict, classify, conjugate_by_exp
 from parahol.constants import CHART_NORM_LIMIT, FIELD_BRACKET_SIGN, RK4_STEP
 from parahol.errors import (
@@ -20,7 +19,7 @@ from parahol.errors import (
 from parahol.families import build_conformal
 from parahol.flat import (
     FlatConformalField,
-    _exp_nilpotent_exact,
+    _exp_grade_one,
     _integrate_chart_flow,
     _positive_offset,
     _sample_offsets,
@@ -144,6 +143,14 @@ def test_from_parts_rejects_an_algebra_of_another_signature():
         FlatConformalField.from_parts(2, 1, [0, 0, 0],
                                       [[0, 0, 1], [0, 0, 0], [1, 0, 0]], 0,
                                       [0, 0, 0], algebra=build_conformal(3, 0))
+
+
+@pytest.mark.parametrize("signature", [(2, 1), (4, 0)])
+def test_identity_suite_rejects_an_algebra_of_another_signature(signature):
+    # (2,1) has the size of (3,0), so the suite would run on it and report
+    # (3,0); (4,0) would fail inside numpy on mismatched shapes
+    with pytest.raises(DomainError, match=r"signature is not \(3, 0\)"):
+        run_flat_identity_suite(3, 0, samples=4, algebra=build_conformal(*signature))
 
 
 def test_evaluate_equals_transported_tractor(so41):
@@ -646,7 +653,12 @@ def test_inexact_point_coordinates_raise_domain_error(so41, call, bad):
         call(field, [bad, 0, 0])
 
 
-# -- sparse exact exponentials and the Weyl-section bundle flow ----------------
+# -- the closed-form exponential and the Weyl-section bundle flow ---------------
+
+
+def _dense_matmul(a, b):
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def _dense_exp_series(mat):
@@ -655,8 +667,7 @@ def _dense_exp_series(mat):
     out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     term = [row[:] for row in out]
     for m in range(1, n + 1):
-        term = [[sum((term[i][t] * mat[t][j] for t in range(n)), Fraction(0)) / m
-                 for j in range(n)] for i in range(n)]
+        term = [[v / m for v in row] for row in _dense_matmul(term, mat)]
         out = [[o + v for o, v in zip(ro, rt)] for ro, rt in zip(out, term)]
     return out
 
@@ -669,31 +680,23 @@ def _nilpotent_samples(algebra, rng, count=6):
         yield real.matrix_of(random_positive_element(algebra, rng))
 
 
-@pytest.mark.parametrize("signature", [(3, 0), (2, 1), (4, 0)])
-def test_exp_nilpotent_exact_matches_the_dense_series(signature):
+@pytest.mark.parametrize("signature", [(3, 0), (2, 1), (4, 0), (2, 2)])
+def test_exp_grade_one_is_the_exact_series(signature):
     algebra = build_conformal(*signature)
     rng = random.Random(sum(signature) * 7 + signature[1])
     for mat in _nilpotent_samples(algebra, rng):
-        exp_plus = _exp_nilpotent_exact(mat)
-        assert exp_plus == _dense_exp_series(mat)
-        exp_minus = _exp_nilpotent_exact([[-v for v in row] for row in mat])
-        n = len(mat)
-        assert linalg.matmul(exp_plus, exp_minus) == [
-            [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def test_exp_nilpotent_exact_of_a_full_jordan_block():
-    # the shift's (n-1)-th power is nonzero: the series runs to the matrix size
-    n = 4
-    shift = [[Fraction(int(j == i + 1)) for j in range(n)] for i in range(n)]
-    assert _exp_nilpotent_exact(shift) == [
-        [Fraction(1, math.factorial(j - i)) if j >= i else Fraction(0)
-         for j in range(n)] for i in range(n)]
-
-
-def test_exp_nilpotent_exact_rejects_a_non_nilpotent_matrix():
-    with pytest.raises(ValueError, match="not nilpotent"):
-        _exp_nilpotent_exact([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
+        # three grade levels: the cube vanishes, so the series ends at the square
+        cube = _dense_matmul(_dense_matmul(mat, mat), mat)
+        assert all(v == 0 for row in cube for v in row)
+        # float errors scale with the entries, which reach the tens here:
+        # 1e-15 relative to the largest entry, and to |exp(m)|·|exp(-m)|
+        m = np.array([[float(v) for v in row] for row in mat])
+        exp_m = _exp_grade_one(m)
+        exact = np.array([[float(v) for v in row] for row in _dense_exp_series(mat)])
+        assert np.max(np.abs(exp_m - exact)) <= 1e-15 * np.max(np.abs(exact))
+        exp_minus = _exp_grade_one(-m)
+        assert np.all(np.abs(exp_m @ exp_minus - np.eye(len(mat)))
+                      <= 1e-15 * (np.abs(exp_m) @ np.abs(exp_minus)))
 
 
 @pytest.mark.parametrize("signature", [(3, 0), (2, 1)])
@@ -727,8 +730,8 @@ def _weyl_groups_one_run_per_sample(field, t, n_samples, sample_scale):
     n = field.n
     zeros = [0] * n
     zw = classify(holonomy_at(field, zeros)).witness
-    exp_z = _exp_nilpotent_exact(real.matrix_of(zw))
-    exp_minus_z = _exp_nilpotent_exact([[-v for v in row] for row in real.matrix_of(zw)])
+    exp_z = _dense_exp_series(real.matrix_of(zw))
+    exp_minus_z = _dense_exp_series([[-v for v in row] for row in real.matrix_of(zw)])
     uf = np.array([[float(v) for v in row] for row in exp_minus_z])
     uf_inv = np.array([[float(v) for v in row] for row in exp_z])
     rho_xi = np.array([[float(v) for v in row] for row in real.matrix_of(field.xi)])
