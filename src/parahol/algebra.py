@@ -21,6 +21,7 @@ and read or write one grade's coordinates through `grade_coords` and
 `from_grade_coords`.
 """
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -55,7 +56,10 @@ class AlgebraElement:
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra, coeffs):
-        coeffs = tuple(_as_scalar(c) for c in coeffs)
+        # tuple() of a list, not of a generator: CPython sizes a tuple built
+        # from an iterator by a guess and resizes it, so each element built
+        # would leave one more tuple in the interpreter's free lists
+        coeffs = tuple([_as_scalar(c) for c in coeffs])
         if len(coeffs) != algebra.dim:
             raise ValueError(
                 f"expected {algebra.dim} coefficients, got {len(coeffs)}"
@@ -377,21 +381,24 @@ class GradedLieAlgebra:
         Rows follow the basis order of g_target and columns that of
         g_source. Only the grade (target - source) part of x contributes,
         by grading additivity; a grade outside [-k, k] gives an empty or
-        zero block.
+        zero block. The entries are summed as scaled integers, over the
+        integer pair table (`_scaled_table`) and that part of x put over
+        the lcm of its denominators, and divided by the one common
+        denominator at the end.
         """
         rows = self.indices_of_grade(target_grade)
         cols = self.indices_of_grade(source_grade)
         row_of = {l: t for t, l in enumerate(rows)}
-        block = [[ZERO] * len(cols) for _ in rows]
-        table = self._pair_table
-        xs = [(i, x.coeffs[i])
-              for i in self.indices_of_grade(target_grade - source_grade)
-              if x.coeffs[i] != 0]
+        block = [[0] * len(cols) for _ in rows]
+        scale, table = self._scaled_table
+        dx, xs = _scaled(x.coeffs, self.indices_of_grade(target_grade - source_grade))
+        xs = [(table.get(i, {}), xc) for i, xc in xs.items()]
         for u, s in enumerate(cols):
-            for i, xc in xs:
-                for l, c in table.get((i, s), ()):
+            for row, xc in xs:
+                for l, c in row.get(s, ()):
                     block[row_of[l]][u] += xc * c
-        return block
+        den = dx * scale
+        return [[Fraction(v, den) if v else ZERO for v in row] for row in block]
 
     def grade_coords(self, x, grade):
         """Coefficients of x on the grade-`grade` basis vectors, in basis order."""
@@ -485,31 +492,61 @@ class GradedLieAlgebra:
                 raise StructureError("no grading element exists")
         return e
 
+    @cached_property
+    def _scaled_table(self):
+        """(D, table): the pair table times D, the lcm of its denominators
+        (1 on the conformal family, 2 on cr), as i -> {j: ((l, D·c_ij^l),
+        ...)} over integers. Shared by `exp_ad` and `ad_block`."""
+        scale = math.lcm(*{c.denominator for entries in self._pair_table.values()
+                           for _, c in entries})
+        table = {}
+        for (i, j), entries in self._pair_table.items():
+            table.setdefault(i, {})[j] = tuple(
+                (l, c.numerator * (scale // c.denominator)) for l, c in entries)
+        return scale, table
+
     def exp_ad(self, z, x):
         """e^{ad z}(x) as a finite sum; requires ad(z) nilpotent.
 
         Nilpotency is guaranteed when every grade in z's support has the
         same sign, which is the only way this is called. Returns x itself
-        when z is zero.
+        when z is zero. The series runs on scaled integers: with x = X/dx
+        and z = Z/dz over the lcms of their denominators and the pair table
+        C/D (`_scaled_table`), the m-th term ad(z)^m x / m! is ad_C(Z)^m X
+        over dx·(dz·D)^m·m!. The sum is kept over that one running
+        denominator, and a Fraction is made only for each nonzero
+        coefficient of the result.
         """
+        if z.algebra is not self or x.algebra is not self:
+            raise MismatchedAlgebraError("exp_ad arguments must live in this algebra")
         if z.is_zero:
             return x
         signs = {1 if g > 0 else -1 for g in z.grades() if g != 0}
         if len(signs) > 1 or (z.grades() and 0 in z.grades()):
             raise ValueError("exp_ad requires a pure-sign graded argument")
-        term = x
-        total = x
-        factorial = 1
+        scale, table = self._scaled_table
+        dz, zs = _scaled(z.coeffs)
+        zs = [(table.get(i, {}), c) for i, c in zs.items()]
+        den, term = _scaled(x.coeffs)
+        total = dict(term)
+        step = dz * scale
         for m in range(1, 2 * self.k + 2):
-            term = self.bracket(z, term)
-            if term.is_zero:
+            term = _scaled_bracket(zs, term)
+            if not term:
                 break
-            factorial *= m
-            total = total + term * Fraction(1, factorial)
+            f = step * m
+            den *= f
+            total = {l: v * f for l, v in total.items()}
+            for l, v in term.items():
+                total[l] = total.get(l, 0) + v
         else:
-            if not self.bracket(z, term).is_zero:
+            if _scaled_bracket(zs, term):
                 raise ValueError("exp_ad series failed to terminate")
-        return total
+        coeffs = [ZERO] * self.dim
+        for l, v in total.items():
+            if v:
+                coeffs[l] = Fraction(v, den)
+        return AlgebraElement(self, coeffs)
 
     # -- validation ------------------------------------------------------------
 
@@ -569,6 +606,31 @@ class GradedLieAlgebra:
 
     def __repr__(self):
         return f"GradedLieAlgebra({self.family}{self.params}, dim={self.dim}, k={self.k})"
+
+
+def _scaled(coeffs, indices=None):
+    """(d, {i: X_i}) with coeffs[i] = X_i/d over the nonzero coefficients
+    at `indices` (all of them by default), d the lcm of their denominators.
+    The lcm takes a list, not a generator, as AlgebraElement's tuple does."""
+    if indices is None:
+        indices = range(len(coeffs))
+    nonzero = [(i, coeffs[i]) for i in indices if coeffs[i]]
+    d = math.lcm(*[c.denominator for _, c in nonzero])
+    return d, {i: c.numerator * (d // c.denominator) for i, c in nonzero}
+
+
+def _scaled_bracket(zs, y):
+    """Integer bracket ad_C(Z)Y on sparse {index: int} maps, with zs the
+    ({j: entries} row of the scaled table, Z_i) pairs of Z's support."""
+    out = {}
+    for row, zc in zs:
+        for j, yc in y.items():
+            entries = row.get(j)
+            if entries:
+                f = zc * yc
+                for l, c in entries:
+                    out[l] = out.get(l, 0) + f * c
+    return {l: v for l, v in out.items() if v}
 
 
 def _sparse(matrix):

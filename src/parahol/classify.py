@@ -28,9 +28,6 @@ rejected. Every step is exact; nothing in this module computes in floats.
 """
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 from . import linalg
 from .errors import DomainError, UnsupportedDepthError
@@ -44,24 +41,62 @@ class Verdict(enum.Enum):
     ESSENTIAL = "Essential"
 
 
-@dataclass(frozen=True)
-class LambdaNonzero:
-    value: Fraction
+class Record:
+    """A value record over its __slots__ fields, with the equality and repr
+    a dataclass would give; `dataclasses` is not used because it imports
+    `inspect`, which costs a CLI request more than the rest of its imports.
+    Unhashable unless immutable (`_FrozenRecord`)."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+class _FrozenRecord(Record):
+    """An immutable, hashable Record."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class LambdaNonzero(_FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
 
     def to_json_dict(self):
         return {"lambda_nonzero": fraction_to_json(self.value)}
 
 
-@dataclass(frozen=True)
-class DegreeUnkillable:
-    degree: int
+class DegreeUnkillable(_FrozenRecord):
+    __slots__ = ("degree",)
+
+    def __init__(self, degree):
+        object.__setattr__(self, "degree", degree)
 
     def to_json_dict(self):
         return {"degree_d_unkillable": self.degree}
 
 
-@dataclass
-class Classification:
+class Classification(Record):
     """Verdict record with witness or certificate.
 
     witness: Z in p_+ with conjugate_by_exp(Z, x) in Ker(lambda')
@@ -71,9 +106,12 @@ class Classification:
     "exact": true and "residual": null fields.
     """
 
-    verdict: Verdict
-    witness: Optional[object] = None
-    certificate: Optional[object] = None
+    __slots__ = ("verdict", "witness", "certificate")
+
+    def __init__(self, verdict, witness=None, certificate=None):
+        self.verdict = verdict
+        self.witness = witness
+        self.certificate = certificate
 
     @property
     def is_essential(self):
@@ -129,24 +167,18 @@ def conjugate_by_exp(z, x):
     return algebra.exp_ad(z, x)
 
 
-@dataclass
-class _KillResult:
-    witness: Optional[object]
-    certificate: Optional[object]
-
-
 def kill_positive_part(datum):
     """Z in p_+ with conjugate_by_exp(Z, x) in g_0, or None when impossible."""
-    return _kill_analysis(datum).witness
+    return _kill_analysis(datum)[0]
 
 
 def classify(datum):
     """Run the holonomy dictionary on a datum; see the module docstring."""
-    result = _kill_analysis(datum)
-    if result.witness is None:
-        return Classification(Verdict.ESSENTIAL, certificate=result.certificate)
+    witness, certificate = _kill_analysis(datum)
+    if witness is None:
+        return Classification(Verdict.ESSENTIAL, certificate=certificate)
     return conjugable_verdict(datum.scale.lambda_prime_of_grade0(datum.x),
-                              result.witness)
+                              witness)
 
 
 def conjugable_verdict(ell, witness):
@@ -165,6 +197,8 @@ def conjugable_verdict(ell, witness):
 
 
 def _kill_analysis(datum):
+    """(witness, certificate): the verified witness and None, or None and
+    the DegreeUnkillable certificate."""
     algebra = datum.algebra
     k = algebra.k
     if k > 2:
@@ -179,7 +213,7 @@ def _kill_analysis(datum):
             continue
         z_d = linalg.solve_min_norm(algebra.ad_block(x, d, d), r)  # ad(X_0)|g_d
         if z_d is None:
-            return _KillResult(None, DegreeUnkillable(d))
+            return None, DegreeUnkillable(d)
         z = z + algebra.from_grade_coords(d, z_d)
     return _verified(algebra, x, z)
 
@@ -190,4 +224,4 @@ def _verified(algebra, x, witness):
     for g in range(1, algebra.k + 1):
         if not conj.component(g).is_zero:
             raise AssertionError("witness failed exact verification")
-    return _KillResult(witness, None)
+    return witness, None

@@ -27,7 +27,7 @@ from .jsonio import (
     parse_named_element,
     vector_from_json,
 )
-from .oracle import brute_force_oracle
+from .oracle import brute_force_oracle, check_search_budget
 from .sampling import comparison_instances
 from .scales import default_scale
 
@@ -228,6 +228,11 @@ def _oracle_compare(payload, args):
     if args.grid_steps == 0 and algebra.k > 1:
         raise _flag_error("--grid-steps", "must be at least 1 on a depth-2 "
                           "family, whose planted instances lie on the lattice")
+    try:
+        check_search_budget(algebra, args.grid_steps)
+    except OracleRefusedError as exc:
+        exc.path = "$.params" if exc.argument == "algebra" else "--grid-steps"
+        raise
     scale = default_scale(algebra)
     elements = comparison_instances(algebra, scale, args.instances,
                                     args.seed, radius, args.grid_steps)
@@ -237,12 +242,8 @@ def _oracle_compare(payload, args):
     for index, element in enumerate(elements):
         datum = HolonomyDatum(algebra, element, scale)
         ours = classify(datum)
-        try:
-            report = brute_force_oracle(datum, grid_radius=radius,
-                                        grid_steps=args.grid_steps)
-        except OracleRefusedError as exc:
-            exc.path = "$.params" if exc.argument == "algebra" else "--grid-steps"
-            raise
+        report = brute_force_oracle(datum, grid_radius=radius,
+                                    grid_steps=args.grid_steps)
         if not report.decided:
             continue
         certified += 1

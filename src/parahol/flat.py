@@ -34,11 +34,9 @@ so the exact paths (construction, `evaluate`, `holonomy_at`,
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .classify import HolonomyDatum, classify
+from .classify import HolonomyDatum, Record, classify
 from .constants import (
     CHART_HOMOGENEOUS_TOL,
     CHART_NORM_LIMIT,
@@ -254,12 +252,14 @@ def holonomy_at(field, point):
     return HolonomyDatum(field.algebra, transported)
 
 
-@dataclass
-class FlatClassification:
+class FlatClassification(Record):
     """Classification of a field at a point, with the non-singular shortcut."""
 
-    singular: bool
-    classification: Optional[object]   # Classification when singular
+    __slots__ = ("singular", "classification")
+
+    def __init__(self, singular, classification):
+        self.singular = singular
+        self.classification = classification   # Classification when singular
 
     @property
     def verdict(self):

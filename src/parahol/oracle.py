@@ -13,13 +13,12 @@ Two independent routes:
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .classify import (
     Classification,
     DegreeUnkillable,
+    Record,
     Verdict,
     conjugable_verdict,
     conjugate_by_exp,
@@ -32,12 +31,18 @@ MAX_LATTICE_POINTS = 2_000_000
 ZERO = Fraction(0)
 
 
-@dataclass
-class OracleReport:
-    decided: bool
-    classification: Optional[Classification]
-    method: str
-    points_checked: int
+class OracleReport(Record):
+    """Outcome of one oracle run: whether it decided, the Classification
+    when it did, the method ("rank-certificate" or "lattice") and the
+    number of lattice points checked."""
+
+    __slots__ = ("decided", "classification", "method", "points_checked")
+
+    def __init__(self, decided, classification, method, points_checked):
+        self.decided = decided
+        self.classification = classification
+        self.method = method
+        self.points_checked = points_checked
 
     def to_json_dict(self):
         return {
@@ -49,13 +54,15 @@ class OracleReport:
         }
 
 
-def brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=2):
-    """Independent classification attempt; see the module docstring.
+def check_search_budget(algebra, grid_steps):
+    """The oracle's static refusals, which depend on the algebra and the
+    lattice size alone; returns the indices of the positive part.
 
-    Refuses algebras it cannot search exhaustively (k > 2 or a positive
-    part of dimension > 8).
+    Refuses depth k > 2, a positive part of dimension > MAX_POSITIVE_DIM
+    (argument "algebra") and, when grid_steps > 0, a lattice of more than
+    MAX_LATTICE_POINTS points (argument "grid_steps"), so a caller can
+    refuse a request before drawing any instance.
     """
-    algebra = datum.algebra
     if algebra.k > 2:
         raise UnsupportedDepthError("oracle supports k <= 2 only")
     pos_idx = [i for g in range(1, algebra.k + 1)
@@ -64,6 +71,20 @@ def brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=2):
         raise OracleRefusedError(
             f"positive part has dimension {len(pos_idx)} > {MAX_POSITIVE_DIM}",
             "algebra")
+    total = (2 * grid_steps + 1) ** len(pos_idx)
+    if grid_steps > 0 and total > MAX_LATTICE_POINTS:
+        raise OracleRefusedError(
+            f"lattice has {total} points > {MAX_LATTICE_POINTS}", "grid_steps")
+    return pos_idx
+
+
+def brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=2):
+    """Independent classification attempt; see the module docstring.
+
+    Refuses what `check_search_budget` refuses.
+    """
+    algebra = datum.algebra
+    pos_idx = check_search_budget(algebra, grid_steps)
 
     grid_radius = Fraction(grid_radius)
     lattice_witness, points = (None, 0)
@@ -102,10 +123,6 @@ def _lattice_search(datum, pos_idx, radius, steps):
     axis = [Fraction(i) * radius / steps for i in range(-steps, steps + 1)]
     # zero first, then small points first: deterministic and finds cheap witnesses early
     axis.sort(key=lambda v: (abs(v), v))
-    total = len(axis) ** len(pos_idx)
-    if total > MAX_LATTICE_POINTS:
-        raise OracleRefusedError(
-            f"lattice has {total} points > {MAX_LATTICE_POINTS}", "grid_steps")
     checked = 0
     for combo in itertools.product(axis, repeat=len(pos_idx)):
         checked += 1

@@ -343,6 +343,127 @@ def test_exp_ad_rejects_mixed_sign(so41):
         so41.exp_ad(z0, so41.basis_element("P_1"))
 
 
+# -- the Fraction exp_ad and ad_block that the scaled-integer ones replaced,
+# -- kept as references ---------------------------------------------------------
+
+
+def reference_exp_ad(algebra, z, x):
+    """e^{ad z}(x), one dense Fraction bracket per term."""
+    if z.is_zero:
+        return x
+    signs = {1 if g > 0 else -1 for g in z.grades() if g != 0}
+    if len(signs) > 1 or (z.grades() and 0 in z.grades()):
+        raise ValueError("exp_ad requires a pure-sign graded argument")
+    term = x
+    total = x
+    factorial = 1
+    for m in range(1, 2 * algebra.k + 2):
+        term = algebra.bracket(z, term)
+        if term.is_zero:
+            break
+        factorial *= m
+        total = total + term * Fraction(1, factorial)
+    else:
+        if not algebra.bracket(z, term).is_zero:
+            raise ValueError("exp_ad series failed to terminate")
+    return total
+
+
+def reference_ad_block(algebra, x, source_grade, target_grade):
+    """ad(x): g_source -> g_target, summed in Fractions over the pair table."""
+    rows = algebra.indices_of_grade(target_grade)
+    cols = algebra.indices_of_grade(source_grade)
+    row_of = {l: t for t, l in enumerate(rows)}
+    block = [[Fraction(0)] * len(cols) for _ in rows]
+    xs = [(i, x.coeffs[i])
+          for i in algebra.indices_of_grade(target_grade - source_grade)
+          if x.coeffs[i] != 0]
+    for u, s in enumerate(cols):
+        for i, xc in xs:
+            for l, c in algebra._pair_table.get((i, s), ()):
+                block[row_of[l]][u] += xc * c
+    return block
+
+
+def _wide_rational(rng):
+    """Zero a third of the time, else a small or a 13-digit numerator over
+    1, 2, 3, 7 or 9."""
+    if rng.randrange(3) == 0:
+        return Fraction(0)
+    num = rng.choice([rng.randint(1, 9), rng.randint(10**12, 10**13)])
+    return Fraction(rng.choice([-1, 1]) * num, rng.choice([1, 2, 3, 7, 9]))
+
+
+def _wide_element(algebra, rng, grades):
+    return algebra.element_from_coeffs(
+        [_wide_rational(rng) if g in grades else Fraction(0) for g in algebra.grade])
+
+
+SCALED_MAKERS = [
+    pytest.param(lambda: build_conformal(3, 0), id="conformal30"),
+    pytest.param(lambda: build_conformal(2, 1), id="conformal21"),
+    pytest.param(lambda: build_cr(1), id="cr1"),
+    pytest.param(lambda: build_cr(2), id="cr2"),
+    pytest.param(lambda: build_cr(3), id="cr3"),
+]
+
+
+@pytest.mark.parametrize("maker", SCALED_MAKERS)
+def test_exp_ad_matches_fraction_reference(maker):
+    """Seeded z of positive grades, of grade k alone and of grade -1 (as the
+    flat gauge uses it) against the Fraction series, on x of every grade;
+    coefficients over 1, 2, 3, 7 and 9, some above 10^12."""
+    algebra = maker()
+    k = algebra.k
+    rng = random.Random(71)
+    z_grades = [range(1, k + 1), (k,), (-1,)]
+    x_grades = [range(-k, k + 1), range(0, k + 1), (-k,)]
+    for _ in range(6):
+        for zg in z_grades:
+            z = _wide_element(algebra, rng, zg)
+            for xg in x_grades:
+                x = _wide_element(algebra, rng, xg)
+                result = algebra.exp_ad(z, x)
+                assert result == reference_exp_ad(algebra, z, x)
+                assert all(type(c) is Fraction for c in result.coeffs)
+    assert algebra.exp_ad(algebra.zero(), x) is x
+
+
+@pytest.mark.parametrize("maker", SCALED_MAKERS)
+def test_ad_block_matches_fraction_reference(maker):
+    algebra = maker()
+    k = algebra.k
+    rng = random.Random(73)
+    for _ in range(4):
+        x = _wide_element(algebra, rng, range(-k, k + 1))
+        for source in range(-k, k + 1):
+            for target in range(-k, k + 1):
+                assert (algebra.ad_block(x, source, target)
+                        == reference_ad_block(algebra, x, source, target))
+
+
+def test_exp_ad_rejects_an_argument_from_another_algebra(so41):
+    other = build_conformal(3, 0)
+    z, x = so41.basis_element("P_1"), so41.basis_element("D")
+    with pytest.raises(MismatchedAlgebraError):
+        so41.exp_ad(other.basis_element("P_1"), x)
+    with pytest.raises(MismatchedAlgebraError):
+        so41.exp_ad(z, other.basis_element("D"))
+
+
+def test_exp_ad_rejects_a_series_that_does_not_terminate(so41):
+    # labelled grade 1, D passes the pure-sign check, but ad(D) is not
+    # nilpotent: ad(D)^m P_1 = ±P_1 for every m
+    grades = list(so41.grade)
+    grades[so41.basis_index("D")] = 1
+    relabelled = _relabelled(so41, grades)
+    z, x = relabelled.basis_element("D"), relabelled.basis_element("P_1")
+    with pytest.raises(ValueError, match="failed to terminate"):
+        reference_exp_ad(relabelled, z, x)
+    with pytest.raises(ValueError, match="failed to terminate"):
+        relabelled.exp_ad(z, x)
+
+
 def test_describe_and_sparse_export(so41):
     doc = so41.describe()
     assert doc["family"] == "conformal"

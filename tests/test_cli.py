@@ -1,6 +1,7 @@
 """CLI contract: request validation, reports, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from parahol import schemas
+from parahol import cli, schemas
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -210,6 +211,23 @@ def test_oracle_compare_rejects_bad_flags(family, params, flags, path):
     assert json.loads(out)["error"]["path"] == path
 
 
+@pytest.mark.parametrize("family,params,flags,path", [
+    ("conformal", [9, 0], (), "$.params"),
+    ("cr", [3], ("--grid-steps", "40"), "--grid-steps"),
+])
+def test_oracle_compare_refuses_before_drawing_instances(
+        monkeypatch, capsys, family, params, flags, path):
+    def draw(*args):
+        raise AssertionError("instances drawn before the oracle's refusal")
+
+    monkeypatch.setattr(cli, "comparison_instances", draw)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        json.dumps({"family": family, "params": params})))
+    code = cli.main(["oracle-compare", "--instances", "5000", *flags])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
 def test_verify_identities_overflow_is_a_quiet_chart_escape():
     # at t = 10 the group-side exponentials overflow; the request fails on
     # the non-finite group point without numpy warnings on stderr
@@ -319,6 +337,27 @@ def test_requests_import_neither_numpy_scipy_nor_jsonschema(command, payload,
         input=json.dumps(payload), capture_output=True, text=True, cwd=REPO,
     )
     assert proc.returncode == code, proc.stdout
+    assert json.loads(proc.stderr) == []
+
+
+_STDLIB_PROBE = """
+import json, sys
+import parahol.cli
+code = parahol.cli.main(sys.argv[1:])
+sys.stderr.write(json.dumps([m for m in ("dataclasses", "inspect")
+                             if m in sys.modules]))
+sys.exit(code)
+"""
+
+
+def test_classify_request_imports_neither_dataclasses_nor_inspect():
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_PROBE, "classify"],
+        input=json.dumps({"family": "conformal", "params": [3, 0],
+                          "element": {"D": 1}}),
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stdout
     assert json.loads(proc.stderr) == []
 
 

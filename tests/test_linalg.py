@@ -1,5 +1,7 @@
 """Exact linear algebra: elimination, kernels, minimum-norm solves."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -192,6 +194,22 @@ def sparse_matrix(rng, m, n, density):
     return [[entry() for _ in range(n)] for _ in range(m)]
 
 
+def mixed_matrix(rng, m, n, density):
+    """sparse_matrix rescaled, which keeps its rank: each column by a factor
+    over 1, 3, 7 or 9, and each nonzero row by a factor, some above 10^12,
+    that makes its leading entry negative. Rows mix their denominators."""
+    a = sparse_matrix(rng, m, n, density)
+    cols = [Fraction(rng.choice([1, 2, 5]), rng.choice([1, 3, 7, 9])) for _ in range(n)]
+    for row in a:
+        row[:] = [v * c for v, c in zip(row, cols)]
+        lead = next((v for v in row if v), None)
+        if lead is not None:
+            f = Fraction(rng.choice([1, 3, 10**12 + rng.randrange(10**12)]),
+                         rng.choice([1, 2, 7, 9]))
+            row[:] = [v * (-f if lead > 0 else f) for v in row]
+    return a
+
+
 SHAPES = [(0, 3), (1, 1), (3, 3), (2, 6), (6, 2), (5, 5), (4, 7), (7, 4), (3, 0)]
 
 
@@ -199,12 +217,14 @@ SHAPES = [(0, 3), (1, 1), (3, 3), (2, 6), (6, 2), (5, 5), (4, 7), (7, 4), (3, 0)
 def test_sparse_elimination_matches_dense_reference(density):
     """rank, pivots, solve_many, solve (None included), nullspace and
     solve_min_norm agree exactly with the dense RREF, on 0-row, all-zero,
-    wide, tall and rank-deficient matrices."""
+    wide, tall and rank-deficient matrices, and on the same shapes with
+    mixed denominators and negative leading entries."""
     rng = random.Random(int(density * 1000))
     inconsistent = 0
-    for shape in SHAPES * 12 + [(4, 4), (0, 0)]:
+    for shape, make in itertools.product(SHAPES * 12 + [(4, 4), (0, 0)],
+                                         (sparse_matrix, mixed_matrix)):
         m, n = shape
-        a = sparse_matrix(rng, m, n, density)
+        a = make(rng, m, n, density)
         if rng.randrange(2):
             b = matvec(a, [Fraction(rng.randint(-3, 3)) for _ in range(n)])
         else:
@@ -236,3 +256,27 @@ def test_sparse_elimination_matches_dense_reference(density):
                 linalg.solve_many(a, cols + [b])
         assert linalg.solve_min_norm(a, b) == dense_min_norm(a, b)
     assert inconsistent >= 10
+
+
+def test_elimination_keeps_its_integer_pivot_rows_primitive(monkeypatch):
+    """Every pivot row that the fraction-free elimination combines with is
+    primitive (content 1) and has a positive leading entry."""
+    pivots_seen = []
+    combine = linalg._combine
+
+    def spy(row, pivot, c):
+        pivots_seen.append((dict(pivot), c))
+        combine(row, pivot, c)
+
+    monkeypatch.setattr(linalg, "_combine", spy)
+    rng = random.Random(29)
+    for m, n in SHAPES * 6:
+        a = mixed_matrix(rng, m, n, 0.6)
+        b = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 9])) for _ in range(m)]
+        linalg.solve_many(a, [matvec(a, [Fraction(1)] * n)])
+        linalg.solve(a, b)
+    assert len(pivots_seen) > 100
+    for pivot, c in pivots_seen:
+        assert pivot[c] > 0
+        assert all(type(v) is int for v in pivot.values())
+        assert math.gcd(*pivot.values()) == 1
