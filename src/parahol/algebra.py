@@ -72,7 +72,7 @@ class AlgebraElement:
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other):
         self._check_same(other)
@@ -120,7 +120,7 @@ class AlgebraElement:
 
     def grades(self):
         """Sorted list of grades carrying a nonzero coefficient."""
-        return sorted({self.algebra.grade[i] for i, c in enumerate(self.coeffs) if c != 0})
+        return sorted({self.algebra.grade[i] for i, c in enumerate(self.coeffs) if c})
 
     def coeff(self, name):
         return self.coeffs[self.algebra.basis_index(name)]

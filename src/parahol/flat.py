@@ -511,18 +511,25 @@ def equivariance_residuals(samples, base_point, t):
     (a direction not of grade -1, a base point where a field does not
     vanish, a t over the step budget) raises at once.
     """
+    return _equivariance_residuals(samples, base_point, t)[0]
+
+
+def _equivariance_residuals(samples, base_point, t):
+    """`equivariance_residuals`, and each sample's HolonomyDatum at the
+    base point, which the run transports anyway."""
     import numpy as np
 
     algebra = samples[0][0].algebra
     realization = algebra.realization
     x0 = _exact_parts(base_point, "point")
-    rhos, exp_ys, starts = [], [], []
+    data, rhos, exp_ys, starts = [], [], [], []
     for field, direction in samples:
         if field.algebra is not algebra:
             raise DomainError("sample fields belong to different algebras")
         if direction.grades() not in ([], [-1]):
             raise DomainError("direction must have pure grade -1")
         datum = holonomy_at(field, x0)   # also enforces singularity
+        data.append(datum)
         y = algebra.grade_coords(direction, -1)
         rhos.append(_float_matrix(realization.matrix_of(datum.x)))
         exp_ys.append(_exp_grade_one(_float_matrix(realization.matrix_of(direction))))
@@ -547,7 +554,7 @@ def equivariance_residuals(samples, base_point, t):
             results.append(err)
             continue
         results.append(float(np.max(np.abs(x - rhs))))
-    return results
+    return results, data
 
 
 def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
@@ -559,12 +566,17 @@ def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
     (Inessential or WeylReducible); otherwise no Weyl structure is
     preserved and the check refuses.
     """
-    import numpy as np
-
     if n_samples < 1:
         raise DomainError("the Weyl-section check needs at least one sample")
+    return _weyl_section_check(field, base_point, t, holonomy_at(field, base_point),
+                               n_samples, sample_scale)
+
+
+def _weyl_section_check(field, base_point, t, datum, n_samples=5, sample_scale=0.15):
+    """`weyl_section_check` on the field's HolonomyDatum at the base point."""
+    import numpy as np
+
     algebra = field.algebra
-    datum = holonomy_at(field, base_point)
     result = classify(datum)
     if result.witness is None:
         raise WeylSectionInapplicableError(

@@ -11,10 +11,11 @@ as an equivariance residual far above its bound.
 
 The suite draws all its equivariance samples first, in seeded order, and
 integrates their chart flows in one stacked RK4 run
-(`flat.equivariance_residuals`). It then walks them in draw order and
-raises sample k's chart escape before the Weyl-section check of sample
-k, so a run ends with the error that checking one sample after the other
-would raise.
+(`flat.equivariance_residuals`), which also transports each sample's field
+to the base point. It then walks them in draw order: it raises sample k's
+chart escape before the Weyl-section check of sample k, so a run ends with
+the error that checking one sample after the other would raise, and
+classifies sample k's transported datum once for that check.
 """
 
 import random
@@ -24,10 +25,10 @@ from .errors import ChartEscapeError, DomainError, WeylSectionInapplicableError
 from .families import build_conformal
 from .flat import (
     FlatConformalField,
+    _equivariance_residuals,
+    _weyl_section_check,
     curvature_check,
-    equivariance_residuals,
     tractor_derivative,
-    weyl_section_check,
 )
 from .sampling import random_element, random_p_element
 
@@ -104,19 +105,19 @@ def run_flat_identity_suite(p=3, q=0, samples=20, seed=42, t=0.1, algebra=None):
         xi = random_p_element(algebra, rng, max_abs=3)
         direction = algebra.basis_element(f"P_{rng.randint(1, n)}")
         draws.append((FlatConformalField(algebra, xi), direction))
-    equivariance = equivariance_residuals(draws, [0] * n, t)
+    equivariance, data = _equivariance_residuals(draws, [0] * n, t)
 
     equiv_worst = 0.0
     weyl_worst = 0.0
     weyl_cases = 0
-    for (field, _), residual in zip(draws, equivariance):
+    for (field, _), residual, datum in zip(draws, equivariance, data):
         # sample k's chart escape comes before sample k's Weyl-section check,
         # as in one check after the other
         if isinstance(residual, ChartEscapeError):
             raise residual
         equiv_worst = max(equiv_worst, residual)
         try:
-            weyl = weyl_section_check(field, [0] * n, t)
+            weyl = _weyl_section_check(field, [0] * n, t, datum)
         except WeylSectionInapplicableError:
             continue
         weyl_worst = max(weyl_worst, weyl)

@@ -9,10 +9,17 @@ Two independent routes:
 * lattice search (any k <= 2): conjugate by every exp(Z) with Z on a
   rational lattice in the positive part and look for an exact kill. A
   finite lattice can certify Inessential/WeylReducible but never
-  essentiality, so those runs may come back undecided.
+  essentiality, so those runs may come back undecided. X lies in p, so
+  the positive part of exp(ad Z)X is a polynomial in the coordinates of
+  Z whose coefficients are brackets; the search builds it once per
+  instance from `ad_block` and evaluates it at each point, in the order
+  and with the count of a point-by-point search (see `_lattice_search`).
+  It calls no exponential and nothing in `linalg`.
 """
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 from .classify import (
@@ -21,7 +28,6 @@ from .classify import (
     Record,
     Verdict,
     conjugable_verdict,
-    conjugate_by_exp,
 )
 from .errors import OracleRefusedError, UnsupportedDepthError
 
@@ -119,21 +125,78 @@ def _positive_part_is_zero(datum):
 
 
 def _lattice_search(datum, pos_idx, radius, steps):
-    algebra = datum.algebra
-    axis = [Fraction(i) * radius / steps for i in range(-steps, steps + 1)]
-    # zero first, then small points first: deterministic and finds cheap witnesses early
-    axis.sort(key=lambda v: (abs(v), v))
+    """First Z on the lattice with exp(ad Z)X in g_0, and the points walked.
+
+    The lattice puts every coordinate of Z = Z_1 + Z_2 in p_+ on
+    step·{-steps, ..., steps}, step = radius/steps, smallest first so that
+    zero and other cheap witnesses come early; its points come in
+    itertools.product order over pos_idx. X lies in p, so
+    the positive part of exp(ad Z)X is a polynomial in Z:
+
+      degree 1: X_1 + [Z_1, X_0]
+      degree 2: X_2 + [Z_2, X_0] + [Z_1, X_1] + 1/2 [Z_1, [Z_1, X_0]]
+
+    Its coefficient vectors come from the bracket once per instance and
+    are scaled to integers, so each point costs a few integer dot products.
+    pos_idx puts g_1 first, so the points of one g_1 prefix form a block
+    over g_2 in a row. A prefix with a nonzero degree-1 part fails on its
+    whole block, which is counted without being walked: points_checked is
+    the number of points the search has ruled out, as if it tried each.
+    """
+    algebra, x = datum.algebra, datum.x
+    step = radius / steps
+    axis = sorted(range(-steps, steps + 1), key=lambda i: (abs(i * step), i * step))
+    n1 = len(algebra.indices_of_grade(1))
+    n2 = len(pos_idx) - n1
+
+    # with Z_1 = step·sum a_u e_u and Z_2 = step·sum b_j f_j, ad_block gives
+    # [Z_1, X_0] = -step·ad1·a, [Z_2, X_0] = -step·ad2·b, [Z_1, X_1] =
+    # -step·adx1·a and [e_u, [e_v, X_0]] = [[X_0, e_v], e_u], column u of
+    # ad_block([X_0, e_v], 1, 2)
+    ad1 = algebra.ad_block(x, 1, 1)
+    ad2 = algebra.ad_block(x, 2, 2)
+    adx1 = algebra.ad_block(x, 1, 2)
+    nested = [algebra.ad_block(algebra.from_grade_coords(1, [row[v] for row in ad1]), 1, 2)
+              for v in range(n1)]
+    half_sq = step * step / 2
+    degree1 = _integer_rows([[c] + [-step * e for e in row]
+                             for c, row in zip(algebra.grade_coords(x, 1), ad1)])
+    degree2 = _integer_rows([
+        [c] + [-step * e for e in adx1[r]]
+        + [half_sq * nested[v][r][u] for u in range(n1) for v in range(n1)]
+        + [-step * e for e in ad2[r]]
+        for r, c in enumerate(algebra.grade_coords(x, 2))])
+    split = 1 + n1 + n1 * n1
+    prefix_part = [row[:split] for row in degree2]
+    block_part = [row[split:] for row in degree2]
+
+    block = len(axis) ** n2
     checked = 0
-    for combo in itertools.product(axis, repeat=len(pos_idx)):
-        checked += 1
-        coeffs = [ZERO] * algebra.dim
-        for value, i in zip(combo, pos_idx):
-            coeffs[i] = value
-        z = algebra.element_from_coeffs(coeffs)
-        conj = conjugate_by_exp(z, datum.x)
-        if all(conj.component(g).is_zero for g in range(1, algebra.k + 1)):
-            return z, checked
+    for a in itertools.product(axis, repeat=n1):
+        if any(_dot(row, (1,) + a) for row in degree1):
+            checked += block
+            continue
+        monomials = (1,) + a + tuple(u * v for u in a for v in a)
+        base = [_dot(row, monomials) for row in prefix_part]
+        for b in itertools.product(axis, repeat=n2):
+            checked += 1
+            if not any(c + _dot(row, b) for c, row in zip(base, block_part)):
+                coeffs = [ZERO] * algebra.dim
+                for i, v in zip(pos_idx, a + b):
+                    coeffs[i] = v * step
+                return algebra.element_from_coeffs(coeffs), checked
     return None, checked
+
+
+def _integer_rows(rows):
+    """Rows of Fractions times the lcm of all their denominators: a common
+    positive factor leaves every zero test unchanged."""
+    scale = math.lcm(*[c.denominator for row in rows for c in row])
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+
+
+def _dot(row, values):
+    return sum(map(operator.mul, row, values))
 
 
 def _rank_certificate(datum):

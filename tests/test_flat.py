@@ -572,12 +572,13 @@ def test_suite_raises_the_first_escape_in_draw_order(so41, monkeypatch):
     monkeypatch.setattr(identities, "random_p_element",
                         lambda algebra, rng, max_abs: next(drawn))
     weyl_fields = []
+    check = identities._weyl_section_check
 
-    def spy(field, base_point, t):
+    def spy(field, base_point, t, datum):
         weyl_fields.append(field)
-        return weyl_section_check(field, base_point, t)
+        return check(field, base_point, t, datum)
 
-    monkeypatch.setattr(identities, "weyl_section_check", spy)
+    monkeypatch.setattr(identities, "_weyl_section_check", spy)
     with pytest.raises(ChartEscapeError) as err:
         run_flat_identity_suite(3, 0, samples=4, seed=0, algebra=so41)
     with pytest.raises(ChartEscapeError) as first:
@@ -585,6 +586,24 @@ def test_suite_raises_the_first_escape_in_draw_order(so41, monkeypatch):
                            so41.basis_element("P_1"), 0.1)
     assert err.value.escape_time == first.value.escape_time
     assert [f.xi for f in weyl_fields] == [so41.basis_element("M_12")]
+
+
+def test_suite_transports_and_classifies_each_equivariance_sample_once(so41, monkeypatch):
+    calls = {"holonomy_at": 0, "classify": 0}
+
+    def counted(name):
+        original = getattr(flat, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(flat, name, counted(name))
+    suite = run_flat_identity_suite(3, 0, samples=4, seed=0, algebra=so41)
+    assert suite["pass"]
+    assert calls == {"holonomy_at": 4, "classify": 4}
 
 
 # -- Weyl section --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Brute-force oracle: rank certificates, lattice search, refusals."""
 
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,8 +9,8 @@ import pytest
 
 from parahol.classify import HolonomyDatum, Verdict, classify, conjugate_by_exp
 from parahol.errors import OracleRefusedError, UnsupportedDepthError
-from parahol.families import build_conformal, build_cr
-from parahol.oracle import brute_force_oracle
+from parahol.families import build, build_conformal, build_cr
+from parahol.oracle import _lattice_search, brute_force_oracle, check_search_budget
 from parahol.sampling import comparison_instances, planted_instance
 from parahol.scales import default_scale
 
@@ -22,6 +23,63 @@ def so41():
 @pytest.fixture(scope="module")
 def su21():
     return build_cr(1)
+
+
+@pytest.fixture(scope="module")
+def su31():
+    return build_cr(2)
+
+
+def reference_lattice_search(datum, pos_idx, radius, steps):
+    """The lattice search as a full exact conjugation at every point, in the
+    order `_lattice_search` walks; the reference it must match exactly."""
+    algebra = datum.algebra
+    axis = [Fraction(i) * radius / steps for i in range(-steps, steps + 1)]
+    axis.sort(key=lambda v: (abs(v), v))
+    checked = 0
+    for combo in itertools.product(axis, repeat=len(pos_idx)):
+        checked += 1
+        coeffs = [Fraction(0)] * algebra.dim
+        for value, i in zip(combo, pos_idx):
+            coeffs[i] = value
+        z = algebra.element_from_coeffs(coeffs)
+        conj = conjugate_by_exp(z, datum.x)
+        if all(conj.component(g).is_zero for g in range(1, algebra.k + 1)):
+            return z, checked
+    return None, checked
+
+
+def _assert_lattice_matches_reference(algebra, elements, steps, radius):
+    scale = default_scale(algebra)
+    pos_idx = check_search_budget(algebra, steps)
+    witnesses = []
+    for x in elements:
+        datum = HolonomyDatum(algebra, x, scale)
+        ours = _lattice_search(datum, pos_idx, radius, steps)
+        assert ours == reference_lattice_search(datum, pos_idx, radius, steps)
+        witnesses.append(ours[0])
+    return witnesses
+
+
+@pytest.mark.parametrize("radius", [Fraction(1), Fraction(3, 2)], ids=["1", "3/2"])
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("family, params, count", [("cr", (1,), 12), ("cr", (2,), 8),
+                                                   ("conformal", (3, 0), 12)],
+                         ids=["cr1", "cr2", "conformal30"])
+def test_lattice_search_matches_the_per_point_reference(family, params, count, steps, radius):
+    algebra = build(family, params)
+    elements = comparison_instances(algebra, default_scale(algebra), count, seed=1)
+    _assert_lattice_matches_reference(algebra, elements, steps, radius)
+
+
+def test_lattice_search_matches_the_reference_on_planted_depth_two_at_grid_three(su31):
+    # planted cr(2) instances whose witnesses have nonzero g_1 and g_2
+    # parts, so the quadratic term and the g_2 block walk both decide
+    pool = comparison_instances(su31, default_scale(su31), 9, seed=1)
+    elements = [pool[0], pool[8]]
+    for radius in (Fraction(1), Fraction(3, 2)):
+        witnesses = _assert_lattice_matches_reference(su31, elements, 3, radius)
+        assert witnesses[0].grades() == [1, 2]
 
 
 def test_zero_element_inessential_with_zero_witness(so41):
