@@ -6,14 +6,16 @@ pair; the dense rank-3 array is only derived on request. Every algebra
 comes from a matrix realization (`GradedLieAlgebra.from_matrices`): the
 bracket of each basis pair i < j is the sparse commutator of the two basis
 matrices expressed through the Frobenius dual basis, checked by exact
-reconstruction, and the pair (j, i) gets its negation. Those exact checks,
-with the linear independence of the basis matrices, make e_i ↦ B_i an
-injective bracket-preserving map into a matrix algebra, so antisymmetry
-and the Jacobi identity hold by construction. Validation checks exactly
-the axioms that depend on the grade labels and the choice of algebra
-(grading additivity, generation of the negative part by grade −1,
-nondegenerate Killing form), so downstream code can rely on all of them
-without tolerances.
+reconstruction, and the pair (j, i) gets its negation. Those exact
+checks, with the linear independence of the basis matrices, make
+e_i ↦ B_i an injective bracket-preserving map into a matrix algebra, so
+antisymmetry and the Jacobi identity hold by construction. Construction,
+the Killing matrix, `exp_ad` and `ad_block` compute on scaled integers
+with one explicit denominator each, and make a Fraction only for each
+nonzero result. Validation checks exactly the axioms that depend on the
+grade labels and the choice of algebra (grading additivity, generation
+of the negative part by grade −1, nondegenerate Killing form), so
+downstream code can rely on all of them without tolerances.
 
 The grade layout of the basis is known here only: callers reach ad(x) one
 grade block at a time through `ad_block(x, source_grade, target_grade)`,
@@ -149,12 +151,20 @@ class MatrixRealization:
     nonzero entries. A matrix is expressed in the basis through the
     Frobenius dual basis: with G_kl = <B_k, B_l> the Gram matrix of the
     entrywise inner product, the coordinates of M are G⁻¹·(<B_l, M>)_l,
-    followed by an exact check that they reconstruct M. G⁻¹ comes from one
-    sparse elimination of [G | I] (`linalg.solve_many`); on the built-in
-    families G has one or two nonzero entries per row. G is positive
+    followed by an exact check that they reconstruct M. G is positive
     definite exactly when the basis is linearly independent, so a singular
     G is rejected on construction, as are matrices that are not square or
     not all of one size.
+
+    All of this runs on scaled integers. With D the lcm of the
+    denominators of every basis-matrix entry (1 on the conformal family,
+    2 on cr), the integer matrices M_k = D·B_k have the Gram matrix
+    Ĝ = D²·G, and one sparse elimination (`linalg.solve_many`) inverts
+    it; on the built-in families Ĝ has one or two nonzero entries per
+    row. With h the lcm of the denominators of Ĝ⁻¹, the dual columns
+    H = h·Ĝ⁻¹ are integers. A matrix C/e with C integer then has the
+    coordinates D·(H·I)/(h·e), I_l = <M_l, C>, and it is in the span
+    exactly when Σ_k (H·I)_k·M_k = h·C.
     """
 
     def __init__(self, basis_matrices):
@@ -165,15 +175,19 @@ class MatrixRealization:
                 "a basis of square matrices of one size is required")
         (self.size,) = sizes
         self.basis_matrices = tuple(_sparse(m) for m in basis_matrices)
-        self._rows = tuple(_by_row(m) for m in self.basis_matrices)
-        # position -> ((basis index, value), ...) over the nonzero entries
+        self._scale = math.lcm(*[v.denominator for m in self.basis_matrices
+                                 for v in m.values()])
+        self._integer_matrices = tuple(_integer_matrix(m, self._scale)
+                                       for m in self.basis_matrices)
+        self._rows = tuple(_by_row(m) for m in self._integer_matrices)
+        # position -> ((basis index, D·value), ...) over the nonzero entries
         index = {}
-        for k, m in enumerate(self.basis_matrices):
+        for k, m in enumerate(self._integer_matrices):
             for pos, v in m.items():
                 index.setdefault(pos, []).append((k, v))
         self._position_index = index
         dim = len(self.basis_matrices)
-        gram = [[ZERO] * dim for _ in range(dim)]
+        gram = [[0] * dim for _ in range(dim)]
         for entries in index.values():
             for k, v in entries:
                 for l, w in entries:
@@ -182,9 +196,12 @@ class MatrixRealization:
             inverse_cols = linalg.solve_many(gram, linalg.identity_vectors(dim))
         except ValueError:
             raise StructureError("basis matrices are linearly dependent") from None
-        # column l of G⁻¹ as its nonzero (k, value) pairs
+        self._dual_scale = math.lcm(*[g.denominator for col in inverse_cols
+                                      for g in col if g])
+        # column l of H = h·Ĝ⁻¹ as its nonzero (k, int) pairs
         self._dual = tuple(
-            tuple((k, g) for k, g in enumerate(col) if g != 0)
+            tuple((k, g.numerator * (self._dual_scale // g.denominator))
+                  for k, g in enumerate(col) if g)
             for col in inverse_cols
         )
 
@@ -201,44 +218,51 @@ class MatrixRealization:
 
     def coordinates(self, matrix):
         """Express an exact matrix in the basis; None when outside the span."""
-        entries = self._sparse_coordinates(_sparse(matrix))
-        if entries is None:
+        sparse = _sparse(matrix)
+        e = math.lcm(*[v.denominator for v in sparse.values()])
+        coords = self._scaled_coordinates(_integer_matrix(sparse, e))
+        if coords is None:
             return None
         out = [ZERO] * len(self.basis_matrices)
-        for k, c in entries:
-            out[k] = c
+        den = self._dual_scale * e
+        for k, c in coords.items():
+            out[k] = Fraction(self._scale * c, den)
         return out
 
-    def _sparse_coordinates(self, sparse):
-        """((k, c_k), ...) over the nonzero coordinates of a sparse matrix,
-        in increasing k; None when the matrix is outside the span."""
+    def _scaled_coordinates(self, matrix):
+        """{k: (H·I)_k} over the nonzero entries, for an integer sparse
+        matrix C; its coordinates are D·(H·I)_k/(h·e) when it stands for
+        C/e. None when C is outside the span."""
         inner = {}
-        for pos, v in sparse.items():
+        for pos, v in matrix.items():
             for l, b in self._position_index.get(pos, ()):
-                inner[l] = inner.get(l, ZERO) + b * v
+                inner[l] = inner.get(l, 0) + b * v
         coords = {}
         for l, s in inner.items():
-            if s != 0:
+            if s:
                 for k, g in self._dual[l]:
-                    coords[k] = coords.get(k, ZERO) + g * s
+                    coords[k] = coords.get(k, 0) + g * s
+        coords = {k: c for k, c in coords.items() if c}
         rebuilt = {}
         for k, c in coords.items():
-            for pos, v in self.basis_matrices[k].items():
-                rebuilt[pos] = rebuilt.get(pos, ZERO) + c * v
-        if {pos: v for pos, v in rebuilt.items() if v != 0} != sparse:
+            for pos, v in self._integer_matrices[k].items():
+                rebuilt[pos] = rebuilt.get(pos, 0) + c * v
+        h = self._dual_scale
+        if ({pos: v for pos, v in rebuilt.items() if v}
+                != {pos: h * v for pos, v in matrix.items()}):
             return None
-        return tuple(sorted((k, c) for k, c in coords.items() if c != 0))
+        return coords
 
     def _basis_commutator(self, i, j):
-        """[B_i, B_j] as a sparse map of its nonzero entries."""
+        """[M_i, M_j] = D²·[B_i, B_j] as a sparse map of its nonzero entries."""
         out = {}
-        for (r, t), v in self.basis_matrices[i].items():
+        for (r, t), v in self._integer_matrices[i].items():
             for c, w in self._rows[j].get(t, ()):
-                out[(r, c)] = out.get((r, c), ZERO) + v * w
-        for (r, t), v in self.basis_matrices[j].items():
+                out[(r, c)] = out.get((r, c), 0) + v * w
+        for (r, t), v in self._integer_matrices[j].items():
             for c, w in self._rows[i].get(t, ()):
-                out[(r, c)] = out.get((r, c), ZERO) - v * w
-        return {pos: v for pos, v in out.items() if v != 0}
+                out[(r, c)] = out.get((r, c), 0) - v * w
+        return {pos: v for pos, v in out.items() if v}
 
 
 class GradedLieAlgebra:
@@ -276,15 +300,19 @@ class GradedLieAlgebra:
             raise StructureError("basis names are not distinct")
         realization = MatrixRealization(matrices)
         dim = len(basis_names)
+        # [M_i, M_j] stands for D²·[B_i, B_j], so c_ij^l = (H·I)_l/(h·D)
+        den = realization._dual_scale * realization._scale
         table = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                entries = realization._sparse_coordinates(
+                coords = realization._scaled_coordinates(
                     realization._basis_commutator(i, j))
-                if entries is None:
+                if coords is None:
                     raise StructureError(
                         "matrix brackets leave the span of the basis")
-                if entries:
+                if coords:
+                    entries = tuple(sorted((l, Fraction(c, den))
+                                           for l, c in coords.items()))
                     table[(i, j)] = entries
                     table[(j, i)] = tuple((l, -c) for l, c in entries)
         algebra = cls.__new__(cls)
@@ -420,22 +448,27 @@ class GradedLieAlgebra:
     def killing_matrix(self):
         """Gram matrix of the Killing form, B_ij = trace(ad e_i ∘ ad e_j).
 
-        The trace is Σ_{l,m} c_il^m c_jm^l. Each nonzero c_il^m is matched
-        with the nonzero c_jm^l through an index (m, l) -> [(j, c_jm^l)]
-        built once from the pair table, so only products of two nonzero
-        constants are formed.
+        The trace is Σ_{l,m} c_il^m c_jm^l, summed as integers over the
+        scaled pair table C/S (`_scaled_table`) and divided by S² once per
+        nonzero entry. Each nonzero C_il^m is matched with the nonzero
+        C_jm^l through an index (m, l) -> [(j, C_jm^l)], so only products of
+        two nonzero constants are formed.
         """
+        scale, table = self._scaled_table
         index = {}
-        for (j, m), entries in self._pair_table.items():
-            for l, c in entries:
-                index.setdefault((m, l), []).append((j, c))
-        b = [[ZERO] * self.dim for _ in range(self.dim)]
-        for (i, l), entries in self._pair_table.items():
-            row = b[i]
-            for m, c in entries:
-                for j, cj in index.get((m, l), ()):
-                    row[j] += c * cj
-        return tuple(tuple(r) for r in b)
+        for j, row in table.items():
+            for m, entries in row.items():
+                for l, c in entries:
+                    index.setdefault((m, l), []).append((j, c))
+        b = [[0] * self.dim for _ in range(self.dim)]
+        for i, row in table.items():
+            out = b[i]
+            for l, entries in row.items():
+                for m, c in entries:
+                    for j, cj in index.get((m, l), ()):
+                        out[j] += c * cj
+        den = scale * scale
+        return tuple(tuple(Fraction(v, den) if v else ZERO for v in r) for r in b)
 
     def killing_form(self, x, y):
         """B(x, y) = trace(ad x ∘ ad y)."""
@@ -637,7 +670,13 @@ def _sparse(matrix):
     """{(row, col): Fraction} map of the nonzero entries of a dense matrix."""
     return {(i, j): Fraction(v)
             for i, row in enumerate(matrix)
-            for j, v in enumerate(row) if v != 0}
+            for j, v in enumerate(row) if v}
+
+
+def _integer_matrix(sparse, scale):
+    """{(row, col): int}: a sparse Fraction matrix times `scale`, a common
+    multiple of its denominators."""
+    return {pos: v.numerator * (scale // v.denominator) for pos, v in sparse.items()}
 
 
 def _by_row(sparse):

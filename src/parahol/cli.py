@@ -75,7 +75,7 @@ def _build_parser():
     parser.add_argument("--instances", type=int, default=100,
                         help="instance count for oracle-compare")
     parser.add_argument("--grid-radius", default="1",
-                        help="lattice radius for the brute-force oracle (rational)")
+                        help="lattice radius for the brute-force oracle (nonzero rational)")
     parser.add_argument("--grid-steps", type=int, default=1,
                         help="lattice steps per half-axis for the brute-force oracle")
     return parser
@@ -224,6 +224,8 @@ def _oracle_compare(payload, args):
         radius = Fraction(args.grid_radius)
     except (ValueError, ZeroDivisionError):
         raise _flag_error("--grid-radius", "must be a rational") from None
+    if radius == 0:
+        raise _flag_error("--grid-radius", "must be nonzero")
     algebra = _build(payload)
     if args.grid_steps == 0 and algebra.k > 1:
         raise _flag_error("--grid-steps", "must be at least 1 on a depth-2 "

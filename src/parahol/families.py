@@ -24,9 +24,10 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 # Largest algebra dimension `build` constructs. On a shared 2-core host,
-# CLI algebra-info took 1.0-1.1 s on conformal(21,0) (dim 253) and 1.5-1.6 s
-# on cr(13) (dim 224); building the next sizes in-process, cr(14) (dim 255)
-# and conformal(24,0) (dim 325), took 1.3 and 0.8-0.9 s.
+# CLI algebra-info took 0.52-0.72 s on conformal(21,0) (dim 253) and
+# 0.56-0.75 s on cr(13) (dim 224); building the next sizes in-process,
+# cr(14) (dim 255) and conformal(24,0) (dim 325), took 0.36-0.53 and
+# 0.46-0.49 s.
 MAX_BUILD_DIM = 253
 
 

@@ -29,7 +29,7 @@ from .classify import (
     Verdict,
     conjugable_verdict,
 )
-from .errors import OracleRefusedError, UnsupportedDepthError
+from .errors import DomainError, OracleRefusedError, UnsupportedDepthError
 
 MAX_POSITIVE_DIM = 8
 MAX_LATTICE_POINTS = 2_000_000
@@ -87,12 +87,15 @@ def check_search_budget(algebra, grid_steps):
 def brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=2):
     """Independent classification attempt; see the module docstring.
 
-    Refuses what `check_search_budget` refuses.
+    Refuses what `check_search_budget` refuses, and a zero grid radius,
+    whose lattice is the one point Z = 0, with DomainError.
     """
     algebra = datum.algebra
     pos_idx = check_search_budget(algebra, grid_steps)
 
     grid_radius = Fraction(grid_radius)
+    if grid_radius == 0:
+        raise DomainError("grid_radius must be nonzero")
     lattice_witness, points = (None, 0)
     if grid_steps > 0:
         lattice_witness, points = _lattice_search(

@@ -1,12 +1,13 @@
 """Graded algebra construction, bracket, Killing form, grading machinery."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from parahol import families, linalg
-from parahol.algebra import GradedLieAlgebra
+from parahol.algebra import GradedLieAlgebra, MatrixRealization
 from parahol.errors import (
     DomainError,
     GradeRangeError,
@@ -440,6 +441,151 @@ def test_ad_block_matches_fraction_reference(maker):
             for target in range(-k, k + 1):
                 assert (algebra.ad_block(x, source, target)
                         == reference_ad_block(algebra, x, source, target))
+
+
+# -- the Fraction construction that the scaled-integer one replaced, kept as
+# -- a reference ------------------------------------------------------------------
+
+
+def _reference_sparse(matrix):
+    return {(i, j): Fraction(v) for i, row in enumerate(matrix)
+            for j, v in enumerate(row) if v != 0}
+
+
+class ReferenceRealization:
+    """Coordinates through the Frobenius dual basis, all in Fractions: G⁻¹ of
+    the Gram matrix G_kl = <B_k, B_l> applied to (<B_l, M>)_l, then checked
+    by reconstruction."""
+
+    def __init__(self, matrices):
+        self.basis = [_reference_sparse(m) for m in matrices]
+        dim = len(self.basis)
+        gram = [[sum((v * b.get(pos, 0) for pos, v in a.items()), Fraction(0))
+                 for b in self.basis] for a in self.basis]
+        # column l of G⁻¹ as its nonzero (k, value) pairs
+        self.dual = [[(k, g) for k, g in enumerate(col) if g != 0]
+                     for col in linalg.solve_many(gram, linalg.identity_vectors(dim))]
+
+    def sparse_coordinates(self, sparse):
+        """{k: c_k} over the nonzero coordinates; None outside the span."""
+        inner = [sum((v * sparse.get(pos, 0) for pos, v in b.items()), Fraction(0))
+                 for b in self.basis]
+        coords = {}
+        for l, s in enumerate(inner):
+            for k, g in self.dual[l]:
+                coords[k] = coords.get(k, Fraction(0)) + g * s
+        rebuilt = {}
+        for k, c in coords.items():
+            for pos, v in self.basis[k].items():
+                rebuilt[pos] = rebuilt.get(pos, Fraction(0)) + c * v
+        if {pos: v for pos, v in rebuilt.items() if v != 0} != sparse:
+            return None
+        return {k: c for k, c in coords.items() if c != 0}
+
+    def coordinates(self, matrix):
+        coords = self.sparse_coordinates(_reference_sparse(matrix))
+        if coords is None:
+            return None
+        return [coords.get(k, Fraction(0)) for k in range(len(self.basis))]
+
+
+def reference_from_matrices(matrices):
+    """The pair table {(i, j): ((l, c_ij^l), ...)} of [B_i, B_j] for i < j
+    and its negation for (j, i), in Fractions."""
+    real = ReferenceRealization(matrices)
+    table = {}
+    for i, a in enumerate(real.basis):
+        for j in range(i + 1, len(real.basis)):
+            b = real.basis[j]
+            comm = {}
+            for (r, t), v in a.items():
+                for (t2, c), w in b.items():
+                    if t2 == t:
+                        comm[(r, c)] = comm.get((r, c), Fraction(0)) + v * w
+            for (r, t), v in b.items():
+                for (t2, c), w in a.items():
+                    if t2 == t:
+                        comm[(r, c)] = comm.get((r, c), Fraction(0)) - v * w
+            coords = real.sparse_coordinates({p: v for p, v in comm.items() if v != 0})
+            if coords is None:
+                raise StructureError("matrix brackets leave the span of the basis")
+            if coords:
+                table[(i, j)] = tuple(sorted(coords.items()))
+                table[(j, i)] = tuple((l, -c) for l, c in table[(i, j)])
+    return table
+
+
+def reference_killing_matrix(table, dim):
+    """B_ij = Σ_{l,m} c_il^m c_jm^l over a pair table, in Fractions."""
+    index = {}  # (m, l) -> [(j, c_jm^l)]
+    for (j, m), entries in table.items():
+        for l, c in entries:
+            index.setdefault((m, l), []).append((j, c))
+    b = [[Fraction(0)] * dim for _ in range(dim)]
+    for (i, l), entries in table.items():
+        for m, c in entries:
+            for j, cj in index.get((m, l), ()):
+                b[i][j] += c * cj
+    return tuple(tuple(row) for row in b)
+
+
+BUILD_ALGEBRAS = [(build_conformal, p) for p in
+                  [(3, 0), (2, 1), (3, 1), (4, 0), (2, 2), (4, 1), (5, 0), (6, 0)]]
+BUILD_ALGEBRAS += [(build_cr, (n,)) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("maker,params", BUILD_ALGEBRAS,
+                         ids=[f"{m.__name__[6:]}{''.join(map(str, p))}"
+                              for m, p in BUILD_ALGEBRAS])
+def test_construction_matches_fraction_reference(maker, params):
+    algebra = maker(*params)
+    table = reference_from_matrices(_matrices(algebra))
+    assert algebra._pair_table == table
+    assert algebra.killing_matrix == reference_killing_matrix(table, algebra.dim)
+    assert all(type(c) is Fraction for row in algebra.killing_matrix for c in row)
+
+
+_MIXED_FACTORS = [Fraction(1, 3), Fraction(2, 7), Fraction(5), Fraction(-3, 4)]
+
+
+def _mixed_matrices(algebra):
+    """The algebra's basis matrices scaled by 1/3, 2/7, 5 and -3/4 in turn,
+    so that both the basis and the inverse Gram matrix carry denominators
+    other than 1."""
+    return [[[f * v for v in row] for row in m] for f, m in
+            zip(itertools.cycle(_MIXED_FACTORS), _matrices(algebra))]
+
+
+def test_mixed_denominators_match_fraction_reference():
+    base = build_conformal(2, 1)
+    matrices = _mixed_matrices(base)
+    algebra = GradedLieAlgebra.from_matrices(
+        base.basis_names, base.grade, matrices, base.k, base.family, base.params)
+    real = algebra.realization
+    assert real._scale == 84 and real._dual_scale != 1
+    table = reference_from_matrices(matrices)
+    assert algebra._pair_table == table
+    assert algebra.killing_matrix == reference_killing_matrix(table, algebra.dim)
+    assert algebra.validate() is algebra
+
+
+def test_coordinates_match_fraction_reference_on_mixed_denominators():
+    matrices = _mixed_matrices(build_conformal(2, 1))
+    real = MatrixRealization(matrices)
+    reference = ReferenceRealization(matrices)
+    size, dim = real.size, len(matrices)
+    rng = random.Random(89)
+    for _ in range(12):
+        coeffs = [_wide_rational(rng) for _ in range(dim)]
+        m = [[sum((c * b[i][j] for c, b in zip(coeffs, matrices)), Fraction(0))
+              for j in range(size)] for i in range(size)]
+        assert real.coordinates(m) == reference.coordinates(m) == coeffs
+        # one more entry off the span: no basis matrix has a (1, 1) entry
+        m[1][1] += Fraction(rng.choice([1, 2, 3]), rng.choice([1, 5, 7]))
+        assert real.coordinates(m) is None
+        assert reference.coordinates(m) is None
+    zero = [[0] * size for _ in range(size)]
+    assert real.coordinates(zero) == reference.coordinates(zero) == [0] * dim
 
 
 def test_exp_ad_rejects_an_argument_from_another_algebra(so41):

@@ -203,6 +203,8 @@ def test_oracle_compare_small_run():
     ("conformal", [9, 0], (), "$.params"),
     # 81^7 lattice points > oracle.MAX_LATTICE_POINTS
     ("cr", [3], ("--grid-steps", "40"), "--grid-steps"),
+    # every lattice point would be Z = 0
+    ("cr", [2], ("--grid-radius", "0"), "--grid-radius"),
 ])
 def test_oracle_compare_rejects_bad_flags(family, params, flags, path):
     code, out = run_cli("oracle-compare", {"family": family, "params": params},
@@ -214,6 +216,7 @@ def test_oracle_compare_rejects_bad_flags(family, params, flags, path):
 @pytest.mark.parametrize("family,params,flags,path", [
     ("conformal", [9, 0], (), "$.params"),
     ("cr", [3], ("--grid-steps", "40"), "--grid-steps"),
+    ("cr", [2], ("--grid-radius", "0"), "--grid-radius"),
 ])
 def test_oracle_compare_refuses_before_drawing_instances(
         monkeypatch, capsys, family, params, flags, path):

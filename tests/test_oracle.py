@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from parahol.classify import HolonomyDatum, Verdict, classify, conjugate_by_exp
-from parahol.errors import OracleRefusedError, UnsupportedDepthError
+from parahol.errors import DomainError, OracleRefusedError, UnsupportedDepthError
 from parahol.families import build, build_conformal, build_cr
 from parahol.oracle import _lattice_search, brute_force_oracle, check_search_budget
 from parahol.sampling import comparison_instances, planted_instance
@@ -130,6 +130,14 @@ def test_lattice_leaves_essential_instances_undecided(su21):
     assert not report.decided
     assert report.classification is None
     assert report.points_checked == 5 ** 3
+
+
+@pytest.mark.parametrize("grid_steps", [0, 1])
+def test_zero_grid_radius_is_refused(su21, grid_steps):
+    # a zero radius puts every lattice point at Z = 0
+    datum = HolonomyDatum(su21, su21.element({"J_1": 1, "K_1": 1}))
+    with pytest.raises(DomainError, match="grid_radius must be nonzero"):
+        brute_force_oracle(datum, grid_radius=0, grid_steps=grid_steps)
 
 
 def test_agreement_on_comparison_stream(su21):
