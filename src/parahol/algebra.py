@@ -1,21 +1,23 @@
 """Graded semisimple Lie algebras with exact rational structure constants.
 
 A GradedLieAlgebra stores a basis, one integer grade per basis vector and
-a sparse table of the nonzero Fraction structure constants of each basis
-pair; the dense rank-3 array is only derived on request. Every algebra
-comes from a matrix realization (`GradedLieAlgebra.from_matrices`): the
-bracket of each basis pair i < j is the sparse commutator of the two basis
-matrices expressed through the Frobenius dual basis, checked by exact
+one sparse table of its structure constants: the nonzero c_ij^l of each
+basis pair as integers C_ij^l over one common scale S, c = C/S. The dense
+rank-3 array is only derived on request. Every algebra comes from a
+matrix realization (`GradedLieAlgebra.from_matrices`): the bracket of each
+basis pair i < j is the sparse commutator of the two basis matrices
+expressed through the Frobenius dual basis, checked by exact
 reconstruction, and the pair (j, i) gets its negation. Those exact
 checks, with the linear independence of the basis matrices, make
 e_i ↦ B_i an injective bracket-preserving map into a matrix algebra, so
 antisymmetry and the Jacobi identity hold by construction. Construction,
-the Killing matrix, `exp_ad` and `ad_block` compute on scaled integers
-with one explicit denominator each, and make a Fraction only for each
-nonzero result. Validation checks exactly the axioms that depend on the
-grade labels and the choice of algebra (grading additivity, generation
-of the negative part by grade −1, nondegenerate Killing form), so
-downstream code can rely on all of them without tolerances.
+`bracket`, `exp_ad`, `ad_block`, the Killing matrix and the grading
+element compute on that integer table and on their arguments put over
+the lcm of their denominators, and make a Fraction only for each nonzero
+result. Validation checks exactly the axioms that depend on the grade
+labels and the choice of algebra (grading additivity, generation of the
+negative part by grade −1, nondegenerate Killing form), so downstream
+code can rely on all of them without tolerances.
 
 The grade layout of the basis is known here only: callers reach ad(x) one
 grade block at a time through `ad_block(x, source_grade, target_grade)`,
@@ -145,23 +147,23 @@ class AlgebraElement:
 
 
 class MatrixRealization:
-    """Defining matrix realization: one square Fraction matrix per basis vector.
+    """Defining matrix realization: one square matrix B_k per basis vector,
+    held as the integer matrix M_k = D·B_k over one common D.
 
-    Basis matrices are held sparse, as {(row, col): value} maps of their
-    nonzero entries. A matrix is expressed in the basis through the
-    Frobenius dual basis: with G_kl = <B_k, B_l> the Gram matrix of the
+    D is the lcm of the denominators of every basis-matrix entry (1 on the
+    conformal family, 2 on cr), and each M_k is a sparse {(row, col): int}
+    map of its nonzero entries. A matrix is expressed in the basis through
+    the Frobenius dual basis: with G_kl = <B_k, B_l> the Gram matrix of the
     entrywise inner product, the coordinates of M are G⁻¹·(<B_l, M>)_l,
     followed by an exact check that they reconstruct M. G is positive
     definite exactly when the basis is linearly independent, so a singular
     G is rejected on construction, as are matrices that are not square or
     not all of one size.
 
-    All of this runs on scaled integers. With D the lcm of the
-    denominators of every basis-matrix entry (1 on the conformal family,
-    2 on cr), the integer matrices M_k = D·B_k have the Gram matrix
-    Ĝ = D²·G, and one sparse elimination (`linalg.solve_many`) inverts
-    it; on the built-in families Ĝ has one or two nonzero entries per
-    row. With h the lcm of the denominators of Ĝ⁻¹, the dual columns
+    All of this runs on scaled integers. The M_k have the Gram matrix
+    Ĝ = D²·G, and one sparse elimination (`linalg.solve_many`) inverts it;
+    on the built-in families Ĝ has one or two nonzero entries per row.
+    With h the lcm of the denominators of Ĝ⁻¹, the dual columns
     H = h·Ĝ⁻¹ are integers. A matrix C/e with C integer then has the
     coordinates D·(H·I)/(h·e), I_l = <M_l, C>, and it is in the span
     exactly when Σ_k (H·I)_k·M_k = h·C.
@@ -174,11 +176,9 @@ class MatrixRealization:
             raise StructureError(
                 "a basis of square matrices of one size is required")
         (self.size,) = sizes
-        self.basis_matrices = tuple(_sparse(m) for m in basis_matrices)
-        self._scale = math.lcm(*[v.denominator for m in self.basis_matrices
-                                 for v in m.values()])
-        self._integer_matrices = tuple(_integer_matrix(m, self._scale)
-                                       for m in self.basis_matrices)
+        sparse = [_sparse(m) for m in basis_matrices]
+        self._scale = math.lcm(*[v.denominator for m in sparse for v in m.values()])
+        self._integer_matrices = tuple(_integer_matrix(m, self._scale) for m in sparse)
         self._rows = tuple(_by_row(m) for m in self._integer_matrices)
         # position -> ((basis index, D·value), ...) over the nonzero entries
         index = {}
@@ -186,7 +186,7 @@ class MatrixRealization:
             for pos, v in m.items():
                 index.setdefault(pos, []).append((k, v))
         self._position_index = index
-        dim = len(self.basis_matrices)
+        dim = len(sparse)
         gram = [[0] * dim for _ in range(dim)]
         for entries in index.values():
             for k, v in entries:
@@ -206,15 +206,15 @@ class MatrixRealization:
         )
 
     def matrix_of(self, element):
-        """Exact matrix of an element."""
+        """Exact matrix of an element X/d: Σ_k X_k·M_k over d·D."""
         n = self.size
-        out = [[ZERO] * n for _ in range(n)]
-        for c, m in zip(element.coeffs, self.basis_matrices):
-            if c == 0:
-                continue
-            for (i, j), v in m.items():
+        d, xs = _scaled(element.coeffs)
+        out = [[0] * n for _ in range(n)]
+        for k, c in xs.items():
+            for (i, j), v in self._integer_matrices[k].items():
                 out[i][j] += c * v
-        return out
+        den = d * self._scale
+        return [[Fraction(v, den) if v else ZERO for v in row] for row in out]
 
     def coordinates(self, matrix):
         """Express an exact matrix in the basis; None when outside the span."""
@@ -223,7 +223,7 @@ class MatrixRealization:
         coords = self._scaled_coordinates(_integer_matrix(sparse, e))
         if coords is None:
             return None
-        out = [ZERO] * len(self.basis_matrices)
+        out = [ZERO] * len(self._integer_matrices)
         den = self._dual_scale * e
         for k, c in coords.items():
             out[k] = Fraction(self._scale * c, den)
@@ -269,10 +269,11 @@ class GradedLieAlgebra:
     """Finite-dimensional |k|-graded Lie algebra given by structure constants.
 
     [e_i, e_j] = Σ_l c_ij^l e_l, with grade(i) ∈ [-k, k]. Only the nonzero
-    constants are stored: each basis pair (i, j) with a nonzero bracket maps
-    to its ((l, c_ij^l), ...) entries in increasing l. Instances are built
-    by `from_matrices` only, are immutable after construction, and all
-    cached data is derived.
+    constants are stored, once, in `_scaled_table` = (S, table), with S the
+    lcm of their denominators (1 on the conformal family, 2 on cr) and
+    table[i][j] = ((l, S·c_ij^l), ...) as integers in increasing l. Instances
+    are built by `from_matrices` only, are immutable after construction,
+    and all cached data is derived.
     """
 
     @classmethod
@@ -300,9 +301,7 @@ class GradedLieAlgebra:
             raise StructureError("basis names are not distinct")
         realization = MatrixRealization(matrices)
         dim = len(basis_names)
-        # [M_i, M_j] stands for D²·[B_i, B_j], so c_ij^l = (H·I)_l/(h·D)
-        den = realization._dual_scale * realization._scale
-        table = {}
+        brackets = {}
         for i in range(dim):
             for j in range(i + 1, dim):
                 coords = realization._scaled_coordinates(
@@ -311,10 +310,16 @@ class GradedLieAlgebra:
                     raise StructureError(
                         "matrix brackets leave the span of the basis")
                 if coords:
-                    entries = tuple(sorted((l, Fraction(c, den))
-                                           for l, c in coords.items()))
-                    table[(i, j)] = entries
-                    table[(j, i)] = tuple((l, -c) for l, c in entries)
+                    brackets[(i, j)] = coords
+        # [M_i, M_j] stands for D²·[B_i, B_j], so c_ij^l = (H·I)_l/(h·D), and
+        # S = h·D/g with g the gcd of h·D and every (H·I)_l
+        den = realization._dual_scale * realization._scale
+        g = math.gcd(den, *[c for coords in brackets.values() for c in coords.values()])
+        table = {}
+        for (i, j), coords in brackets.items():
+            entries = tuple(sorted((l, c // g) for l, c in coords.items()))
+            table.setdefault(i, {})[j] = entries
+            table.setdefault(j, {})[i] = tuple((l, -c) for l, c in entries)
         algebra = cls.__new__(cls)
         algebra.basis_names = tuple(basis_names)
         algebra.grade = tuple(int(g) for g in grades)
@@ -322,7 +327,7 @@ class GradedLieAlgebra:
         algebra.k = int(k)
         algebra.family = family
         algebra.params = tuple(params)
-        algebra._pair_table = table
+        algebra._scaled_table = (den // g, table)
         algebra.realization = realization
         algebra._name_index = name_index
         return algebra
@@ -378,30 +383,32 @@ class GradedLieAlgebra:
         Built on first access from the sparse table; nothing in the algebra
         reads it.
         """
+        scale, table = self._scaled_table
         dense = [[[ZERO] * self.dim for _ in range(self.dim)]
                  for _ in range(self.dim)]
-        for (i, j), entries in self._pair_table.items():
-            for l, c in entries:
-                dense[i][j][l] = c
+        for i, row in table.items():
+            for j, entries in row.items():
+                for l, c in entries:
+                    dense[i][j][l] = Fraction(c, scale)
         return tuple(tuple(tuple(row) for row in plane) for plane in dense)
 
     def bracket(self, x, y):
-        """Lie bracket, bilinear over the structure constants."""
+        """Lie bracket: for x = X/dx, y = Y/dy over the lcms of their
+        denominators, ad_C(X)Y over dx·dy·S (`_scaled_bracket`, as exp_ad)."""
         if x.algebra is not self or y.algebra is not self:
             raise MismatchedAlgebraError("bracket arguments must live in this algebra")
-        out = [ZERO] * self.dim
-        table = self._pair_table
-        xs = [(i, c) for i, c in enumerate(x.coeffs) if c != 0]
-        ys = [(j, c) for j, c in enumerate(y.coeffs) if c != 0]
-        for i, xc in xs:
-            for j, yc in ys:
-                entries = table.get((i, j))
-                if not entries:
-                    continue
-                f = xc * yc
-                for l, c in entries:
-                    out[l] = out[l] + f * c
-        return AlgebraElement(self, out)
+        scale, table = self._scaled_table
+        dx, xs = _scaled(x.coeffs)
+        dy, ys = _scaled(y.coeffs)
+        return self._from_scaled(_scaled_bracket(table, xs, ys), dx * dy * scale)
+
+    def _from_scaled(self, values, den):
+        """The element values/den, one Fraction per nonzero {l: int} value."""
+        coeffs = [ZERO] * self.dim
+        for l, v in values.items():
+            if v:
+                coeffs[l] = Fraction(v, den)
+        return AlgebraElement(self, coeffs)
 
     def ad_block(self, x, source_grade, target_grade):
         """Matrix of ad(x): g_source -> g_target.
@@ -410,9 +417,8 @@ class GradedLieAlgebra:
         g_source. Only the grade (target - source) part of x contributes,
         by grading additivity; a grade outside [-k, k] gives an empty or
         zero block. The entries are summed as scaled integers, over the
-        integer pair table (`_scaled_table`) and that part of x put over
-        the lcm of its denominators, and divided by the one common
-        denominator at the end.
+        integer table and that part of x put over the lcm of its
+        denominators, and divided by the one common denominator at the end.
         """
         rows = self.indices_of_grade(target_grade)
         cols = self.indices_of_grade(source_grade)
@@ -449,10 +455,10 @@ class GradedLieAlgebra:
         """Gram matrix of the Killing form, B_ij = trace(ad e_i ∘ ad e_j).
 
         The trace is Σ_{l,m} c_il^m c_jm^l, summed as integers over the
-        scaled pair table C/S (`_scaled_table`) and divided by S² once per
-        nonzero entry. Each nonzero C_il^m is matched with the nonzero
-        C_jm^l through an index (m, l) -> [(j, C_jm^l)], so only products of
-        two nonzero constants are formed.
+        table C/S and divided by S² once per nonzero entry. Each nonzero
+        C_il^m is matched with the nonzero C_jm^l through an index
+        (m, l) -> [(j, C_jm^l)], so only products of two nonzero constants
+        are formed.
         """
         scale, table = self._scaled_table
         index = {}
@@ -502,41 +508,25 @@ class GradedLieAlgebra:
     def grading_element(self):
         """The element E with [E, x] = i·x on each grade-i basis vector.
 
-        Such an E has ad E = diag(grades), so B(E, e_j) = Σ_l grade(l)·c_{jl}^l:
-        one solve in the Killing matrix, whose nondegeneracy (checked here)
-        makes E unique. An exact check of [E, e_i] on every basis vector,
-        summed from the pair table over E's support, then decides whether E
-        exists.
+        Such an E has ad E = diag(grades), so B(E, e_j) = Σ_l grade(l)·c_{jl}^l,
+        summed over the integer table C/S: one solve in the Killing matrix,
+        whose nondegeneracy (checked here) makes E unique. An exact check of
+        the integer bracket [E, e_i] on every basis vector, with E = X/d over
+        the lcm of its denominators, then decides whether E exists.
         """
         self._check_killing_nondegenerate()
-        rhs = [ZERO] * self.dim
-        for (j, l), entries in self._pair_table.items():
-            for m, c in entries:
-                if m == l:
-                    rhs[j] += self.grade[l] * c
+        scale, table = self._scaled_table
+        rhs = [0] * self.dim
+        for j, row in table.items():
+            rhs[j] = sum(self.grade[l] * c for l, entries in row.items()
+                         for m, c in entries if m == l)
+        rhs = [Fraction(v, scale) if v else ZERO for v in rhs]
         e = AlgebraElement(self, linalg.solve(self.killing_matrix, rhs))
-        support = [(j, c) for j, c in enumerate(e.coeffs) if c]
+        d, es = _scaled(e.coeffs)
         for i, g in enumerate(self.grade):
-            image = {}  # [E, e_i]
-            for j, c in support:
-                for l, v in self._pair_table.get((j, i), ()):
-                    image[l] = image.get(l, ZERO) + c * v
-            if {l: v for l, v in image.items() if v} != ({i: g} if g else {}):
+            if _scaled_bracket(table, es, {i: 1}) != ({i: g * d * scale} if g else {}):
                 raise StructureError("no grading element exists")
         return e
-
-    @cached_property
-    def _scaled_table(self):
-        """(D, table): the pair table times D, the lcm of its denominators
-        (1 on the conformal family, 2 on cr), as i -> {j: ((l, D·c_ij^l),
-        ...)} over integers. Shared by `exp_ad` and `ad_block`."""
-        scale = math.lcm(*{c.denominator for entries in self._pair_table.values()
-                           for _, c in entries})
-        table = {}
-        for (i, j), entries in self._pair_table.items():
-            table.setdefault(i, {})[j] = tuple(
-                (l, c.numerator * (scale // c.denominator)) for l, c in entries)
-        return scale, table
 
     def exp_ad(self, z, x):
         """e^{ad z}(x) as a finite sum; requires ad(z) nilpotent.
@@ -544,11 +534,10 @@ class GradedLieAlgebra:
         Nilpotency is guaranteed when every grade in z's support has the
         same sign, which is the only way this is called. Returns x itself
         when z is zero. The series runs on scaled integers: with x = X/dx
-        and z = Z/dz over the lcms of their denominators and the pair table
-        C/D (`_scaled_table`), the m-th term ad(z)^m x / m! is ad_C(Z)^m X
-        over dx·(dz·D)^m·m!. The sum is kept over that one running
-        denominator, and a Fraction is made only for each nonzero
-        coefficient of the result.
+        and z = Z/dz over the lcms of their denominators and the table C/S,
+        the m-th term ad(z)^m x / m! is ad_C(Z)^m X over dx·(dz·S)^m·m!.
+        The sum is kept over that one running denominator, and a Fraction is
+        made only for each nonzero coefficient of the result.
         """
         if z.algebra is not self or x.algebra is not self:
             raise MismatchedAlgebraError("exp_ad arguments must live in this algebra")
@@ -559,12 +548,11 @@ class GradedLieAlgebra:
             raise ValueError("exp_ad requires a pure-sign graded argument")
         scale, table = self._scaled_table
         dz, zs = _scaled(z.coeffs)
-        zs = [(table.get(i, {}), c) for i, c in zs.items()]
         den, term = _scaled(x.coeffs)
         total = dict(term)
         step = dz * scale
         for m in range(1, 2 * self.k + 2):
-            term = _scaled_bracket(zs, term)
+            term = _scaled_bracket(table, zs, term)
             if not term:
                 break
             f = step * m
@@ -573,13 +561,9 @@ class GradedLieAlgebra:
             for l, v in term.items():
                 total[l] = total.get(l, 0) + v
         else:
-            if _scaled_bracket(zs, term):
+            if _scaled_bracket(table, zs, term):
                 raise ValueError("exp_ad series failed to terminate")
-        coeffs = [ZERO] * self.dim
-        for l, v in total.items():
-            if v:
-                coeffs[l] = Fraction(v, den)
-        return AlgebraElement(self, coeffs)
+        return self._from_scaled(total, den)
 
     # -- validation ------------------------------------------------------------
 
@@ -597,19 +581,20 @@ class GradedLieAlgebra:
         return self
 
     def _check_grading_additivity(self):
-        for (i, j), entries in self._pair_table.items():
-            g = self.grade[i] + self.grade[j]
-            for l, _ in entries:
-                if abs(g) > self.k or self.grade[l] != g:
-                    raise StructureError(
-                        f"grading additivity fails: [{self.basis_names[i]},"
-                        f"{self.basis_names[j]}] has grade-{self.grade[l]} support"
-                    )
+        for i, row in self._scaled_table[1].items():
+            for j, entries in row.items():
+                g = self.grade[i] + self.grade[j]
+                for l, _ in entries:
+                    if abs(g) > self.k or self.grade[l] != g:
+                        raise StructureError(
+                            f"grading additivity fails: [{self.basis_names[i]},"
+                            f"{self.basis_names[j]}] has grade-{self.grade[l]} support"
+                        )
 
     def _check_generated_by_first_negative(self):
         """[g_-1, g_-(d-1)] = g_-d for d = 2..k, which by induction on d
         says that grade −1 generates the negative part. The blocks ad(e_i)
-        come from the pair table, sound once grading additivity holds."""
+        come from the table, sound once grading additivity holds."""
         gen = [self.basis_element(i) for i in self.indices_of_grade(-1)]
         for d in range(2, self.k + 1):
             columns = [list(col) for e in gen
@@ -652,11 +637,12 @@ def _scaled(coeffs, indices=None):
     return d, {i: c.numerator * (d // c.denominator) for i, c in nonzero}
 
 
-def _scaled_bracket(zs, y):
-    """Integer bracket ad_C(Z)Y on sparse {index: int} maps, with zs the
-    ({j: entries} row of the scaled table, Z_i) pairs of Z's support."""
+def _scaled_bracket(table, z, y):
+    """Integer bracket ad_C(Z)Y over the integer table C, on sparse
+    {index: int} maps; the nonzero entries only."""
     out = {}
-    for row, zc in zs:
+    for i, zc in z.items():
+        row = table.get(i, {})
         for j, yc in y.items():
             entries = row.get(j)
             if entries:

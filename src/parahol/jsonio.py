@@ -2,15 +2,20 @@
 
 Integers stay JSON integers; non-integral rationals are "p/q" strings so
 reports remain exact and byte-deterministic. Parsing accepts integers and
-"p/q" strings. Parse errors carry a `path` attribute with the offending
-field locus for the CLI's error reports; `at_path` gives the same locus to
-errors raised while a request field is being used.
+strings of RATIONAL_PATTERN, the request schemas' grammar: "p" or "p/q" in
+decimal digits with an optional leading minus. Parse errors carry a `path`
+attribute with the offending field locus for the CLI's error reports;
+`at_path` gives the same locus to errors raised while a request field is
+being used.
 """
 
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import DomainError, ParaholError
+
+RATIONAL_PATTERN = "^-?[0-9]+(/[0-9]+)?$"
 
 
 def fraction_to_json(v):
@@ -44,10 +49,12 @@ def fraction_from_json(v, path="value"):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise _domain_error(f"{path}: not a rational: {v!r}", path) from None
+        if re.search(RATIONAL_PATTERN, v):
+            try:
+                return Fraction(v)
+            except ZeroDivisionError:
+                pass
+        raise _domain_error(f"{path}: not a rational: {v!r}", path)
     raise _domain_error(f"{path}: expected an integer or 'p/q' string", path)
 
 

@@ -67,8 +67,11 @@ def check_search_budget(algebra, grid_steps):
     Refuses depth k > 2, a positive part of dimension > MAX_POSITIVE_DIM
     (argument "algebra") and, when grid_steps > 0, a lattice of more than
     MAX_LATTICE_POINTS points (argument "grid_steps"), so a caller can
-    refuse a request before drawing any instance.
+    refuse a request before drawing any instance. A negative grid_steps
+    raises DomainError.
     """
+    if grid_steps < 0:
+        raise DomainError("grid_steps must be nonnegative")
     if algebra.k > 2:
         raise UnsupportedDepthError("oracle supports k <= 2 only")
     pos_idx = [i for g in range(1, algebra.k + 1)
@@ -87,8 +90,9 @@ def check_search_budget(algebra, grid_steps):
 def brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=2):
     """Independent classification attempt; see the module docstring.
 
-    Refuses what `check_search_budget` refuses, and a zero grid radius,
-    whose lattice is the one point Z = 0, with DomainError.
+    Refuses what `check_search_budget` refuses, a negative grid_steps
+    included, and a zero grid radius, whose lattice is the one point
+    Z = 0, with DomainError.
     """
     algebra = datum.algebra
     pos_idx = check_search_budget(algebra, grid_steps)

@@ -5,6 +5,11 @@ real scalar on every grading component. It determines the linear functional
 lambda'(A) = B(e_lambda, A) on the grade-0 part; its kernel is the
 hyperplane of infinitesimally exact directions that the classifier tests
 against.
+
+A grade-0 element e maps each grading component to itself, so both
+conditions are read from the diagonal blocks of ad(e) alone
+(`ad_block(e, g, g)`): the grade-0 block must be zero, and every other
+block a multiple of the identity.
 """
 
 from fractions import Fraction
@@ -83,41 +88,30 @@ def scale_from_element(algebra, e):
 
     Raises InvalidScaleError when e is not central in the grade-0 part or
     ad(e) fails to act by a scalar on some grading component; the error
-    carries the offending grade index.
+    carries the offending grade index. Centrality is checked first, then
+    the scalar action from grade -k up.
     """
     if e.algebra is not algebra:
         raise DomainError("element belongs to a different algebra")
     if any(g != 0 for g in e.grades()):
         raise InvalidScaleError("scale element must have pure grade 0", component=None)
 
-    for i in algebra.indices_of_grade(0):
-        if not algebra.bracket(e, algebra.basis_element(i)).is_zero:
+    blocks = {g: algebra.ad_block(e, g, g) for g in range(-algebra.k, algebra.k + 1)}
+    for u, i in enumerate(algebra.indices_of_grade(0)):
+        if any(row[u] for row in blocks[0]):
             raise InvalidScaleError(
                 f"not central in the grade-0 part: [e, {algebra.basis_names[i]}] != 0",
                 component=0,
             )
 
     weights = {}
-    for g in range(-algebra.k, algebra.k + 1):
-        idx = algebra.indices_of_grade(g)
-        if not idx:
-            weights[g] = ZERO
-            continue
-        weight = None
-        for i in idx:
-            image = algebra.bracket(e, algebra.basis_element(i))
-            for l, c in enumerate(image.coeffs):
-                if c != 0 and l != i:
-                    raise InvalidScaleError(
-                        f"ad(e) is not scalar on grade {g}", component=g
-                    )
-            a_i = image.coeffs[i]
-            if weight is None:
-                weight = a_i
-            elif weight != a_i:
-                raise InvalidScaleError(
-                    f"ad(e) is not scalar on grade {g}", component=g
-                )
+    for g, block in blocks.items():
+        weight = block[0][0] if block else ZERO
+        if any(v != (weight if u == t else 0)
+               for t, row in enumerate(block) for u, v in enumerate(row)):
+            raise InvalidScaleError(
+                f"ad(e) is not scalar on grade {g}", component=g
+            )
         weights[g] = weight
 
     if algebra.killing_form(e, e) == 0:

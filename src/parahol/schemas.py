@@ -15,8 +15,9 @@ import numbers
 import re
 
 from .errors import SchemaViolation
+from .jsonio import RATIONAL_PATTERN
 
-_RATIONAL = {"type": ["integer", "string"], "pattern": "^-?[0-9]+(/[0-9]+)?$"}
+_RATIONAL = {"type": ["integer", "string"], "pattern": RATIONAL_PATTERN}
 
 _FAMILY_FIELDS = {
     "family": {"enum": ["conformal", "cr"]},

@@ -1,6 +1,8 @@
 """Graded algebra construction, bracket, Killing form, grading machinery."""
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -344,8 +346,28 @@ def test_exp_ad_rejects_mixed_sign(so41):
         so41.exp_ad(z0, so41.basis_element("P_1"))
 
 
-# -- the Fraction exp_ad and ad_block that the scaled-integer ones replaced,
-# -- kept as references ---------------------------------------------------------
+# -- the Fraction bracket, exp_ad and ad_block that the scaled-integer ones
+# -- replaced, kept as references over a Fraction pair table rebuilt here from
+# -- the algebra's matrices, so that no reference shares the integer table ---
+
+
+@functools.cache
+def _reference_table(algebra):
+    """The pair table {(i, j): ((l, c_ij^l), ...)} of the algebra's own
+    matrices, in Fractions (`reference_from_matrices`), once per algebra."""
+    return reference_from_matrices(_matrices(algebra))
+
+
+def reference_bracket(algebra, x, y):
+    """[x, y] summed in Fractions over the reference pair table."""
+    table = _reference_table(algebra)
+    out = [Fraction(0)] * algebra.dim
+    for i, xc in enumerate(x.coeffs):
+        for j, yc in enumerate(y.coeffs):
+            if xc and yc:
+                for l, c in table.get((i, j), ()):
+                    out[l] += xc * yc * c
+    return algebra.element_from_coeffs(out)
 
 
 def reference_exp_ad(algebra, z, x):
@@ -359,19 +381,20 @@ def reference_exp_ad(algebra, z, x):
     total = x
     factorial = 1
     for m in range(1, 2 * algebra.k + 2):
-        term = algebra.bracket(z, term)
+        term = reference_bracket(algebra, z, term)
         if term.is_zero:
             break
         factorial *= m
         total = total + term * Fraction(1, factorial)
     else:
-        if not algebra.bracket(z, term).is_zero:
+        if not reference_bracket(algebra, z, term).is_zero:
             raise ValueError("exp_ad series failed to terminate")
     return total
 
 
 def reference_ad_block(algebra, x, source_grade, target_grade):
-    """ad(x): g_source -> g_target, summed in Fractions over the pair table."""
+    """ad(x): g_source -> g_target, summed in Fractions over the reference
+    pair table."""
     rows = algebra.indices_of_grade(target_grade)
     cols = algebra.indices_of_grade(source_grade)
     row_of = {l: t for t, l in enumerate(rows)}
@@ -379,9 +402,10 @@ def reference_ad_block(algebra, x, source_grade, target_grade):
     xs = [(i, x.coeffs[i])
           for i in algebra.indices_of_grade(target_grade - source_grade)
           if x.coeffs[i] != 0]
+    table = _reference_table(algebra)
     for u, s in enumerate(cols):
         for i, xc in xs:
-            for l, c in algebra._pair_table.get((i, s), ()):
+            for l, c in table.get((i, s), ()):
                 block[row_of[l]][u] += xc * c
     return block
 
@@ -428,6 +452,44 @@ def test_exp_ad_matches_fraction_reference(maker):
                 assert result == reference_exp_ad(algebra, z, x)
                 assert all(type(c) is Fraction for c in result.coeffs)
     assert algebra.exp_ad(algebra.zero(), x) is x
+
+
+def _mixed_conformal21():
+    """conformal(2,1) built from its basis matrices times 1/3, 2/7, 5 and
+    -3/4 in turn (see _mixed_matrices): D = 84, and a table scale that is
+    neither 1 nor 2."""
+    base = build_conformal(2, 1)
+    return GradedLieAlgebra.from_matrices(
+        base.basis_names, base.grade, _mixed_matrices(base), base.k,
+        base.family, base.params)
+
+
+@pytest.mark.parametrize("maker", [
+    pytest.param(_mixed_conformal21, id="conformal21_mixed"),
+    pytest.param(lambda: build_cr(1), id="cr1"),
+    pytest.param(lambda: build_cr(2), id="cr2"),
+    pytest.param(lambda: build_cr(3), id="cr3"),
+])
+def test_bracket_and_grading_element_match_fraction_reference_off_scale_one(maker):
+    """On tables whose scale S is not 1, bracket must divide by S: seeded
+    wide x and y of every grade against the Fraction bracket, and the
+    grading element by its defining [E, e_i] = grade(i)·e_i under that
+    bracket, which fixes E since ad is injective."""
+    algebra = maker()
+    assert algebra._scaled_table[0] != 1
+    k = algebra.k
+    rng = random.Random(97)
+    for _ in range(6):
+        x = _wide_element(algebra, rng, range(-k, k + 1))
+        y = _wide_element(algebra, rng, range(-k, k + 1))
+        result = algebra.bracket(x, y)
+        assert result == reference_bracket(algebra, x, y)
+        assert all(type(c) is Fraction for c in result.coeffs)
+    e = algebra.grading_element
+    assert all(type(c) is Fraction for c in e.coeffs)
+    for i, g in enumerate(algebra.grade):
+        y = algebra.basis_element(i)
+        assert reference_bracket(algebra, e, y) == g * y
 
 
 @pytest.mark.parametrize("maker", SCALED_MAKERS)
@@ -515,6 +577,18 @@ def reference_from_matrices(matrices):
     return table
 
 
+def _fraction_table(algebra):
+    """The algebra's integer table C/S read as a Fraction pair table
+    {(i, j): ((l, c_ij^l), ...)}, the form reference_from_matrices builds."""
+    scale, table = algebra._scaled_table
+    return {(i, j): tuple((l, Fraction(c, scale)) for l, c in entries)
+            for i, row in table.items() for j, entries in row.items()}
+
+
+def _lcm_of_denominators(table):
+    return math.lcm(*[c.denominator for entries in table.values() for _, c in entries])
+
+
 def reference_killing_matrix(table, dim):
     """B_ij = Σ_{l,m} c_il^m c_jm^l over a pair table, in Fractions."""
     index = {}  # (m, l) -> [(j, c_jm^l)]
@@ -540,7 +614,8 @@ BUILD_ALGEBRAS += [(build_cr, (n,)) for n in (1, 2, 3)]
 def test_construction_matches_fraction_reference(maker, params):
     algebra = maker(*params)
     table = reference_from_matrices(_matrices(algebra))
-    assert algebra._pair_table == table
+    assert _fraction_table(algebra) == table
+    assert algebra._scaled_table[0] == _lcm_of_denominators(table)
     assert algebra.killing_matrix == reference_killing_matrix(table, algebra.dim)
     assert all(type(c) is Fraction for row in algebra.killing_matrix for c in row)
 
@@ -564,7 +639,8 @@ def test_mixed_denominators_match_fraction_reference():
     real = algebra.realization
     assert real._scale == 84 and real._dual_scale != 1
     table = reference_from_matrices(matrices)
-    assert algebra._pair_table == table
+    assert _fraction_table(algebra) == table
+    assert algebra._scaled_table[0] == _lcm_of_denominators(table)
     assert algebra.killing_matrix == reference_killing_matrix(table, algebra.dim)
     assert algebra.validate() is algebra
 
@@ -761,7 +837,8 @@ def test_adjoint_matrices_rebuild_the_table(maker):
     # exhaustive reference, and must be rejected
     algebra = maker()
     dim = algebra.dim
-    assert _from_adjoint(algebra, _dense(algebra))._pair_table == algebra._pair_table
+    assert (_fraction_table(_from_adjoint(algebra, _dense(algebra)))
+            == _fraction_table(algebra))
     rng = random.Random(83)
     for step in range(12):
         structure = _dense(algebra)

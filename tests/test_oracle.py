@@ -140,6 +140,20 @@ def test_zero_grid_radius_is_refused(su21, grid_steps):
         brute_force_oracle(datum, grid_radius=0, grid_steps=grid_steps)
 
 
+@pytest.mark.parametrize("family,params", [("conformal", (3, 0)), ("cr", (1,))])
+@pytest.mark.parametrize("x", ["E", "zero"])
+def test_negative_grid_steps_are_refused(family, params, x):
+    # a negative grid was searched as grid 0: an undecided report, or on a
+    # grade-0 X a "lattice" verdict from the one point Z = 0
+    algebra = build(family, list(params))
+    element = algebra.grading_element if x == "E" else algebra.zero()
+    datum = HolonomyDatum(algebra, element)
+    with pytest.raises(DomainError, match="grid_steps must be nonnegative"):
+        check_search_budget(algebra, -1)
+    with pytest.raises(DomainError, match="grid_steps must be nonnegative"):
+        brute_force_oracle(datum, grid_steps=-1)
+
+
 def test_agreement_on_comparison_stream(su21):
     scale = default_scale(su21)
     elements = comparison_instances(su21, scale, 40, seed=7)
