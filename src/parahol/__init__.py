@@ -19,54 +19,60 @@ from .classify import (
     kill_positive_part,
 )
 from .families import build_conformal, build_cr
-from .flat import (
-    FlatClassification,
-    FlatConformalField,
-    classify_at,
-    curvature_check,
-    equivariance_check,
-    gauge_tractor,
-    holonomy_at,
-    holonomy_flow,
-    tractor_derivative,
-    weyl_section_check,
-)
-from .identities import run_flat_identity_suite
-from .oracle import OracleReport, brute_force_oracle
 from .scales import ScaleData, default_scale, lambda_prime, scale_from_element
 
 __version__ = "0.1.0"
 
-__all__ = [
+# The flat model, its identity suite and the oracle load on first use: a
+# process that only builds and classifies (a worker holding thousands of
+# data) does not keep their code in memory.
+_LAZY = {
+    "flat": (
+        "FlatClassification",
+        "FlatConformalField",
+        "classify_at",
+        "curvature_check",
+        "equivariance_check",
+        "gauge_tractor",
+        "holonomy_at",
+        "holonomy_flow",
+        "tractor_derivative",
+        "weyl_section_check",
+    ),
+    "identities": ("run_flat_identity_suite",),
+    "oracle": ("OracleReport", "brute_force_oracle"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    """Resolve a lazily loaded name from its module, on each access."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+__all__ = sorted([
     "AlgebraElement",
     "Classification",
     "DegreeUnkillable",
-    "FlatClassification",
-    "FlatConformalField",
     "GradedLieAlgebra",
     "HolonomyDatum",
     "LambdaNonzero",
     "MatrixRealization",
-    "OracleReport",
     "ScaleData",
     "Verdict",
-    "brute_force_oracle",
     "build_conformal",
     "build_cr",
     "classify",
-    "classify_at",
     "conjugate_by_exp",
-    "curvature_check",
     "default_scale",
-    "equivariance_check",
     "errors",
-    "gauge_tractor",
-    "holonomy_at",
-    "holonomy_flow",
     "kill_positive_part",
     "lambda_prime",
-    "run_flat_identity_suite",
     "scale_from_element",
-    "tractor_derivative",
-    "weyl_section_check",
-]
+    *_MODULE_OF,
+])

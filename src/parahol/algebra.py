@@ -10,11 +10,17 @@ expressed through the Frobenius dual basis, checked by exact
 reconstruction, and the pair (j, i) gets its negation. Those exact
 checks, with the linear independence of the basis matrices, make
 e_i ↦ B_i an injective bracket-preserving map into a matrix algebra, so
-antisymmetry and the Jacobi identity hold by construction. Construction,
-`bracket`, `exp_ad`, `ad_block`, the Killing matrix and the grading
-element compute on that integer table and on their arguments put over
-the lcm of their denominators, and make a Fraction only for each nonzero
-result. Validation checks exactly the axioms that depend on the grade
+antisymmetry and the Jacobi identity hold by construction. An element
+holds its coefficients the same way, as integer numerators over the lcm
+of their denominators. Construction, `bracket`, `exp_ad`, `ad_block`, the
+Killing form and the grading element compute on that integer table and
+on those numerators, and make an element from the integer result. The
+series, the blocks and the Killing covector are also open on scaled
+integers (`exp_ad_scaled`, `ad_block_scaled`, `killing_covector_scaled`,
+on (den, {index: int}) pairs that `AlgebraElement.scaled` makes and
+`from_scaled` reads back), so that the classifier and the scales can stay
+on integers between them; `exp_ad` and `ad_block` are their Fraction
+views. Validation checks exactly the axioms that depend on the grade
 labels and the choice of algebra (grading additivity, generation of the
 negative part by grade −1, nondegenerate Killing form), so downstream
 code can rely on all of them without tolerances.
@@ -51,61 +57,104 @@ def _as_scalar(v):
 
 
 class AlgebraElement:
-    """A vector in a fixed algebra, stored as one coefficient per basis vector.
+    """A vector in a fixed algebra: one exact rational coefficient per basis
+    vector.
 
-    Immutable. Coefficients are exact Fractions: ints become Fractions, and
+    Immutable. The coefficients are held as scaled integers: one numerator
+    per basis vector (`nums`) over their common denominator `den`, the lcm
+    of the coefficients' denominators, so the pair is unique. That is the
+    form the integer kernels take (`scaled`); `coeffs` reads the
+    coefficients as Fractions. Coefficients come in as ints or Fractions;
     any other coefficient (a float or a bool included) raises DomainError.
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "den", "nums")
 
     def __init__(self, algebra, coeffs):
-        # tuple() of a list, not of a generator: CPython sizes a tuple built
-        # from an iterator by a guess and resizes it, so each element built
-        # would leave one more tuple in the interpreter's free lists
-        coeffs = tuple([_as_scalar(c) for c in coeffs])
+        coeffs = [_as_scalar(c) for c in coeffs]
         if len(coeffs) != algebra.dim:
             raise ValueError(
                 f"expected {algebra.dim} coefficients, got {len(coeffs)}"
             )
+        den = math.lcm(*[c.denominator for c in coeffs])
+        nums = tuple([c.numerator * (den // c.denominator) for c in coeffs])
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def _from_integers(cls, algebra, den, nums):
+        """The element nums/den for a nonzero int den and a list of one int
+        per basis vector, reduced to the unique pair."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            nums = [v // g for v in nums]
+        x = cls.__new__(cls)
+        object.__setattr__(x, "algebra", algebra)
+        object.__setattr__(x, "den", den)
+        # tuple() of a list, not of a generator: CPython sizes a tuple built
+        # from an iterator by a guess and resizes it
+        object.__setattr__(x, "nums", tuple(nums))
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
 
     @property
+    def coeffs(self):
+        """The coefficients as a tuple of Fractions, in basis order."""
+        den = self.den
+        return tuple([Fraction(v, den) if v else ZERO for v in self.nums])
+
+    def scaled(self, indices=None):
+        """(den, {i: nums[i]}) over the nonzero coefficients at `indices`
+        (all of them by default): the (den, {index: int}) pair that the
+        `*_scaled` kernels take."""
+        nums = self.nums
+        if indices is None:
+            return self.den, {i: v for i, v in enumerate(nums) if v}
+        return self.den, {i: nums[i] for i in indices if nums[i]}
+
+    @property
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
+
+    def _combine(self, other, sign):
+        self._check_same(other)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return AlgebraElement._from_integers(
+            self.algebra, den, [a * u + b * v for u, v in zip(self.nums, other.nums)])
 
     def __add__(self, other):
-        self._check_same(other)
-        return AlgebraElement(
-            self.algebra, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return AlgebraElement(
-            self.algebra, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.coeffs])
+        return AlgebraElement._from_integers(self.algebra, self.den,
+                                             [-v for v in self.nums])
 
     def __mul__(self, scalar):
         scalar = _as_scalar(scalar)
-        return AlgebraElement(self.algebra, [scalar * a for a in self.coeffs])
+        p = scalar.numerator
+        return AlgebraElement._from_integers(
+            self.algebra, self.den * scalar.denominator, [p * v for v in self.nums])
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
+        return (self.algebra is other.algebra and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coeffs))
+        return hash((id(self.algebra), self.den, self.nums))
 
     def _check_same(self, other):
         if not isinstance(other, AlgebraElement):
@@ -124,10 +173,10 @@ class AlgebraElement:
 
     def grades(self):
         """Sorted list of grades carrying a nonzero coefficient."""
-        return sorted({self.algebra.grade[i] for i, c in enumerate(self.coeffs) if c})
+        return sorted({self.algebra.grade[i] for i, v in enumerate(self.nums) if v})
 
     def coeff(self, name):
-        return self.coeffs[self.algebra.basis_index(name)]
+        return Fraction(self.nums[self.algebra.basis_index(name)], self.den)
 
     def __repr__(self):
         if self.is_zero:
@@ -208,7 +257,7 @@ class MatrixRealization:
     def matrix_of(self, element):
         """Exact matrix of an element X/d: Σ_k X_k·M_k over d·D."""
         n = self.size
-        d, xs = _scaled(element.coeffs)
+        d, xs = element.scaled()
         out = [[0] * n for _ in range(n)]
         for k, c in xs.items():
             for (i, j), v in self._integer_matrices[k].items():
@@ -398,17 +447,17 @@ class GradedLieAlgebra:
         if x.algebra is not self or y.algebra is not self:
             raise MismatchedAlgebraError("bracket arguments must live in this algebra")
         scale, table = self._scaled_table
-        dx, xs = _scaled(x.coeffs)
-        dy, ys = _scaled(y.coeffs)
-        return self._from_scaled(_scaled_bracket(table, xs, ys), dx * dy * scale)
+        dx, xs = x.scaled()
+        dy, ys = y.scaled()
+        return self.from_scaled(dx * dy * scale, _scaled_bracket(table, xs, ys))
 
-    def _from_scaled(self, values, den):
-        """The element values/den, one Fraction per nonzero {l: int} value."""
-        coeffs = [ZERO] * self.dim
+    def from_scaled(self, den, values):
+        """The element values/den for a {l: int} map; the inverse of
+        `AlgebraElement.scaled`."""
+        nums = [0] * self.dim
         for l, v in values.items():
-            if v:
-                coeffs[l] = Fraction(v, den)
-        return AlgebraElement(self, coeffs)
+            nums[l] = v
+        return AlgebraElement._from_integers(self, den, nums)
 
     def ad_block(self, x, source_grade, target_grade):
         """Matrix of ad(x): g_source -> g_target.
@@ -416,27 +465,34 @@ class GradedLieAlgebra:
         Rows follow the basis order of g_target and columns that of
         g_source. Only the grade (target - source) part of x contributes,
         by grading additivity; a grade outside [-k, k] gives an empty or
-        zero block. The entries are summed as scaled integers, over the
-        integer table and that part of x put over the lcm of its
-        denominators, and divided by the one common denominator at the end.
+        zero block. The Fraction view of `ad_block_scaled`.
         """
+        part = x.scaled(self.indices_of_grade(target_grade - source_grade))
+        den, block = self.ad_block_scaled(part, source_grade, target_grade)
+        return [[Fraction(v, den) if v else ZERO for v in row] for row in block]
+
+    def ad_block_scaled(self, x, source_grade, target_grade):
+        """ad_block on scaled integers: for x = (dx, {i: X_i}) standing for
+        X/dx, the pair (dx·S, rows) with rows the integer block of
+        ad_C(X): g_source -> g_target over the integer table C/S. Only X's
+        coefficients of grade (target - source) are read."""
         rows = self.indices_of_grade(target_grade)
         cols = self.indices_of_grade(source_grade)
         row_of = {l: t for t, l in enumerate(rows)}
         block = [[0] * len(cols) for _ in rows]
         scale, table = self._scaled_table
-        dx, xs = _scaled(x.coeffs, self.indices_of_grade(target_grade - source_grade))
-        xs = [(table.get(i, {}), xc) for i, xc in xs.items()]
+        dx, xs = x
+        xs = [(table.get(i, {}), xs[i])
+              for i in self.indices_of_grade(target_grade - source_grade) if i in xs]
         for u, s in enumerate(cols):
             for row, xc in xs:
                 for l, c in row.get(s, ()):
                     block[row_of[l]][u] += xc * c
-        den = dx * scale
-        return [[Fraction(v, den) if v else ZERO for v in row] for row in block]
+        return dx * scale, block
 
     def grade_coords(self, x, grade):
         """Coefficients of x on the grade-`grade` basis vectors, in basis order."""
-        return [x.coeffs[i] for i in self.indices_of_grade(grade)]
+        return [Fraction(x.nums[i], x.den) for i in self.indices_of_grade(grade)]
 
     def from_grade_coords(self, grade, coords):
         """The element of g_grade with the given coordinates (see grade_coords)."""
@@ -445,20 +501,22 @@ class GradedLieAlgebra:
             raise ValueError(
                 f"grade {grade} has dimension {len(idx)}, got {len(coords)} coordinates"
             )
-        coeffs = [ZERO] * self.dim
+        coords = [_as_scalar(c) for c in coords]
+        den = math.lcm(*[c.denominator for c in coords])
+        nums = [0] * self.dim
         for i, c in zip(idx, coords):
-            coeffs[i] = c
-        return AlgebraElement(self, coeffs)
+            nums[i] = c.numerator * (den // c.denominator)
+        return AlgebraElement._from_integers(self, den, nums)
 
     @cached_property
-    def killing_matrix(self):
-        """Gram matrix of the Killing form, B_ij = trace(ad e_i ∘ ad e_j).
+    def _killing_rows(self):
+        """(S², rows): the Killing matrix as integer rows over S², with S the
+        table's scale, B_ij = rows[i][j]/S².
 
-        The trace is Σ_{l,m} c_il^m c_jm^l, summed as integers over the
-        table C/S and divided by S² once per nonzero entry. Each nonzero
-        C_il^m is matched with the nonzero C_jm^l through an index
-        (m, l) -> [(j, C_jm^l)], so only products of two nonzero constants
-        are formed.
+        B_ij = trace(ad e_i ∘ ad e_j) = Σ_{l,m} c_il^m c_jm^l, summed as
+        integers over the table C/S. Each nonzero C_il^m is matched with the
+        nonzero C_jm^l through an index (m, l) -> [(j, C_jm^l)], so only
+        products of two nonzero constants are formed.
         """
         scale, table = self._scaled_table
         index = {}
@@ -473,23 +531,37 @@ class GradedLieAlgebra:
                 for m, c in entries:
                     for j, cj in index.get((m, l), ()):
                         out[j] += c * cj
-        den = scale * scale
-        return tuple(tuple(Fraction(v, den) if v else ZERO for v in r) for r in b)
+        return scale * scale, tuple(tuple(r) for r in b)
+
+    @cached_property
+    def killing_matrix(self):
+        """Gram matrix of the Killing form, B_ij = trace(ad e_i ∘ ad e_j):
+        the integer rows of `_killing_rows` divided by S² once per nonzero
+        entry."""
+        den, rows = self._killing_rows
+        return tuple(tuple(Fraction(v, den) if v else ZERO for v in r) for r in rows)
+
+    def killing_covector_scaled(self, x, indices):
+        """B(x, e_i) for each basis index i in `indices`, on scaled integers:
+        the pair (x.den·S², [Σ_j nums_j·B̂_ji, ...]) with B̂ = S²·B the
+        integer Killing matrix, one pass over the rows of x's support."""
+        den, rows = self._killing_rows
+        out = [0] * len(indices)
+        for j, c in x.scaled()[1].items():
+            row = rows[j]
+            for t, i in enumerate(indices):
+                b = row[i]
+                if b:
+                    out[t] += c * b
+        return x.den * den, out
 
     def killing_form(self, x, y):
-        """B(x, y) = trace(ad x ∘ ad y)."""
+        """B(x, y) = trace(ad x ∘ ad y): x's covector paired with y's
+        numerators, over the product of the two denominators."""
         if x.algebra is not self or y.algebra is not self:
             raise MismatchedAlgebraError("killing_form arguments must live in this algebra")
-        b = self.killing_matrix
-        total = ZERO
-        for i, xc in enumerate(x.coeffs):
-            if xc == 0:
-                continue
-            row = b[i]
-            for j, yc in enumerate(y.coeffs):
-                if yc != 0 and row[j] != 0:
-                    total = total + xc * (row[j] * yc)
-        return total
+        den, covector = self.killing_covector_scaled(x, range(self.dim))
+        return Fraction(sum(c * v for c, v in zip(covector, y.nums) if v), den * y.den)
 
     def component(self, x, grade):
         """Projection onto the grade-i piece; zero element when absent."""
@@ -499,10 +571,10 @@ class GradedLieAlgebra:
             raise GradeRangeError(
                 f"grade {grade} outside [-{self.k}, {self.k}]"
             )
-        coeffs = [ZERO] * self.dim
+        nums = [0] * self.dim
         for i in self.indices_of_grade(grade):
-            coeffs[i] = x.coeffs[i]
-        return AlgebraElement(self, coeffs)
+            nums[i] = x.nums[i]
+        return AlgebraElement._from_integers(self, x.den, nums)
 
     @cached_property
     def grading_element(self):
@@ -522,7 +594,7 @@ class GradedLieAlgebra:
                          for m, c in entries if m == l)
         rhs = [Fraction(v, scale) if v else ZERO for v in rhs]
         e = AlgebraElement(self, linalg.solve(self.killing_matrix, rhs))
-        d, es = _scaled(e.coeffs)
+        d, es = e.scaled()
         for i, g in enumerate(self.grade):
             if _scaled_bracket(table, es, {i: 1}) != ({i: g * d * scale} if g else {}):
                 raise StructureError("no grading element exists")
@@ -533,11 +605,7 @@ class GradedLieAlgebra:
 
         Nilpotency is guaranteed when every grade in z's support has the
         same sign, which is the only way this is called. Returns x itself
-        when z is zero. The series runs on scaled integers: with x = X/dx
-        and z = Z/dz over the lcms of their denominators and the table C/S,
-        the m-th term ad(z)^m x / m! is ad_C(Z)^m X over dx·(dz·S)^m·m!.
-        The sum is kept over that one running denominator, and a Fraction is
-        made only for each nonzero coefficient of the result.
+        when z is zero. The Fraction view of `exp_ad_scaled`.
         """
         if z.algebra is not self or x.algebra is not self:
             raise MismatchedAlgebraError("exp_ad arguments must live in this algebra")
@@ -546,9 +614,19 @@ class GradedLieAlgebra:
         signs = {1 if g > 0 else -1 for g in z.grades() if g != 0}
         if len(signs) > 1 or (z.grades() and 0 in z.grades()):
             raise ValueError("exp_ad requires a pure-sign graded argument")
+        return self.from_scaled(*self.exp_ad_scaled(z.scaled(), x.scaled()))
+
+    def exp_ad_scaled(self, z, x):
+        """exp_ad on scaled integers: z = (dz, {i: Z_i}) and x = (dx, {i: X_i})
+        stand for Z/dz and X/dx, and the result is the pair (den, {l: int})
+        of e^{ad z}(x), which may hold zero values. The m-th term
+        ad(z)^m x / m! is ad_C(Z)^m X over dx·(dz·S)^m·m! on the table C/S;
+        the sum is kept over that one running denominator. The caller
+        guarantees that ad(z) is nilpotent (exp_ad checks it).
+        """
         scale, table = self._scaled_table
-        dz, zs = _scaled(z.coeffs)
-        den, term = _scaled(x.coeffs)
+        dz, zs = z
+        den, term = x
         total = dict(term)
         step = dz * scale
         for m in range(1, 2 * self.k + 2):
@@ -563,7 +641,7 @@ class GradedLieAlgebra:
         else:
             if _scaled_bracket(table, zs, term):
                 raise ValueError("exp_ad series failed to terminate")
-        return self._from_scaled(total, den)
+        return den, total
 
     # -- validation ------------------------------------------------------------
 
@@ -624,17 +702,6 @@ class GradedLieAlgebra:
 
     def __repr__(self):
         return f"GradedLieAlgebra({self.family}{self.params}, dim={self.dim}, k={self.k})"
-
-
-def _scaled(coeffs, indices=None):
-    """(d, {i: X_i}) with coeffs[i] = X_i/d over the nonzero coefficients
-    at `indices` (all of them by default), d the lcm of their denominators.
-    The lcm takes a list, not a generator, as AlgebraElement's tuple does."""
-    if indices is None:
-        indices = range(len(coeffs))
-    nonzero = [(i, coeffs[i]) for i in indices if coeffs[i]]
-    d = math.lcm(*[c.denominator for _, c in nonzero])
-    return d, {i: c.numerator * (d // c.denominator) for i, c in nonzero}
 
 
 def _scaled_bracket(table, z, y):

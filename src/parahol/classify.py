@@ -25,9 +25,19 @@ unkillable. Adding Z_d changes no component of degree <= d, and if any Z in
 p_+ conjugates X into g_0 then every partial solution leaves an r_d in the
 image of ad(X_0), so a failure at degree d is a proof. Depth k >= 3 is
 rejected. Every step is exact; nothing in this module computes in floats.
+
+The elimination runs on scaled integers from start to finish: X is read
+once in the scaled form the element stores, and X and Z are pairs
+(den, {basis index: int}). r_d comes from the integer series
+(`exp_ad_scaled`), Z_d from the integer block of ad(X_0)|g_d
+(`ad_block_scaled`) and the integer minimum-norm solve
+(`linalg.solve_min_norm_scaled`), and the witness check conjugates on the
+same integers. Fractions are made for the final witness and, in the scale,
+for lambda'(X_0) only.
 """
 
 import enum
+import math
 
 from . import linalg
 from .errors import DomainError, UnsupportedDepthError
@@ -138,6 +148,8 @@ class HolonomyDatum:
     never produce negative components over a fixed point.
     """
 
+    __slots__ = ("algebra", "x", "scale")
+
     def __init__(self, algebra, x, scale=None):
         if x.algebra is not algebra:
             raise DomainError("datum element belongs to a different algebra")
@@ -198,30 +210,53 @@ def conjugable_verdict(ell, witness):
 
 def _kill_analysis(datum):
     """(witness, certificate): the verified witness and None, or None and
-    the DegreeUnkillable certificate."""
+    the DegreeUnkillable certificate.
+
+    X and Z stay scaled integer pairs (den, {i: int}) throughout; the
+    witness is made an element once, after verification.
+    """
     algebra = datum.algebra
     k = algebra.k
     if k > 2:
         raise UnsupportedDepthError(
             f"killing positive parts is implemented for depth k <= 2, got k={k}"
         )
-    x = datum.x
-    z = algebra.zero()
+    x = datum.x.scaled()
+    z = (1, {})
     for d in range(1, k + 1):
-        r = algebra.grade_coords(algebra.exp_ad(z, x), d)
-        if linalg.is_zero_vector(r):  # its minimum-norm solution is Z_d = 0
+        den, total = algebra.exp_ad_scaled(z, x)
+        r = [total.get(i, 0) for i in algebra.indices_of_grade(d)]
+        if not any(r):  # its minimum-norm solution is Z_d = 0
             continue
-        z_d = linalg.solve_min_norm(algebra.ad_block(x, d, d), r)  # ad(X_0)|g_d
-        if z_d is None:
+        # ad(X_0)|g_d = block/block_den and r_d = r/den, so a solution w of
+        # block·w = r gives Z_d = w·block_den/den
+        block_den, block = algebra.ad_block_scaled(x, d, d)
+        solution = linalg.solve_min_norm_scaled(block, r)
+        if solution is None:
             return None, DegreeUnkillable(d)
-        z = z + algebra.from_grade_coords(d, z_d)
+        w_den, w = solution
+        z = _plus(z, zip(algebra.indices_of_grade(d), w), w_den * den, block_den)
     return _verified(algebra, x, z)
 
 
-def _verified(algebra, x, witness):
-    """Exact internal check that the witness really kills the positive part."""
-    conj = conjugate_by_exp(witness, x)
-    for g in range(1, algebra.k + 1):
-        if not conj.component(g).is_zero:
-            raise AssertionError("witness failed exact verification")
-    return witness, None
+def _plus(z, entries, den, factor):
+    """The pair z plus the vector sum_i (factor·w_i/den) e_i, given as
+    (i, w_i) entries on indices outside z's support, reduced by the gcd of
+    the new denominator and numerators."""
+    dz, zs = z
+    m = math.lcm(dz, den)
+    out = {i: v * (m // dz) for i, v in zs.items()}
+    f = factor * (m // den)
+    out.update((i, v * f) for i, v in entries if v)
+    g = math.gcd(m, *out.values())
+    return m // g, {i: v // g for i, v in out.items()}
+
+
+def _verified(algebra, x, z):
+    """Exact internal check that the witness really kills the positive
+    part: grades 1..k of exp(ad Z)X are zero, on the scaled integers."""
+    _, total = algebra.exp_ad_scaled(z, x)
+    if any(total.get(i) for g in range(1, algebra.k + 1)
+           for i in algebra.indices_of_grade(g)):
+        raise AssertionError("witness failed exact verification")
+    return algebra.from_scaled(*z), None

@@ -6,28 +6,33 @@ verify-identities, oracle-compare. Request bodies are JSON on stdin or via
 success, 1 on domain/schema errors, 2 on internal invariant violations.
 
 All randomness flows through --seed, so identical requests with identical
-seeds produce byte-identical JSON reports.
+seeds produce byte-identical JSON reports. The flat model, the identity
+suite and the oracle are imported by the commands that use them, so that
+other requests neither compile nor load them.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import schemas
 from .classify import HolonomyDatum, classify
-from .errors import OracleRefusedError, ParaholError, SchemaViolation, StructureError
+from .errors import (
+    DomainError,
+    OracleRefusedError,
+    ParaholError,
+    SchemaViolation,
+    StructureError,
+)
 from .families import build
-from .flat import FlatConformalField, classify_at
-from .identities import run_flat_identity_suite
 from .jsonio import (
     at_path,
     element_to_named_json,
+    fraction_from_json,
     fraction_to_json,
     parse_named_element,
     vector_from_json,
 )
-from .oracle import brute_force_oracle, check_search_budget
 from .sampling import comparison_instances
 from .scales import default_scale
 
@@ -184,6 +189,8 @@ def _classify(payload):
 
 
 def _flat_classify(payload):
+    from .flat import FlatConformalField, classify_at
+
     with at_path("field.signature"):
         algebra = build("conformal", payload["field"]["signature"])
     field = FlatConformalField.from_json_dict(payload["field"], algebra=algebra)
@@ -202,6 +209,8 @@ def _flat_classify(payload):
 
 
 def _verify_identities(payload, args):
+    from .identities import run_flat_identity_suite
+
     samples = payload.get("samples", 20)
     t = payload.get("t", 0.1)
     with at_path("signature"):
@@ -216,13 +225,17 @@ def _verify_identities(payload, args):
 
 
 def _oracle_compare(payload, args):
+    from .oracle import brute_force_oracle, check_search_budget
+
     if args.instances < 1:
         raise _flag_error("--instances", "must be at least 1")
     if args.grid_steps < 0:
         raise _flag_error("--grid-steps", "must be nonnegative")
+    # the request grammar of every rational; the report prints str(radius),
+    # which keeps "1" a string where fraction_to_json would give 1
     try:
-        radius = Fraction(args.grid_radius)
-    except (ValueError, ZeroDivisionError):
+        radius = fraction_from_json(args.grid_radius)
+    except DomainError:
         raise _flag_error("--grid-radius", "must be a rational") from None
     if radius == 0:
         raise _flag_error("--grid-radius", "must be nonzero")

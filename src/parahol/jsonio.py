@@ -80,8 +80,8 @@ def element_to_named_json(element, grades=None):
     alg = element.algebra
     indices = (range(alg.dim) if grades is None else
                [i for g in grades for i in alg.indices_of_grade(g)])
-    return {alg.basis_names[i]: fraction_to_json(element.coeffs[i])
-            for i in sorted(indices)}
+    coeffs = element.coeffs
+    return {alg.basis_names[i]: fraction_to_json(coeffs[i]) for i in sorted(indices)}
 
 
 def vector_from_json(values, path="point"):

@@ -9,7 +9,9 @@ kernel and every solve sit on one Gauss–Jordan elimination of sparse rows
 have one or two nonzero entries per row. The elimination computes on
 scaled integers: each row is put over the lcm of its denominators and
 kept primitive, and Fractions are made once, for the nonzero entries of
-the pivot rows.
+the pivot rows. The minimum-norm solve stays on integers throughout, and
+`solve_min_norm_scaled` hands its answer to the classifier as integers
+over one denominator.
 """
 
 import math
@@ -17,14 +19,6 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def dot(u, v):
-    return sum((u[i] * v[i] for i in range(len(u))), ZERO)
-
-
-def is_zero_vector(vec):
-    return all(v == 0 for v in vec)
 
 
 def _combine(row, pivot, c):
@@ -68,6 +62,20 @@ def _integer_row(entries):
 def _eliminate(a_rows, b_cols=()):
     """Reduced row echelon form of [A | B], pivoting in A's columns only.
 
+    Returns (pivots, n, consistent) as `_eliminate_scaled` does, with each
+    pivot row divided by its lead once, as {column: Fraction}: that row of
+    rref(A) (unique, whatever B is).
+    """
+    pivots, n, consistent = _eliminate_scaled(a_rows, b_cols)
+    for c, row in pivots.items():
+        p = row[c]
+        pivots[c] = {j: Fraction(v, p) for j, v in row.items()}
+    return pivots, n, consistent
+
+
+def _eliminate_scaled(a_rows, b_cols=()):
+    """Row echelon form of [A | B] on primitive integer rows.
+
     B is given as columns; column t of B is column n + t of the rows, with
     n the column count of A. Entries are ints or Fractions. The elimination
     is fraction-free Gauss–Jordan on sparse {column: int} rows: each row of
@@ -76,10 +84,10 @@ def _eliminate(a_rows, b_cols=()):
     kept primitive (divided by its content, lead positive). Its first
     nonzero entry on A then becomes a pivot that is cleared from them the
     same way. Returns (pivots, n, consistent): `pivots` maps each pivot
-    column to its row as {column: Fraction}, each pivot row divided by its
-    lead once at the end, so it is that row of rref(A) (unique, whatever B
-    is); `consistent` is False when some row reduces to zero on A but not
-    on B, i.e. when A·X = B has no solution.
+    column c to its integer row, which vanishes on every other pivot column
+    and divided by row[c] is that row of rref(A); `consistent` is False
+    when some row reduces to zero on A but not on B, i.e. when A·X = B has
+    no solution.
     """
     n = len(a_rows[0]) if a_rows else 0
     rows = [{j: v for j, v in enumerate(row) if v} for row in a_rows]
@@ -104,9 +112,6 @@ def _eliminate(a_rows, b_cols=()):
                 _combine(other, row, lead)
                 _make_primitive(other, c)
         pivots[lead] = row
-    for c, row in pivots.items():
-        p = row[c]
-        pivots[c] = {j: Fraction(v, p) for j, v in row.items()}
     return pivots, n, consistent
 
 
@@ -163,25 +168,65 @@ def solve(a_rows, b):
 def solve_min_norm(a_rows, b):
     """Minimum-Euclidean-norm solution of A·x = b, or None when inconsistent.
 
-    One elimination of [A | b] gives the particular solution x_p (free
-    variables zero) and a kernel basis N of A. The answer is x_p minus its
-    orthogonal projection onto ker A: x = x_p − N·t where (NᵀN)·t = Nᵀ·x_p.
-    That system is f×f with f = dim ker A, so it is empty when A is
-    injective. The answer is unique, exact over the rationals and
-    deterministic; this is the tie-breaking rule for witness selection.
+    The answer is unique, exact over the rationals and deterministic; this
+    is the tie-breaking rule for witness selection. The Fraction view of
+    `solve_min_norm_scaled`.
     """
-    pivots, n, consistent = _eliminate(a_rows, [b])
+    solution = solve_min_norm_scaled(a_rows, b)
+    if solution is None:
+        return None
+    den, x = solution
+    return [Fraction(v, den) for v in x]
+
+
+def solve_min_norm_scaled(a_rows, b):
+    """solve_min_norm on integers: (den, [X_0, ..., X_{n-1}]) with
+    x = X/den the minimum-norm solution, or None when inconsistent.
+
+    One elimination of [A | b] gives the particular solution x_p = P/D
+    (free variables zero, D the lcm of the pivot leads it uses) and one
+    integer kernel vector per free column, each a positive multiple of the
+    rref kernel vector. The answer is x_p minus its orthogonal projection
+    onto ker A, which no choice of kernel basis N changes:
+    x = (P − N·t)/D where (NᵀN)·t = Nᵀ·P. That system is f×f with
+    f = dim ker A and integer entries; with t = T/Q over the lcm of its
+    pivot leads, x = (Q·P − N·T)/(D·Q).
+    """
+    pivots, n, consistent = _eliminate_scaled(a_rows, [b])
     if not consistent:
         return None
-    x = _particulars(pivots, n, 1)[0]
-    kernel = _kernel(pivots, n)
+    d = math.lcm(*[row[c] for c, row in pivots.items() if n in row])
+    x = [0] * n
+    for c, row in pivots.items():
+        if n in row:
+            x[c] = row[n] * (d // row[c])
+    # column fc of the kernel: fc -> L and pc -> -row[fc]·L/row[pc] over the
+    # pivot rows that meet fc, L the lcm of their leads
+    meets = {fc: [] for fc in range(n) if fc not in pivots}
+    for c, row in pivots.items():
+        for j in row:
+            if j in meets:
+                meets[j].append(c)
+    kernel = []
+    for fc, cs in meets.items():
+        lcm = math.lcm(*[pivots[c][c] for c in cs])
+        u = {c: -pivots[c][fc] * (lcm // pivots[c][c]) for c in cs}
+        u[fc] = lcm
+        kernel.append(u)
     if not kernel:
-        return x
-    t = solve([[dot(u, v) for v in kernel] for u in kernel],
-              [dot(u, x) for u in kernel])
-    for u, tu in zip(kernel, t):
-        x = [xi - tu * ui for xi, ui in zip(x, u)]
-    return x
+        return d, x
+    gram = [[sum(c * v.get(j, 0) for j, c in u.items()) for v in kernel] for u in kernel]
+    rhs = [sum(c * x[j] for j, c in u.items()) for u in kernel]
+    reduced, _, _ = _eliminate_scaled(gram, [rhs])
+    f = len(kernel)
+    q = math.lcm(*[row[c] for c, row in reduced.items()])
+    x = [q * v for v in x]
+    for c, row in reduced.items():
+        t = row.get(f, 0) * (q // row[c])
+        if t:
+            for j, v in kernel[c].items():
+                x[j] -= t * v
+    return d * q, x
 
 
 def identity_vectors(n):

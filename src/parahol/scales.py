@@ -7,18 +7,20 @@ hyperplane of infinitesimally exact directions that the classifier tests
 against.
 
 A grade-0 element e maps each grading component to itself, so both
-conditions are read from the diagonal blocks of ad(e) alone
-(`ad_block(e, g, g)`): the grade-0 block must be zero, and every other
-block a multiple of the identity.
+conditions are read from the diagonal blocks of ad(e) alone, as integer
+rows (`ad_block_scaled(e, g, g)`): the grade-0 block must be zero, and
+every other block a multiple of the identity. The functional's covector, B(e, e_i) over
+the grade-0 basis, is read in one pass over the Killing-matrix rows of e's
+support (`killing_covector_scaled`), and lambda' is its integer dot product
+with X_0's numerators.
 """
 
+import math
 from fractions import Fraction
 
 from . import linalg
-from .errors import DomainError, InvalidScaleError
+from .errors import DomainError, InvalidScaleError, MismatchedAlgebraError
 from .jsonio import fraction_to_json
-
-ZERO = Fraction(0)
 
 
 class ScaleData:
@@ -30,6 +32,10 @@ class ScaleData:
       covector            lambda' as one coefficient per grade-0 basis index
       kernel_basis        elements spanning Ker(lambda') in grade 0
       component_weights   grade i -> the scalar a_i with ad(e_lambda) = a_i id on grade i
+
+    The covector is also kept as scaled integers, (den, ((i, C_i), ...))
+    over its nonzero entries with i the basis index, so that lambda' is one
+    integer dot product.
     """
 
     def __init__(self, algebra, e_lambda, covector, kernel_basis,
@@ -39,6 +45,10 @@ class ScaleData:
         self.covector = tuple(covector)
         self.kernel_basis = tuple(kernel_basis)
         self.component_weights = dict(component_weights)
+        den = math.lcm(*[c.denominator for c in self.covector])
+        self._scaled_covector = (den, tuple(
+            (i, c.numerator * (den // c.denominator))
+            for i, c in zip(algebra.indices_of_grade(0), self.covector) if c))
 
     def lambda_prime(self, a):
         """lambda'(A) = B(e_lambda, A) for A in the grade-0 part.
@@ -49,11 +59,19 @@ class ScaleData:
             raise DomainError("element belongs to a different algebra")
         if any(g != 0 for g in a.grades()):
             raise DomainError("lambda' is only defined on the grade-0 part")
-        return self.algebra.killing_form(self.e_lambda, a)
+        return self.lambda_prime_of_grade0(a)
 
     def lambda_prime_of_grade0(self, x):
-        """lambda' applied to the grade-0 component of an arbitrary element."""
-        return self.algebra.killing_form(self.e_lambda, x.component(0))
+        """lambda' applied to the grade-0 component of an arbitrary element.
+
+        B(e_lambda, X_0) is linear in X_0, so it is the covector paired with
+        X_0's numerators: one integer dot product over the two denominators.
+        """
+        if x.algebra is not self.algebra:
+            raise MismatchedAlgebraError("element belongs to a different algebra")
+        den, covector = self._scaled_covector
+        nums = x.nums
+        return Fraction(sum(c * nums[i] for i, c in covector), den * x.den)
 
     def to_json_dict(self):
         alg = self.algebra
@@ -96,36 +114,38 @@ def scale_from_element(algebra, e):
     if any(g != 0 for g in e.grades()):
         raise InvalidScaleError("scale element must have pure grade 0", component=None)
 
-    blocks = {g: algebra.ad_block(e, g, g) for g in range(-algebra.k, algebra.k + 1)}
+    # the diagonal blocks of ad(e) as integer rows, all over one denominator
+    es = e.scaled()
+    blocks = {g: algebra.ad_block_scaled(es, g, g) for g in range(-algebra.k, algebra.k + 1)}
     for u, i in enumerate(algebra.indices_of_grade(0)):
-        if any(row[u] for row in blocks[0]):
+        if any(row[u] for row in blocks[0][1]):
             raise InvalidScaleError(
                 f"not central in the grade-0 part: [e, {algebra.basis_names[i]}] != 0",
                 component=0,
             )
 
     weights = {}
-    for g, block in blocks.items():
-        weight = block[0][0] if block else ZERO
+    for g, (den, block) in blocks.items():
+        weight = block[0][0] if block else 0
         if any(v != (weight if u == t else 0)
                for t, row in enumerate(block) for u, v in enumerate(row)):
             raise InvalidScaleError(
                 f"ad(e) is not scalar on grade {g}", component=g
             )
-        weights[g] = weight
+        weights[g] = Fraction(weight, den)
 
-    if algebra.killing_form(e, e) == 0:
+    # covector_i = B(e, e_i) over the grade-0 basis, as integers over den
+    zero_idx = algebra.indices_of_grade(0)
+    den, covector = algebra.killing_covector_scaled(e, zero_idx)
+    # e is pure grade 0, so B(e, e) is the covector paired with e
+    if not sum(e.nums[i] * v for i, v in zip(zero_idx, covector)):
         raise InvalidScaleError("B(e, e) = 0: degenerate scale element",
                                 component=None)
 
-    zero_idx = algebra.indices_of_grade(0)
-    covector = [
-        algebra.killing_form(e, algebra.basis_element(i)) for i in zero_idx
-    ]
     kernel_basis = [
-        algebra.from_grade_coords(0, vec)
-        for vec in linalg.nullspace([list(map(Fraction, covector))])
+        algebra.from_grade_coords(0, vec) for vec in linalg.nullspace([covector])
     ]
+    covector = [Fraction(v, den) for v in covector]
     return ScaleData(algebra, e, covector, kernel_basis, weights)
 
 

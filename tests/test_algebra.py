@@ -324,6 +324,51 @@ def test_exactness_flag(so41):
         so41.element_from_coeffs([0.5] + [0] * (so41.dim - 1))
 
 
+def test_elements_keep_one_scaled_form(so41, su21):
+    """An element holds its coefficients as numerators over their lcm
+    denominator, a unique pair: elements reached along different routes
+    are equal with equal hashes, and arithmetic, components, grade
+    coordinates and the Killing form agree with the same operations on
+    the Fraction coefficients."""
+    rng = random.Random(29)
+
+    def coefficients(algebra):
+        return [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 7, 10**6 + 3]))
+                if rng.random() < 0.6 else Fraction(0) for _ in range(algebra.dim)]
+
+    for algebra in (so41, su21):
+        b = algebra.killing_matrix
+        for _ in range(20):
+            cx, cy = coefficients(algebra), coefficients(algebra)
+            x, y = algebra.element_from_coeffs(cx), algebra.element_from_coeffs(cy)
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            assert x.coeffs == tuple(cx)
+            assert x.den == math.lcm(*[v.denominator for v in cx])
+            assert math.gcd(x.den, *x.nums) == 1
+            assert x.scaled() == (x.den, {i: v for i, v in enumerate(x.nums) if v})
+            assert (x + y).coeffs == tuple(u + v for u, v in zip(cx, cy))
+            assert (x - y).coeffs == tuple(u - v for u, v in zip(cx, cy))
+            assert (-x).coeffs == tuple(-u for u in cx)
+            assert (c * x).coeffs == (x * c).coeffs == tuple(c * u for u in cx)
+            assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+            for g in range(-algebra.k, algebra.k + 1):
+                idx = algebra.indices_of_grade(g)
+                assert x.component(g).coeffs == tuple(
+                    u if i in idx else 0 for i, u in enumerate(cx))
+                assert algebra.grade_coords(x, g) == [cx[i] for i in idx]
+            assert algebra.killing_form(x, y) == sum(
+                (cx[i] * b[i][j] * cy[j] for i in range(algebra.dim)
+                 for j in range(algebra.dim)), Fraction(0))
+        i = algebra.basis_index(algebra.basis_names[1])
+        half = algebra.element_from_coeffs(
+            [Fraction(1, 2) if t == i else 0 for t in range(algebra.dim)])
+        assert algebra.from_scaled(6, {i: 3}) == half
+        assert algebra.from_scaled(-6, {i: -3}) == half
+        assert (half.den, half.nums[i]) == (2, 1)
+        zero = algebra.from_scaled(5, {})
+        assert zero == algebra.zero() == 0 * half and zero.den == 1 and zero.is_zero
+
+
 @pytest.mark.parametrize("construct", [
     pytest.param(lambda a: a.element({"D": 0.5}), id="element"),
     pytest.param(lambda a: 0.5 * a.basis_element("D"), id="left_scalar"),

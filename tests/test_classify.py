@@ -9,11 +9,13 @@ import pytest
 
 from parahol import linalg
 from parahol.classify import (
+    Classification,
     DegreeUnkillable,
     HolonomyDatum,
     LambdaNonzero,
     Verdict,
     classify,
+    conjugable_verdict,
     conjugate_by_exp,
     kill_positive_part,
 )
@@ -22,11 +24,13 @@ from parahol.families import build_conformal, build_cr
 from parahol.flat import holonomy_flow
 from parahol.sampling import (
     kernel_instance,
+    planted_instance,
+    random_element,
     random_instance,
     random_p_element,
     random_positive_element,
 )
-from parahol.scales import default_scale
+from parahol.scales import default_scale, scale_from_element
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +304,110 @@ def test_depth_one_completeness(so41):
         killable = linalg.rank(image) == linalg.rank(augmented)
         inessential = killable and scale.lambda_prime_of_grade0(x) == 0
         assert (result.verdict is Verdict.INESSENTIAL) == inessential
+
+
+# -- the Fraction classifier that the scaled-integer one replaced -------------------
+
+
+def reference_classify(datum):
+    """Grade-by-grade elimination on Fraction elements, the witness checked
+    by conjugating every grade, and lambda' as e_lambda·B·X_0 over the dense
+    Killing matrix; the minimum-norm solve is checked against the Fraction
+    projection in test_linalg."""
+    algebra, x = datum.algebra, datum.x
+    z = algebra.zero()
+    for d in range(1, algebra.k + 1):
+        r = algebra.grade_coords(algebra.exp_ad(z, x), d)
+        if not any(r):
+            continue
+        z_d = linalg.solve_min_norm(algebra.ad_block(x, d, d), r)
+        if z_d is None:
+            return Classification(Verdict.ESSENTIAL, certificate=DegreeUnkillable(d))
+        z = z + algebra.from_grade_coords(d, z_d)
+    conj = conjugate_by_exp(z, x)
+    assert all(conj.component(g).is_zero for g in range(1, algebra.k + 1))
+    e, b = datum.scale.e_lambda.coeffs, algebra.killing_matrix
+    ell = sum((e[i] * b[i][j] * c for i in algebra.indices_of_grade(0)
+               for j, c in enumerate(x.component(0).coeffs)), Fraction(0))
+    return conjugable_verdict(ell, z)
+
+
+def _assert_matches_reference(datum):
+    ours, expected = classify(datum), reference_classify(datum)
+    assert ours == expected
+    assert ours.to_json_dict() == expected.to_json_dict()
+    return ours
+
+
+REFERENCE_ALGEBRAS = {
+    "conformal30": lambda: build_conformal(3, 0),
+    "conformal41": lambda: build_conformal(4, 1),
+    "conformal60": lambda: build_conformal(6, 0),
+    "cr1": lambda: build_cr(1),
+    "cr2": lambda: build_cr(2),
+    "cr3": lambda: build_cr(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ALGEBRAS))
+def test_classify_matches_fraction_reference(name):
+    """Verdict, witness and certificate equal the Fraction classifier's on
+    seeded corner, planted and kernel pools, and on elements whose
+    coefficients mix denominators up to about 10^12."""
+    algebra = REFERENCE_ALGEBRAS[name]()
+    scale = default_scale(algebra)
+    rng = random.Random(21)
+    mixed = (1, 4, 9, 25, 49, 10**12 + 39)
+    verdicts = set()
+    for _ in range(40):
+        pool = [random_instance(algebra, scale, rng),
+                planted_instance(algebra, scale, rng),
+                kernel_instance(algebra, rng),
+                random_p_element(algebra, rng, denominators=mixed)]
+        pool.append(algebra.exp_ad(
+            random_positive_element(algebra, rng, denominators=mixed),
+            random_element(algebra, rng, grades=(0,), denominators=mixed)))
+        for x in pool:
+            verdicts.add(_assert_matches_reference(HolonomyDatum(algebra, x, scale)).verdict)
+    assert verdicts == set(Verdict)
+
+
+def test_classify_matches_fraction_reference_off_the_default_scale(so41):
+    """With the scale -E/3, lambda' and its kernel change; verdicts and
+    LambdaNonzero values still equal the reference's."""
+    scale = scale_from_element(so41, Fraction(-1, 3) * so41.grading_element)
+    rng = random.Random(8)
+    values = set()
+    for _ in range(60):
+        x = random_instance(so41, scale, rng)
+        result = _assert_matches_reference(HolonomyDatum(so41, x, scale))
+        if result.verdict is Verdict.WEYL_REDUCIBLE:
+            values.add(result.certificate.value)
+    datum = HolonomyDatum(so41, so41.basis_element("D"), scale)
+    assert classify(datum).certificate == LambdaNonzero(Fraction(-2))
+    assert len(values) > 5
+
+
+def test_a_wrong_degree_two_solution_fails_verification(su21, monkeypatch):
+    """The exact check of exp(ad Z)X catches a wrong Z_2: the degree-2
+    solve is patched to return its solution plus one on the first entry."""
+    x0 = su21.element({"E": 1, "J_1": 1})
+    datum = HolonomyDatum(su21, su21.exp_ad(su21.element({"K_1": 1, "S": 1}), x0))
+    assert classify(datum).witness == su21.element({"K_1": -1, "S": -1})
+    solve = linalg.solve_min_norm_scaled
+    calls = []
+
+    def wrong_second_solve(a_rows, b):
+        calls.append(len(b))
+        den, w = solve(a_rows, b)
+        if len(calls) == 2:
+            w = [w[0] + den] + w[1:]
+        return den, w
+
+    monkeypatch.setattr(linalg, "solve_min_norm_scaled", wrong_second_solve)
+    with pytest.raises(AssertionError, match="witness failed exact verification"):
+        classify(datum)
+    assert calls == [len(su21.indices_of_grade(1)), len(su21.indices_of_grade(2))]
 
 
 # -- flows -----------------------------------------------------------------------

@@ -205,12 +205,27 @@ def test_oracle_compare_small_run():
     ("cr", [3], ("--grid-steps", "40"), "--grid-steps"),
     # every lattice point would be Z = 0
     ("cr", [2], ("--grid-radius", "0"), "--grid-radius"),
+    # outside the request grammar of rationals, jsonio.RATIONAL_PATTERN
+    ("cr", [1], ("--grid-radius", " 1e-1 "), "--grid-radius"),
+    ("cr", [1], ("--grid-radius", "0.5"), "--grid-radius"),
+    ("cr", [1], ("--grid-radius", "1_0"), "--grid-radius"),
 ])
 def test_oracle_compare_rejects_bad_flags(family, params, flags, path):
     code, out = run_cli("oracle-compare", {"family": family, "params": params},
                         "--instances", "5", *flags)
     assert code == 1
     assert json.loads(out)["error"]["path"] == path
+
+
+@pytest.mark.parametrize("radius", ["1", "3/2", "-1", "1/3"])
+def test_oracle_compare_prints_the_grid_radius_as_a_string(radius):
+    """The radius is parsed with the request grammar and printed with str(),
+    so "1" stays the string "1" in the report."""
+    code, out = run_cli("oracle-compare", {"family": "cr", "params": [1]},
+                        "--instances", "4", "--grid-radius", radius)
+    assert code == 0
+    assert f'"grid_radius": "{radius}",' in out
+    assert json.loads(out)["all_agree"] is True
 
 
 @pytest.mark.parametrize("family,params,flags,path", [
@@ -372,6 +387,23 @@ def test_verify_identities_imports_numpy_but_neither_scipy_nor_jsonschema():
     )
     assert proc.returncode == 0, proc.stdout
     assert json.loads(proc.stderr) == ["numpy"]
+
+
+_LAZY_PROBE = """
+import json, sys
+import parahol
+loaded = [m for m in ("parahol.flat", "parahol.identities", "parahol.oracle")
+          if m in sys.modules]
+resolved = all(getattr(parahol, name) is not None for name in parahol.__all__)
+sys.stdout.write(json.dumps([loaded, resolved, parahol.brute_force_oracle.__module__]))
+"""
+
+
+def test_package_loads_the_flat_model_identities_and_oracle_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE],
+                          capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True, "parahol.oracle"]
 
 
 def test_package_names_resolve_after_importing_the_cli():
