@@ -20,10 +20,12 @@ integers (`exp_ad_scaled`, `ad_block_scaled`, `killing_covector_scaled`,
 on (den, {index: int}) pairs that `AlgebraElement.scaled` makes and
 `from_scaled` reads back), so that the classifier and the scales can stay
 on integers between them; `exp_ad` and `ad_block` are their Fraction
-views. Validation checks exactly the axioms that depend on the grade
-labels and the choice of algebra (grading additivity, generation of the
-negative part by grade −1, nondegenerate Killing form), so downstream
-code can rely on all of them without tolerances.
+views, and `killing_matrix` is an uncached one of the integer Killing
+rows, the only form of it that the algebra keeps. Validation checks
+exactly the axioms that depend on the grade labels and the choice of
+algebra (grading additivity, generation of the negative part by grade
+−1, nondegenerate Killing form), so downstream code can rely on all of
+them without tolerances.
 
 The grade layout of the basis is known here only: callers reach ad(x) one
 grade block at a time through `ad_block(x, source_grade, target_grade)`,
@@ -210,10 +212,10 @@ class MatrixRealization:
     not all of one size.
 
     All of this runs on scaled integers. The M_k have the Gram matrix
-    Ĝ = D²·G, and one sparse elimination (`linalg.solve_many`) inverts it;
-    on the built-in families Ĝ has one or two nonzero entries per row.
-    With h the lcm of the denominators of Ĝ⁻¹, the dual columns
-    H = h·Ĝ⁻¹ are integers. A matrix C/e with C integer then has the
+    Ĝ = D²·G, and one sparse elimination (`linalg.solve_scaled` against
+    the identity columns) inverts it as Ĝ⁻¹ = H/h, with H integer and h
+    the lcm of the denominators of Ĝ⁻¹; on the built-in families Ĝ has one
+    or two nonzero entries per row. A matrix C/e with C integer then has the
     coordinates D·(H·I)/(h·e), I_l = <M_l, C>, and it is in the span
     exactly when Σ_k (H·I)_k·M_k = h·C.
     """
@@ -241,18 +243,14 @@ class MatrixRealization:
             for k, v in entries:
                 for l, w in entries:
                     gram[k][l] += v * w
-        try:
-            inverse_cols = linalg.solve_many(gram, linalg.identity_vectors(dim))
-        except ValueError:
-            raise StructureError("basis matrices are linearly dependent") from None
-        self._dual_scale = math.lcm(*[g.denominator for col in inverse_cols
-                                      for g in col if g])
+        inverse = linalg.solve_scaled(
+            gram, [[0] * l + [1] + [0] * (dim - 1 - l) for l in range(dim)])
+        if inverse is None:
+            raise StructureError("basis matrices are linearly dependent")
+        self._dual_scale, inverse_cols = inverse
         # column l of H = h·Ĝ⁻¹ as its nonzero (k, int) pairs
-        self._dual = tuple(
-            tuple((k, g.numerator * (self._dual_scale // g.denominator))
-                  for k, g in enumerate(col) if g)
-            for col in inverse_cols
-        )
+        self._dual = tuple(tuple((k, g) for k, g in enumerate(col) if g)
+                           for col in inverse_cols)
 
     def matrix_of(self, element):
         """Exact matrix of an element X/d: Σ_k X_k·M_k over d·D."""
@@ -533,11 +531,12 @@ class GradedLieAlgebra:
                         out[j] += c * cj
         return scale * scale, tuple(tuple(r) for r in b)
 
-    @cached_property
+    @property
     def killing_matrix(self):
         """Gram matrix of the Killing form, B_ij = trace(ad e_i ∘ ad e_j):
         the integer rows of `_killing_rows` divided by S² once per nonzero
-        entry."""
+        entry. A view, made again on each access and not kept: nothing in
+        the algebra reads it."""
         den, rows = self._killing_rows
         return tuple(tuple(Fraction(v, den) if v else ZERO for v in r) for r in rows)
 
@@ -580,20 +579,21 @@ class GradedLieAlgebra:
     def grading_element(self):
         """The element E with [E, x] = i·x on each grade-i basis vector.
 
-        Such an E has ad E = diag(grades), so B(E, e_j) = Σ_l grade(l)·c_{jl}^l,
-        summed over the integer table C/S: one solve in the Killing matrix,
-        whose nondegeneracy (checked here) makes E unique. An exact check of
-        the integer bracket [E, e_i] on every basis vector, with E = X/d over
-        the lcm of its denominators, then decides whether E exists.
+        Such an E has ad E = diag(grades), so B(E, e_j) = Σ_l grade(l)·c_{jl}^l
+        = r_j/S over the integer table C/S: with B = B̂/S² on the integer
+        Killing rows, one integer solve B̂·E = S·r, whose nondegeneracy
+        (checked here) makes E unique. An exact check of the integer bracket
+        [E, e_i] on every basis vector, with E = X/d over the lcm of its
+        denominators, then decides whether E exists.
         """
         self._check_killing_nondegenerate()
         scale, table = self._scaled_table
         rhs = [0] * self.dim
         for j, row in table.items():
-            rhs[j] = sum(self.grade[l] * c for l, entries in row.items()
-                         for m, c in entries if m == l)
-        rhs = [Fraction(v, scale) if v else ZERO for v in rhs]
-        e = AlgebraElement(self, linalg.solve(self.killing_matrix, rhs))
+            rhs[j] = scale * sum(self.grade[l] * c for l, entries in row.items()
+                                 for m, c in entries if m == l)
+        den, (nums,) = linalg.solve_scaled(self._killing_rows[1], [rhs])
+        e = AlgebraElement._from_integers(self, den, nums)
         d, es = e.scaled()
         for i, g in enumerate(self.grade):
             if _scaled_bracket(table, es, {i: 1}) != ({i: g * d * scale} if g else {}):
@@ -671,19 +671,18 @@ class GradedLieAlgebra:
 
     def _check_generated_by_first_negative(self):
         """[g_-1, g_-(d-1)] = g_-d for d = 2..k, which by induction on d
-        says that grade −1 generates the negative part. The blocks ad(e_i)
-        come from the table, sound once grading additivity holds."""
-        gen = [self.basis_element(i) for i in self.indices_of_grade(-1)]
+        says that grade −1 generates the negative part. The integer blocks
+        ad(e_i) come from the table, sound once grading additivity holds."""
         for d in range(2, self.k + 1):
-            columns = [list(col) for e in gen
-                       for col in zip(*self.ad_block(e, 1 - d, -d))]
+            columns = [col for i in self.indices_of_grade(-1)
+                       for col in zip(*self.ad_block_scaled((1, {i: 1}), 1 - d, -d)[1])]
             if linalg.rank(columns) != len(self.indices_of_grade(-d)):
                 raise StructureError("negative part is not generated by grade -1")
 
     @cached_property
     def _killing_rank(self):
         # shared by validate() and grading_element, which both need it
-        return linalg.rank(self.killing_matrix)
+        return linalg.rank(self._killing_rows[1])
 
     def _check_killing_nondegenerate(self):
         if self._killing_rank != self.dim:

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 from .errors import DomainError, ParaholError
 
-RATIONAL_PATTERN = "^-?[0-9]+(/[0-9]+)?$"
+# `$(?!\n)` ends the string in Python's `re.search` as in JSON Schema's
+# ECMA-262 `pattern`; Python's bare `$` also matches before a final newline
+RATIONAL_PATTERN = r"^-?[0-9]+(/[0-9]+)?$(?!\n)"
 
 
 def fraction_to_json(v):

@@ -1,24 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fractions or ints, vectors are lists of
-Fractions or ints, and results are Fractions. Everything here is
-tolerance-free: rank, kernel and solvability answers are decided by exact
-arithmetic, which is what the classifier's rank tests require. Rank,
-kernel and every solve sit on one Gauss–Jordan elimination of sparse rows
-(`_eliminate`): the Gram and Killing matrices that construction reduces
-have one or two nonzero entries per row. The elimination computes on
-scaled integers: each row is put over the lcm of its denominators and
-kept primitive, and Fractions are made once, for the nonzero entries of
-the pivot rows. The minimum-norm solve stays on integers throughout, and
-`solve_min_norm_scaled` hands its answer to the classifier as integers
-over one denominator.
+Matrices are lists of rows of ints or Fractions. Rank, kernel and
+solvability are decided by exact arithmetic, with no tolerance, as the
+classifier's rank tests require. `rank`, `nullspace` (the rref kernel
+basis, as Fractions), `solve_scaled` (a particular solution) and
+`solve_min_norm_scaled` (the minimum-norm solution) all sit on one
+fraction-free Gauss–Jordan elimination of sparse integer rows
+(`_eliminate`). The solves answer as integers over one denominator,
+(den, ints), so that construction, the grading element and the
+classifier stay on integers.
 """
 
 import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _combine(row, pivot, c):
@@ -60,20 +56,6 @@ def _integer_row(entries):
 
 
 def _eliminate(a_rows, b_cols=()):
-    """Reduced row echelon form of [A | B], pivoting in A's columns only.
-
-    Returns (pivots, n, consistent) as `_eliminate_scaled` does, with each
-    pivot row divided by its lead once, as {column: Fraction}: that row of
-    rref(A) (unique, whatever B is).
-    """
-    pivots, n, consistent = _eliminate_scaled(a_rows, b_cols)
-    for c, row in pivots.items():
-        p = row[c]
-        pivots[c] = {j: Fraction(v, p) for j, v in row.items()}
-    return pivots, n, consistent
-
-
-def _eliminate_scaled(a_rows, b_cols=()):
     """Row echelon form of [A | B] on primitive integer rows.
 
     B is given as columns; column t of B is column n + t of the rows, with
@@ -119,121 +101,92 @@ def rank(rows):
     return len(_eliminate(rows)[0])
 
 
-def _particulars(pivots, n, count):
-    """The solution for each of `count` B-columns with every free variable zero."""
-    xs = [[ZERO] * n for _ in range(count)]
-    for c, row in pivots.items():
-        for j, v in row.items():
-            if j >= n:
-                xs[j - n][c] = v
-    return xs
+def _particular(pivots, n, count):
+    """(d, X): the solution of A·X = B with every free variable zero, for
+    the `count` columns of B, as lists of n ints over d, the lcm of the
+    leads of the pivot rows that meet B. Pivot row c gives column t the
+    entry row[n + t]/row[c] at c."""
+    xs, leads = [], []
+    for t in range(n, n + count):
+        x = [0] * n
+        for c, row in pivots.items():
+            if t in row:
+                x[c] = row[t]
+                leads.append(row[c])
+        xs.append(x)
+    d = math.lcm(*leads)
+    for x in xs:
+        for c, row in pivots.items():
+            if x[c]:
+                x[c] *= d // row[c]
+    return d, xs
 
 
 def _kernel(pivots, n):
-    """Kernel basis of A from the pivot rows: one vector per free column."""
-    basis = {fc: [ONE if i == fc else ZERO for i in range(n)]
-             for fc in range(n) if fc not in pivots}
-    for pc, row in pivots.items():
-        for j, v in row.items():
-            if j in basis:
-                basis[j][pc] = -v
-    return list(basis.values())
-
-
-def solve_many(a_rows, b_cols):
-    """Solve A·X = B for all columns of B with a single elimination.
-
-    B is given as a list of columns. Raises ValueError on any inconsistent
-    column; meant for systems known to be solvable (e.g. inverting a
-    nonsingular matrix against the identity columns).
-    """
-    pivots, n, consistent = _eliminate(a_rows, b_cols)
-    if not consistent:
-        raise ValueError("inconsistent linear system")
-    return _particulars(pivots, n, len(b_cols))
-
-
-def solve(a_rows, b):
-    """One exact solution of A·x = b, or None when none exists.
-
-    Free variables are set to zero: this is *a* solution, not the
-    minimum-norm one (see solve_min_norm).
-    """
-    try:
-        return solve_many(a_rows, [b])[0]
-    except ValueError:
-        return None
-
-
-def solve_min_norm(a_rows, b):
-    """Minimum-Euclidean-norm solution of A·x = b, or None when inconsistent.
-
-    The answer is unique, exact over the rationals and deterministic; this
-    is the tie-breaking rule for witness selection. The Fraction view of
-    `solve_min_norm_scaled`.
-    """
-    solution = solve_min_norm_scaled(a_rows, b)
-    if solution is None:
-        return None
-    den, x = solution
-    return [Fraction(v, den) for v in x]
-
-
-def solve_min_norm_scaled(a_rows, b):
-    """solve_min_norm on integers: (den, [X_0, ..., X_{n-1}]) with
-    x = X/den the minimum-norm solution, or None when inconsistent.
-
-    One elimination of [A | b] gives the particular solution x_p = P/D
-    (free variables zero, D the lcm of the pivot leads it uses) and one
-    integer kernel vector per free column, each a positive multiple of the
-    rref kernel vector. The answer is x_p minus its orthogonal projection
-    onto ker A, which no choice of kernel basis N changes:
-    x = (P − N·t)/D where (NᵀN)·t = Nᵀ·P. That system is f×f with
-    f = dim ker A and integer entries; with t = T/Q over the lcm of its
-    pivot leads, x = (Q·P − N·T)/(D·Q).
-    """
-    pivots, n, consistent = _eliminate_scaled(a_rows, [b])
-    if not consistent:
-        return None
-    d = math.lcm(*[row[c] for c, row in pivots.items() if n in row])
-    x = [0] * n
-    for c, row in pivots.items():
-        if n in row:
-            x[c] = row[n] * (d // row[c])
-    # column fc of the kernel: fc -> L and pc -> -row[fc]·L/row[pc] over the
-    # pivot rows that meet fc, L the lcm of their leads
+    """{fc: u}: one integer kernel vector of A per free column fc, as a
+    sparse {column: int} map. u is L times the rref kernel vector (1 on
+    fc, 0 on the other free columns), with L > 0 the lcm of the leads of
+    the pivot rows that meet fc, so u[fc] = L."""
     meets = {fc: [] for fc in range(n) if fc not in pivots}
     for c, row in pivots.items():
         for j in row:
             if j in meets:
                 meets[j].append(c)
-    kernel = []
+    kernel = {}
     for fc, cs in meets.items():
         lcm = math.lcm(*[pivots[c][c] for c in cs])
         u = {c: -pivots[c][fc] * (lcm // pivots[c][c]) for c in cs}
         u[fc] = lcm
-        kernel.append(u)
+        kernel[fc] = u
+    return kernel
+
+
+def nullspace(a_rows):
+    """Basis of the kernel of A: one Fraction vector per free column, 1 on
+    that column and 0 on the other free columns."""
+    pivots, n, _ = _eliminate(a_rows)
+    return [[Fraction(u[j], u[fc]) if j in u else ZERO for j in range(n)]
+            for fc, u in _kernel(pivots, n).items()]
+
+
+def solve_scaled(a_rows, b_cols):
+    """One exact solution of A·X = B for all columns of B with a single
+    elimination, free variables zero: (den, [X_0, X_1, ...]) with column
+    t of the solution X_t/den, each X_t a list of ints; None when some
+    column is inconsistent. B is given as a list of columns.
+    """
+    pivots, n, consistent = _eliminate(a_rows, b_cols)
+    if not consistent:
+        return None
+    return _particular(pivots, n, len(b_cols))
+
+
+def solve_min_norm_scaled(a_rows, b):
+    """The minimum-Euclidean-norm solution of A·x = b as (den, [X_0, ...,
+    X_{n-1}]) with x = X/den, or None when inconsistent.
+
+    The answer is unique, exact over the rationals and deterministic; this
+    is the tie-breaking rule for witness selection. One elimination of
+    [A | b] gives the particular solution x_p = P/D (`_particular`) and one
+    integer kernel vector per free column (`_kernel`). The answer is x_p
+    minus its orthogonal projection onto ker A, which no choice of kernel
+    basis N changes: x = (P − N·t)/D where (NᵀN)·t = Nᵀ·P. That system is
+    f×f with f = dim ker A, integer and nonsingular; with its solution
+    t = T/Q from `solve_scaled`, x = (Q·P − N·T)/(D·Q).
+    """
+    pivots, n, consistent = _eliminate(a_rows, [b])
+    if not consistent:
+        return None
+    d, (x,) = _particular(pivots, n, 1)
+    kernel = list(_kernel(pivots, n).values())
     if not kernel:
         return d, x
     gram = [[sum(c * v.get(j, 0) for j, c in u.items()) for v in kernel] for u in kernel]
     rhs = [sum(c * x[j] for j, c in u.items()) for u in kernel]
-    reduced, _, _ = _eliminate_scaled(gram, [rhs])
-    f = len(kernel)
-    q = math.lcm(*[row[c] for c, row in reduced.items()])
+    q, (t,) = solve_scaled(gram, [rhs])
     x = [q * v for v in x]
-    for c, row in reduced.items():
-        t = row.get(f, 0) * (q // row[c])
-        if t:
-            for j, v in kernel[c].items():
-                x[j] -= t * v
+    for u, tu in zip(kernel, t):
+        if tu:
+            for j, v in u.items():
+                x[j] -= tu * v
     return d * q, x
-
-
-def identity_vectors(n):
-    return [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
-
-
-def nullspace(a_rows):
-    """Basis of the kernel of A (list of vectors)."""
-    pivots, n, _ = _eliminate(a_rows)
-    return _kernel(pivots, n)

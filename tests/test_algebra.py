@@ -25,6 +25,8 @@ from parahol.families import (
     build_cr,
 )
 from parahol.sampling import random_element
+from parahol.scales import default_scale
+from dense_reference import dense_solve
 from test_acceptance import _first_jacobi_failure
 
 
@@ -561,17 +563,20 @@ def _reference_sparse(matrix):
 
 class ReferenceRealization:
     """Coordinates through the Frobenius dual basis, all in Fractions: G⁻¹ of
-    the Gram matrix G_kl = <B_k, B_l> applied to (<B_l, M>)_l, then checked
-    by reconstruction."""
+    the Gram matrix G_kl = <B_k, B_l> (by the dense reference elimination)
+    applied to (<B_l, M>)_l, then checked by reconstruction."""
 
     def __init__(self, matrices):
         self.basis = [_reference_sparse(m) for m in matrices]
         dim = len(self.basis)
         gram = [[sum((v * b.get(pos, 0) for pos, v in a.items()), Fraction(0))
                  for b in self.basis] for a in self.basis]
+        identity = [[Fraction(int(i == j)) for i in range(dim)] for j in range(dim)]
+        inverse = dense_solve(gram, identity)
+        if inverse is None:
+            raise StructureError("basis matrices are linearly dependent")
         # column l of G⁻¹ as its nonzero (k, value) pairs
-        self.dual = [[(k, g) for k, g in enumerate(col) if g != 0]
-                     for col in linalg.solve_many(gram, linalg.identity_vectors(dim))]
+        self.dual = [[(k, g) for k, g in enumerate(col) if g != 0] for col in inverse]
 
     def sparse_coordinates(self, sparse):
         """{k: c_k} over the nonzero coordinates; None outside the span."""
@@ -663,6 +668,21 @@ def test_construction_matches_fraction_reference(maker, params):
     assert algebra._scaled_table[0] == _lcm_of_denominators(table)
     assert algebra.killing_matrix == reference_killing_matrix(table, algebra.dim)
     assert all(type(c) is Fraction for row in algebra.killing_matrix for c in row)
+
+
+@pytest.mark.parametrize("family,params", [("conformal", [3, 0]), ("conformal", [2, 2]),
+                                           ("cr", [2])])
+def test_no_fraction_killing_matrix_is_kept(family, params):
+    """Build, validation, the grading element and the default scale read the
+    integer Killing rows only: no Fraction Killing matrix is left on the
+    algebra, and the view still reads the same values."""
+    algebra = build(family, params)
+    algebra.validate()
+    default_scale(algebra)
+    assert "killing_matrix" not in vars(algebra)
+    den, rows = algebra._killing_rows
+    assert algebra.killing_matrix == tuple(tuple(Fraction(v, den) for v in r) for r in rows)
+    assert "killing_matrix" not in vars(algebra)
 
 
 _MIXED_FACTORS = [Fraction(1, 3), Fraction(2, 7), Fraction(5), Fraction(-3, 4)]

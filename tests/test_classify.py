@@ -31,6 +31,7 @@ from parahol.sampling import (
     random_positive_element,
 )
 from parahol.scales import default_scale, scale_from_element
+from dense_reference import dense_min_norm
 
 
 @pytest.fixture(scope="module")
@@ -310,17 +311,17 @@ def test_depth_one_completeness(so41):
 
 
 def reference_classify(datum):
-    """Grade-by-grade elimination on Fraction elements, the witness checked
-    by conjugating every grade, and lambda' as e_lambda·B·X_0 over the dense
-    Killing matrix; the minimum-norm solve is checked against the Fraction
-    projection in test_linalg."""
+    """Grade-by-grade elimination on Fraction elements with the dense
+    Fraction minimum-norm solve (`dense_min_norm`), the witness checked by
+    conjugating every grade, and lambda' as e_lambda·B·X_0 over the dense
+    Killing matrix."""
     algebra, x = datum.algebra, datum.x
     z = algebra.zero()
     for d in range(1, algebra.k + 1):
         r = algebra.grade_coords(algebra.exp_ad(z, x), d)
         if not any(r):
             continue
-        z_d = linalg.solve_min_norm(algebra.ad_block(x, d, d), r)
+        z_d = dense_min_norm(algebra.ad_block(x, d, d), r)
         if z_d is None:
             return Classification(Verdict.ESSENTIAL, certificate=DegreeUnkillable(d))
         z = z + algebra.from_grade_coords(d, z_d)

@@ -177,6 +177,9 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
     # times over MAX_RK4_STEPS steps (|t| > 10)
     ("verify-identities", {"t": 1e300, "samples": 1}, "$.t"),
     ("verify-identities", {"t": 10.5}, "$.t"),
+    # a rational with a final newline is outside the request grammar
+    ("classify", {"family": "conformal", "params": [3, 0],
+                  "element": {"D": "1\n"}}, "$.element.D"),
 ])
 def test_request_field_errors_carry_a_path(command, payload, path):
     code, out = run_cli(command, payload)
@@ -209,6 +212,7 @@ def test_oracle_compare_small_run():
     ("cr", [1], ("--grid-radius", " 1e-1 "), "--grid-radius"),
     ("cr", [1], ("--grid-radius", "0.5"), "--grid-radius"),
     ("cr", [1], ("--grid-radius", "1_0"), "--grid-radius"),
+    ("cr", [1], ("--grid-radius", "2\n"), "--grid-radius"),
 ])
 def test_oracle_compare_rejects_bad_flags(family, params, flags, path):
     code, out = run_cli("oracle-compare", {"family": family, "params": params},

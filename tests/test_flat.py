@@ -104,9 +104,10 @@ def test_from_parts_rejects_non_skew(so41):
 
 @pytest.mark.parametrize("part", ["a", "s", "linear", "b"])
 # "1.5" to "+3" parse as Fractions, but the request schema's rational
-# pattern refuses them, and so does the library
+# pattern refuses them, and so does the library; both refuse a final
+# newline too, which Python's `$` alone would let through
 @pytest.mark.parametrize("bad", ["1/0", 0.1, True, "x",
-                                 "1.5", "1e3", " 2 ", "1_000", "+3"])
+                                 "1.5", "1e3", " 2 ", "1_000", "+3", "3\n"])
 def test_from_parts_rejects_inexact_values(so41, part, bad):
     parts = {"a": [0, 0, 0], "linear": zero_matrix(3), "s": 0, "b": [0, 0, 0]}
     if part == "s":
