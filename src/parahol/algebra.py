@@ -4,18 +4,18 @@ A GradedLieAlgebra stores a basis, one integer grade per basis vector and
 one sparse table of its structure constants: the nonzero c_ij^l of each
 basis pair as integers C_ij^l over one common scale S, c = C/S. The dense
 rank-3 array is only derived on request. Every algebra comes from a
-matrix realization (`GradedLieAlgebra.from_matrices`): the bracket of each
-basis pair i < j is the sparse commutator of the two basis matrices
-expressed through the Frobenius dual basis, checked by exact
-reconstruction, and the pair (j, i) gets its negation. Those exact
-checks, with the linear independence of the basis matrices, make
-e_i ↦ B_i an injective bracket-preserving map into a matrix algebra, so
-antisymmetry and the Jacobi identity hold by construction. An element
-holds its coefficients the same way, as integer numerators over the lcm
-of their denominators. Construction, `bracket`, `exp_ad`, `ad_block`, the
-Killing form and the grading element compute on that integer table and
-on those numerators, and make an element from the integer result. The
-series, the blocks and the Killing covector are also open on scaled
+matrix realization (`GradedLieAlgebra.from_matrices`) of sparse basis
+matrices {(row, col): int or Fraction}: the bracket of each basis pair
+i < j is the sparse commutator of the two basis matrices expressed through
+the Frobenius dual basis, checked by exact reconstruction, and the pair
+(j, i) gets its negation. Those exact checks, with the linear independence
+of the basis matrices, make e_i ↦ B_i an injective bracket-preserving map
+into a matrix algebra, so antisymmetry and the Jacobi identity hold by
+construction. An element holds its coefficients the same way, as integer
+numerators over the lcm of their denominators. Construction, `bracket`,
+`exp_ad`, `ad_block`, the Killing form and the grading element compute on
+that integer table and on those numerators, and make an element from the
+integer result. The series, the blocks and the Killing covector are also open on scaled
 integers (`exp_ad_scaled`, `ad_block_scaled`, `killing_covector_scaled`,
 on (den, {index: int}) pairs that `AlgebraElement.scaled` makes and
 `from_scaled` reads back), so that the classifier and the scales can stay
@@ -201,15 +201,18 @@ class MatrixRealization:
     """Defining matrix realization: one square matrix B_k per basis vector,
     held as the integer matrix M_k = D·B_k over one common D.
 
-    D is the lcm of the denominators of every basis-matrix entry (1 on the
+    Each B_k comes in as a sparse {(row, col): int or Fraction} map, and
+    all are square of `size`, 1 + the largest index of a nonzero entry. D
+    is the lcm of the denominators of every basis-matrix entry (1 on the
     conformal family, 2 on cr), and each M_k is a sparse {(row, col): int}
     map of its nonzero entries. A matrix is expressed in the basis through
     the Frobenius dual basis: with G_kl = <B_k, B_l> the Gram matrix of the
     entrywise inner product, the coordinates of M are G⁻¹·(<B_l, M>)_l,
     followed by an exact check that they reconstruct M. G is positive
     definite exactly when the basis is linearly independent, so a singular
-    G is rejected on construction, as are matrices that are not square or
-    not all of one size.
+    G is rejected on construction with StructureError, as are an empty
+    basis and a malformed key (`_exact_matrix`); an inexact entry raises
+    DomainError.
 
     All of this runs on scaled integers. The M_k have the Gram matrix
     Ĝ = D²·G, and one sparse elimination (`linalg.solve_scaled` against
@@ -221,13 +224,10 @@ class MatrixRealization:
     """
 
     def __init__(self, basis_matrices):
-        sizes = {len(m) for m in basis_matrices}
-        sizes.update(len(row) for m in basis_matrices for row in m)
-        if len(sizes) != 1:
-            raise StructureError(
-                "a basis of square matrices of one size is required")
-        (self.size,) = sizes
-        sparse = [_sparse(m) for m in basis_matrices]
+        if not basis_matrices:
+            raise StructureError("a basis of at least one matrix is required")
+        sparse = [_exact_matrix(m) for m in basis_matrices]
+        self.size = 1 + max((i for m in sparse for pos in m for i in pos), default=0)
         self._scale = math.lcm(*[v.denominator for m in sparse for v in m.values()])
         self._integer_matrices = tuple(_integer_matrix(m, self._scale) for m in sparse)
         self._rows = tuple(_by_row(m) for m in self._integer_matrices)
@@ -253,7 +253,7 @@ class MatrixRealization:
                            for col in inverse_cols)
 
     def matrix_of(self, element):
-        """Exact matrix of an element X/d: Σ_k X_k·M_k over d·D."""
+        """Exact dense matrix of an element X/d: Σ_k X_k·M_k over d·D."""
         n = self.size
         d, xs = element.scaled()
         out = [[0] * n for _ in range(n)]
@@ -264,17 +264,16 @@ class MatrixRealization:
         return [[Fraction(v, den) if v else ZERO for v in row] for row in out]
 
     def coordinates(self, matrix):
-        """Express an exact matrix in the basis; None when outside the span."""
-        sparse = _sparse(matrix)
+        """Express a sparse matrix, read like a basis matrix, in the basis;
+        None when outside the span."""
+        sparse = _exact_matrix(matrix)
         e = math.lcm(*[v.denominator for v in sparse.values()])
         coords = self._scaled_coordinates(_integer_matrix(sparse, e))
         if coords is None:
             return None
-        out = [ZERO] * len(self._integer_matrices)
         den = self._dual_scale * e
-        for k, c in coords.items():
-            out[k] = Fraction(self._scale * c, den)
-        return out
+        return [Fraction(self._scale * coords.get(k, 0), den)
+                for k in range(len(self._integer_matrices))]
 
     def _scaled_coordinates(self, matrix):
         """{k: (H·I)_k} over the nonzero entries, for an integer sparse
@@ -327,18 +326,19 @@ class GradedLieAlgebra:
     def from_matrices(cls, basis_names, grades, matrices, k, family, params):
         """Build structure constants from a faithful matrix realization.
 
-        One basis name, one grade and one square matrix of a common size
-        per basis vector. Each commutator [B_i, B_j] with i < j is formed
+        One basis name, one grade and one sparse basis matrix
+        {(row, col): int or Fraction} per basis vector (see
+        MatrixRealization). Each commutator [B_i, B_j] with i < j is formed
         sparsely and expressed in the basis through the Frobenius dual
-        basis (see MatrixRealization); an exact reconstruction check
-        rejects a bracket outside the span, and a linearly dependent basis
-        is rejected too. Both raise StructureError. [B_j, B_i] = -[B_i, B_j]
-        and [B_i, B_i] = 0 hold exactly for matrices, so they are not
-        formed. Once both checks pass, e_i ↦ B_i is an injective linear map
-        that carries the table's bracket to the matrix commutator, so the
-        table is antisymmetric and satisfies Jacobi. A semisimple algebra
-        known by its structure constants comes in through its adjoint
-        matrices, a faithful realization since its center is trivial.
+        basis; an exact reconstruction check rejects a bracket outside the
+        span, and a linearly dependent basis is rejected too. Both raise
+        StructureError. [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 hold
+        exactly for matrices, so they are not formed. Once both checks
+        pass, e_i ↦ B_i is an injective linear map that carries the table's
+        bracket to the matrix commutator, so the table is antisymmetric and
+        satisfies Jacobi. A semisimple algebra known by its structure
+        constants comes in through its adjoint matrices, a faithful
+        realization since its center is trivial.
         """
         if not len(basis_names) == len(grades) == len(matrices):
             raise StructureError(
@@ -718,11 +718,20 @@ def _scaled_bracket(table, z, y):
     return {l: v for l, v in out.items() if v}
 
 
-def _sparse(matrix):
-    """{(row, col): Fraction} map of the nonzero entries of a dense matrix."""
-    return {(i, j): Fraction(v)
-            for i, row in enumerate(matrix)
-            for j, v in enumerate(row) if v}
+def _exact_matrix(matrix):
+    """{(row, col): Fraction} over the nonzero entries of a sparse matrix,
+    each read by `_as_scalar`; a key that is not a (row, col) pair of
+    nonnegative ints raises StructureError."""
+    out = {}
+    for pos, v in matrix.items():
+        if not (isinstance(pos, tuple) and len(pos) == 2
+                and all(type(i) is int and i >= 0 for i in pos)):
+            raise StructureError("a matrix entry key must be a (row, col) pair "
+                                 f"of nonnegative ints, got {pos!r}")
+        v = _as_scalar(v)
+        if v:
+            out[pos] = v
+    return out
 
 
 def _integer_matrix(sparse, scale):

@@ -1,7 +1,9 @@
 """Constructors for the built-in graded algebra families.
 
-Both families are built from explicit block matrix realizations with
-integer entries, so the derived structure constants are exact:
+Both families are built from explicit block matrix realizations, each
+basis matrix a sparse {(row, col): value} map of its nonzero entries: ints
+on the conformal family, ints and the ±1/2 of J_a on cr. The derived
+structure constants are exact:
 
 * build_conformal(p, q): so(p+1, q+1) with its |1|-grading, preserving a
   split quadratic form whose first and last coordinates are a hyperbolic
@@ -19,8 +21,6 @@ from fractions import Fraction
 from .algebra import GradedLieAlgebra
 from .errors import StructureError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 # Largest algebra dimension `build` constructs. On a shared 2-core host,
@@ -42,44 +42,17 @@ def build_conformal(p, q):
     if n < 2 or p < 0 or q < 0:
         raise ValueError("build_conformal requires p, q >= 0 with p + q >= 2")
     size = n + 2
-    j_diag = [ONE] * p + [-ONE] * q
+    j = [1] * p + [-1] * q  # the form's diagonal between the hyperbolic pair
 
-    def blank():
-        return [[ZERO] * size for _ in range(size)]
-
-    names, grades, mats = [], [], []
-
-    for a in range(n):
-        m = blank()
-        m[1 + a][0] = ONE
-        m[size - 1][1 + a] = -j_diag[a]
-        names.append(f"P_{a + 1}")
-        grades.append(-1)
-        mats.append(m)
-
-    m = blank()
-    m[0][0] = ONE
-    m[size - 1][size - 1] = -ONE
-    names.append("D")
-    grades.append(0)
-    mats.append(m)
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = blank()
-            m[1 + a][1 + b] = j_diag[b]
-            m[1 + b][1 + a] = -j_diag[a]
-            names.append(f"M_{a + 1}{b + 1}")
-            grades.append(0)
-            mats.append(m)
-
-    for a in range(n):
-        m = blank()
-        m[1 + a][size - 1] = ONE
-        m[0][1 + a] = -j_diag[a]
-        names.append(f"K_{a + 1}")
-        grades.append(1)
-        mats.append(m)
+    # one (name, grade, basis matrix) triple per basis vector
+    basis = [(f"P_{a + 1}", -1, {(1 + a, 0): 1, (size - 1, 1 + a): -j[a]})
+             for a in range(n)]
+    basis.append(("D", 0, {(0, 0): 1, (size - 1, size - 1): -1}))
+    basis += [(f"M_{a + 1}{b + 1}", 0, {(1 + a, 1 + b): j[b], (1 + b, 1 + a): -j[a]})
+              for a in range(n) for b in range(a + 1, n)]
+    basis += [(f"K_{a + 1}", 1, {(1 + a, size - 1): 1, (0, 1 + a): -j[a]})
+              for a in range(n)]
+    names, grades, mats = zip(*basis)
 
     algebra = GradedLieAlgebra.from_matrices(
         names, grades, mats, k=1, family="conformal", params=(p, q)
@@ -101,69 +74,34 @@ def build_cr(n):
         raise ValueError("build_cr requires n >= 1")
     m = n + 2
 
-    # complex entries are (row, col, re, im) quadruples
-    names, grades, entry_lists = [], [], []
-
-    names.append("T")
-    grades.append(-2)
-    entry_lists.append([(m - 1, 0, ZERO, ONE)])
-
+    # one (name, grade, complex entries) triple per basis vector, the
+    # entries as (row, col, re, im) quadruples
+    basis = [("T", -2, [(m - 1, 0, 0, 1)])]
     for a in range(1, n + 1):
         # v = e_a and v = i e_a; the (3,2) block carries -conj(v)
-        entry_lists.append([(a, 0, ONE, ZERO), (m - 1, a, -ONE, ZERO)])
-        names.append(f"P_{2 * a - 1}")
-        grades.append(-1)
-        entry_lists.append([(a, 0, ZERO, ONE), (m - 1, a, ZERO, ONE)])
-        names.append(f"P_{2 * a}")
-        grades.append(-1)
-
-    names.append("E")
-    grades.append(0)
-    entry_lists.append([(0, 0, ONE, ZERO), (m - 1, m - 1, -ONE, ZERO)])
-
-    for a in range(1, n + 1):
-        # A = i E_aa with the trace-compensating scalar block -i/2
-        entry_lists.append([
-            (0, 0, ZERO, -HALF),
-            (a, a, ZERO, ONE),
-            (m - 1, m - 1, ZERO, -HALF),
-        ])
-        names.append(f"J_{a}")
-        grades.append(0)
-
+        basis.append((f"P_{2 * a - 1}", -1, [(a, 0, 1, 0), (m - 1, a, -1, 0)]))
+        basis.append((f"P_{2 * a}", -1, [(a, 0, 0, 1), (m - 1, a, 0, 1)]))
+    basis.append(("E", 0, [(0, 0, 1, 0), (m - 1, m - 1, -1, 0)]))
+    # J_a = i E_aa with the trace-compensating scalar block -i/2
+    basis += [(f"J_{a}", 0, [(0, 0, 0, -HALF), (a, a, 0, 1), (m - 1, m - 1, 0, -HALF)])
+              for a in range(1, n + 1)]
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            entry_lists.append([(a, b, ONE, ZERO), (b, a, -ONE, ZERO)])
-            names.append(f"U_{a}{b}")
-            grades.append(0)
-            entry_lists.append([(a, b, ZERO, ONE), (b, a, ZERO, ONE)])
-            names.append(f"V_{a}{b}")
-            grades.append(0)
-
+            basis.append((f"U_{a}{b}", 0, [(a, b, 1, 0), (b, a, -1, 0)]))
+            basis.append((f"V_{a}{b}", 0, [(a, b, 0, 1), (b, a, 0, 1)]))
     for a in range(1, n + 1):
-        entry_lists.append([(a, m - 1, ONE, ZERO), (0, a, -ONE, ZERO)])
-        names.append(f"K_{2 * a - 1}")
-        grades.append(1)
-        entry_lists.append([(a, m - 1, ZERO, ONE), (0, a, ZERO, ONE)])
-        names.append(f"K_{2 * a}")
-        grades.append(1)
-
-    names.append("S")
-    grades.append(2)
-    entry_lists.append([(0, m - 1, ZERO, ONE)])
+        basis.append((f"K_{2 * a - 1}", 1, [(a, m - 1, 1, 0), (0, a, -1, 0)]))
+        basis.append((f"K_{2 * a}", 1, [(a, m - 1, 0, 1), (0, a, 0, 1)]))
+    basis.append(("S", 2, [(0, m - 1, 0, 1)]))
+    names, grades, entry_lists = zip(*basis)
 
     # the Hermitian form: a hyperbolic pair in the first and last
     # coordinates, the identity between them
-    form = _form_index(_realify(m, [(0, m - 1, ONE, ZERO), (m - 1, 0, ONE, ZERO)]
-                                + [(a, a, ONE, ZERO) for a in range(1, n + 1)]))
-    mats = []
-    for name, entries in zip(names, entry_lists):
-        mat = _realify(m, entries)
+    form = _form_index(_realify(m, [(0, m - 1, 1, 0), (m - 1, 0, 1, 0)]
+                                + [(a, a, 1, 0) for a in range(1, n + 1)]))
+    mats = [_realify(m, entries) for entries in entry_lists]
+    for name, mat in zip(names, mats):
         _check_su_conditions(mat, form, m, name)
-        dense = [[ZERO] * (2 * m) for _ in range(2 * m)]
-        for (i, j), v in mat.items():
-            dense[i][j] = v
-        mats.append(dense)
 
     algebra = GradedLieAlgebra.from_matrices(
         names, grades, mats, k=2, family="cr", params=(n,)
@@ -181,7 +119,7 @@ def _realify(m, entries):
     for i, j, re, im in entries:
         for pos, v in (((i, j), re), ((i, j + m), -im),
                        ((i + m, j), im), ((i + m, j + m), re)):
-            mat[pos] = mat.get(pos, ZERO) + v
+            mat[pos] = mat.get(pos, 0) + v
     return {pos: v for pos, v in mat.items() if v != 0}
 
 
@@ -207,15 +145,15 @@ def _check_su_conditions(mat, form, m, name):
     for (t, i), v in mat.items():
         # matᵀ·form: mat[t][i]·form[t][j] lands at (i, j)
         for j, f in form_rows.get(t, ()):
-            total[(i, j)] = total.get((i, j), ZERO) + v * f
+            total[(i, j)] = total.get((i, j), 0) + v * f
     for (t, j), v in mat.items():
         # form·mat: form[i][t]·mat[t][j] lands at (i, j)
         for i, f in form_cols.get(t, ()):
-            total[(i, j)] = total.get((i, j), ZERO) + f * v
+            total[(i, j)] = total.get((i, j), 0) + f * v
     if any(v != 0 for v in total.values()):
         raise StructureError(f"{name} violates the Hermitian form condition")
-    re_tr = sum((mat.get((i, i), ZERO) for i in range(m)), ZERO)
-    im_tr = sum((mat.get((i + m, i), ZERO) for i in range(m)), ZERO)
+    re_tr = sum(mat.get((i, i), 0) for i in range(m))
+    im_tr = sum(mat.get((i + m, i), 0) for i in range(m))
     if re_tr != 0 or im_tr != 0:
         raise StructureError(f"{name} is not traceless")
 

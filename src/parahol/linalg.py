@@ -48,9 +48,12 @@ def _make_primitive(row, lead):
 
 def _integer_row(entries):
     """{column: int} row of exact entries, scaled by the lcm of their
-    denominators; the scale changes no row echelon form. The lcm takes a
-    list: *-unpacking a generator sizes its tuple by a guess and resizes
-    it, which leaves tuples of other sizes in the interpreter's free lists."""
+    denominators; the scale changes no row echelon form. A row of ints is
+    returned as it is, with no lcm taken. The lcm takes a list:
+    *-unpacking a generator sizes its tuple by a guess and resizes it,
+    which leaves tuples of other sizes in the interpreter's free lists."""
+    if all(type(v) is int for v in entries.values()):
+        return entries
     d = math.lcm(*[v.denominator for v in entries.values()])
     return {j: v.numerator * (d // v.denominator) for j, v in entries.items()}
 

@@ -4,10 +4,17 @@ Plain reduced row echelon form on lists of Fractions, sharing no code with
 `parahol.linalg`: particular solutions, kernel bases and the minimum-norm
 solution. test_linalg compares the integer solver with it, and the
 algebra and classifier references solve through it, so that no reference
-shares a solver with the code it checks.
+shares a solver with the code it checks. `sparse_matrix` turns a dense
+matrix into the {(row, col): value} map that the realization takes.
 """
 
 from fractions import Fraction
+
+
+def sparse_matrix(matrix):
+    """{(row, col): value} over the nonzero entries of a dense matrix."""
+    return {(i, j): v for i, row in enumerate(matrix)
+            for j, v in enumerate(row) if v}
 
 
 def dot(u, v):

@@ -26,7 +26,7 @@ from parahol.families import (
 )
 from parahol.sampling import random_element
 from parahol.scales import default_scale
-from dense_reference import dense_solve
+from dense_reference import dense_solve, sparse_matrix
 from test_acceptance import _first_jacobi_failure
 
 
@@ -130,7 +130,7 @@ def test_bracket_pk_matches_matrix_realization(so41):
             comm = [[sum(mx[i][t] * my[t][j] - my[i][t] * mx[t][j]
                          for t in range(real.size))
                      for j in range(real.size)] for i in range(real.size)]
-            coords = real.coordinates(comm)
+            coords = real.coordinates(sparse_matrix(comm))
             assert coords is not None
             assert so41.bracket(x, y).coeffs == tuple(coords)
 
@@ -507,8 +507,8 @@ def _mixed_conformal21():
     neither 1 nor 2."""
     base = build_conformal(2, 1)
     return GradedLieAlgebra.from_matrices(
-        base.basis_names, base.grade, _mixed_matrices(base), base.k,
-        base.family, base.params)
+        base.basis_names, base.grade, [sparse_matrix(m) for m in _mixed_matrices(base)],
+        base.k, base.family, base.params)
 
 
 @pytest.mark.parametrize("maker", [
@@ -700,7 +700,8 @@ def test_mixed_denominators_match_fraction_reference():
     base = build_conformal(2, 1)
     matrices = _mixed_matrices(base)
     algebra = GradedLieAlgebra.from_matrices(
-        base.basis_names, base.grade, matrices, base.k, base.family, base.params)
+        base.basis_names, base.grade, [sparse_matrix(m) for m in matrices], base.k,
+        base.family, base.params)
     real = algebra.realization
     assert real._scale == 84 and real._dual_scale != 1
     table = reference_from_matrices(matrices)
@@ -712,7 +713,7 @@ def test_mixed_denominators_match_fraction_reference():
 
 def test_coordinates_match_fraction_reference_on_mixed_denominators():
     matrices = _mixed_matrices(build_conformal(2, 1))
-    real = MatrixRealization(matrices)
+    real = MatrixRealization([sparse_matrix(m) for m in matrices])
     reference = ReferenceRealization(matrices)
     size, dim = real.size, len(matrices)
     rng = random.Random(89)
@@ -720,13 +721,13 @@ def test_coordinates_match_fraction_reference_on_mixed_denominators():
         coeffs = [_wide_rational(rng) for _ in range(dim)]
         m = [[sum((c * b[i][j] for c, b in zip(coeffs, matrices)), Fraction(0))
               for j in range(size)] for i in range(size)]
-        assert real.coordinates(m) == reference.coordinates(m) == coeffs
+        assert real.coordinates(sparse_matrix(m)) == reference.coordinates(m) == coeffs
         # one more entry off the span: no basis matrix has a (1, 1) entry
         m[1][1] += Fraction(rng.choice([1, 2, 3]), rng.choice([1, 5, 7]))
-        assert real.coordinates(m) is None
+        assert real.coordinates(sparse_matrix(m)) is None
         assert reference.coordinates(m) is None
     zero = [[0] * size for _ in range(size)]
-    assert real.coordinates(zero) == reference.coordinates(zero) == [0] * dim
+    assert real.coordinates(sparse_matrix(zero)) == reference.coordinates(zero) == [0] * dim
 
 
 def test_exp_ad_rejects_an_argument_from_another_algebra(so41):
@@ -772,8 +773,7 @@ def test_from_matrices_rejects_brackets_leaving_the_span():
     # [E_12, E_21] = H is not in span{E_12, E_21}
     with pytest.raises(StructureError):
         GradedLieAlgebra.from_matrices(
-            ["X", "Y"], [1, -1], [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], 1,
-            "gl", (2,),
+            ["X", "Y"], [1, -1], [{(0, 1): 1}, {(1, 0): 1}], 1, "gl", (2,),
         )
 
 
@@ -813,26 +813,45 @@ def test_from_matrices_rejects_a_linearly_dependent_basis():
     # a basis
     with pytest.raises(StructureError):
         GradedLieAlgebra.from_matrices(
-            ["X", "Y"], [1, 1], [[[0, 1], [0, 0]], [[0, 2], [0, 0]]], 1,
-            "gl", (2,),
+            ["X", "Y"], [1, 1], [{(0, 1): 1}, {(0, 1): 2}], 1, "gl", (2,),
         )
 
 
-_X, _Y, _H = [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]
+_X, _Y, _H = {(0, 1): 1}, {(1, 0): 1}, {(0, 0): 1, (1, 1): -1}
 
 
 @pytest.mark.parametrize("names,grades,matrices", [
     pytest.param(["X", "H", "Z"], [1, 0, 0], [_X, _H], id="fewer_matrices"),
     pytest.param(["X"], [1], [_X, _Y, _H], id="more_matrices"),
     pytest.param(["X", "Y"], [1, -1, 0], [_X, _Y], id="more_grades"),
-    pytest.param(["X"], [1], [[[0, 1, 0], [0, 0, 0]]], id="not_square"),
-    pytest.param(["X", "Y"], [1, -1], [_X, [[0, 0, 0], [1, 0, 0], [0, 0, 0]]],
-                 id="two_sizes"),
+    pytest.param(["X", "Y"], [1, -1], [_X, {(-1, 0): 1}], id="negative_index"),
+    pytest.param(["X", "Y"], [1, -1], [_X, {1: 1}], id="key_not_a_pair"),
     pytest.param([], [], [], id="empty"),
 ])
 def test_from_matrices_rejects_malformed_input(names, grades, matrices):
     with pytest.raises(StructureError):
         GradedLieAlgebra.from_matrices(names, grades, matrices, 1, "gl", (2,))
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(0.5, id="half_float"),
+    pytest.param(0.1, id="binary_fraction"),
+    pytest.param(True, id="bool"),
+    pytest.param(2.0, id="integral_float"),
+])
+def test_matrix_entries_must_be_exact(value):
+    """A basis or coordinates entry that is not an int or a Fraction raises
+    DomainError, as an element coefficient does, rather than being read as
+    the binary fraction it stands for."""
+    with pytest.raises(DomainError):
+        GradedLieAlgebra.from_matrices(
+            ["X", "Y", "H"], [1, -1, 0], [{(0, 1): value}, _Y, _H], 1, "sl", (2,))
+    real = GradedLieAlgebra.from_matrices(
+        ["X", "Y", "H"], [1, -1, 0], [{(0, 1): Fraction(1, 2)}, _Y, _H], 1, "sl",
+        (2,)).realization
+    assert real.coordinates({(0, 1): 1, (1, 0): Fraction(1, 3)}) == [2, Fraction(1, 3), 0]
+    with pytest.raises(DomainError):
+        real.coordinates({(0, 1): value})
 
 
 def _matrices(algebra):
@@ -844,21 +863,18 @@ def _matrices(algebra):
 def _relabelled(algebra, grades):
     """The algebra rebuilt from its own matrices under other grade labels."""
     return GradedLieAlgebra.from_matrices(
-        algebra.basis_names, grades, _matrices(algebra), algebra.k,
-        algebra.family, algebra.params)
+        algebra.basis_names, grades, [sparse_matrix(m) for m in _matrices(algebra)],
+        algebra.k, algebra.family, algebra.params)
 
 
 def _with_central_vector(algebra, grade, k=None):
     """The algebra plus a central vector C of the given grade: each basis
     matrix gets a zero 1x1 block, and C is the unit 1x1 block."""
     size = algebra.realization.size
-    matrices = [[row + [0] for row in m] + [[0] * (size + 1)]
-                for m in _matrices(algebra)]
-    central = [[0] * (size + 1) for _ in range(size + 1)]
-    central[size][size] = 1
+    matrices = [sparse_matrix(m) for m in _matrices(algebra)] + [{(size, size): 1}]
     return GradedLieAlgebra.from_matrices(
-        algebra.basis_names + ("C",), algebra.grade + (grade,),
-        matrices + [central], k or algebra.k, algebra.family, algebra.params)
+        algebra.basis_names + ("C",), algebra.grade + (grade,), matrices,
+        k or algebra.k, algebra.family, algebra.params)
 
 
 def _dense(algebra):
@@ -871,8 +887,8 @@ def _from_adjoint(algebra, structure):
     adjoint = [[[structure[i][j][l] for j in range(dim)] for l in range(dim)]
                for i in range(dim)]
     return GradedLieAlgebra.from_matrices(
-        algebra.basis_names, algebra.grade, adjoint, algebra.k,
-        algebra.family, algebra.params)
+        algebra.basis_names, algebra.grade, [sparse_matrix(m) for m in adjoint],
+        algebra.k, algebra.family, algebra.params)
 
 
 def test_from_matrices_rejects_a_jacobi_violation():

@@ -31,7 +31,7 @@ from parahol.sampling import (
     random_positive_element,
 )
 from parahol.scales import default_scale, scale_from_element
-from dense_reference import dense_min_norm
+from dense_reference import dense_min_norm, sparse_matrix
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +278,7 @@ def test_verdict_invariant_under_grade_preserving_rotations(so41):
     def conjugate_element(g, x):
         gm = _dense_matmul(g, real.matrix_of(x))
         g_inv = [list(col) for col in zip(*g)]  # orthogonal for the Euclidean block
-        coords = real.coordinates(_dense_matmul(gm, g_inv))
+        coords = real.coordinates(sparse_matrix(_dense_matmul(gm, g_inv)))
         assert coords is not None
         return so41.element_from_coeffs(coords)
 

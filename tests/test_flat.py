@@ -1,6 +1,7 @@
 """Flat conformal model: field formula, transport, holonomy, numeric identities."""
 
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -109,14 +110,19 @@ def test_from_parts_rejects_non_skew(so41):
 @pytest.mark.parametrize("bad", ["1/0", 0.1, True, "x",
                                  "1.5", "1e3", " 2 ", "1_000", "+3", "3\n"])
 def test_from_parts_rejects_inexact_values(so41, part, bad):
+    # the parser's locus in the message: a bad value on the diagonal of
+    # `linear` would also fail the skew check, with another message
     parts = {"a": [0, 0, 0], "linear": zero_matrix(3), "s": 0, "b": [0, 0, 0]}
     if part == "s":
         parts["s"] = bad
+        locus = "s:"
     elif part == "linear":
         parts["linear"][1][1] = bad
+        locus = "linear[1][1]:"
     else:
         parts[part][2] = bad
-    with pytest.raises(DomainError):
+        locus = f"{part}[2]:"
+    with pytest.raises(DomainError, match="^" + re.escape(locus)):
         FlatConformalField.from_parts(3, 0, parts["a"], parts["linear"],
                                       parts["s"], parts["b"], algebra=so41)
 
