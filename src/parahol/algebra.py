@@ -49,11 +49,9 @@ ZERO = Fraction(0)
 
 
 def _as_scalar(v):
-    """A coefficient as a Fraction; only ints (not bools) and Fractions pass."""
-    if isinstance(v, Fraction):
+    """A coefficient, unchanged; only ints (not bools) and Fractions pass."""
+    if isinstance(v, Fraction) or (isinstance(v, int) and not isinstance(v, bool)):
         return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
     raise DomainError(
         f"coefficients must be exact rationals, got {type(v).__name__}")
 
@@ -719,7 +717,7 @@ def _scaled_bracket(table, z, y):
 
 
 def _exact_matrix(matrix):
-    """{(row, col): Fraction} over the nonzero entries of a sparse matrix,
+    """{(row, col): int | Fraction} over the nonzero entries of a sparse matrix,
     each read by `_as_scalar`; a key that is not a (row, col) pair of
     nonnegative ints raises StructureError."""
     out = {}

@@ -17,26 +17,28 @@ basis element, which by linearity covers every field.
 This module also carries the identity checks: the exact ones, vanishing of
 the adjoint-tractor derivative of the field's tractor and the structure
 equation on constant frame fields (zero by construction), and the float
-ones, flow equivariance in exponential coordinates and commutation of the
-flow with the exponential-coordinate Weyl section in the witness gauge.
+ones, flow equivariance in exponential coordinates
+(`equivariance_residuals` also returns each sample's datum) and commutation
+of the holonomy flow with the exponential-coordinate Weyl section in the
+witness gauge (`weyl_section_check`, which reads the holonomy datum alone).
 No module but this one and the identity suite built on it computes in
 floats. Every flat-model group element exp(m) of a grade -1 or grade 1
-element (a translation, the witness factor exp(±Z), a Weyl-section
-sample) is the float closed form I + m + m²/2 (`_exp_grade_one`): the
-realization on R^{n+2} has three grade levels, so m³ = 0. Every flow is
-classical fixed-step RK4; a linear flow (`holonomy_flow`, the bundle flow)
-is a power of the one-step matrix. The chart flows of many fields run as
-one stacked RK4 (`_integrate_chart_flow` on `_field_values`, the one float
-copy of the field formula), so the identity suite integrates all its
-equivariance samples together. The float code imports numpy when called,
-so the exact paths (construction, `evaluate`, `holonomy_at`,
-`classify_at`, `tractor_derivative`) run on the standard library alone.
+element (a translation, the witness factor exp(±Z), a Weyl-section sample)
+is the float closed form I + m + m²/2 (`_exp_grade_one`): the realization
+on R^{n+2} has three grade levels, so m³ = 0. Every flow is classical
+fixed-step RK4; a linear flow (`holonomy_flow`, the bundle flow) is a power
+of the one-step matrix. The chart flows of many fields run as one stacked
+RK4 (`_integrate_chart_flow` on `_field_values`, the one float copy of the
+field formula), so the identity suite integrates all its equivariance
+samples together. The float code imports numpy when called, so the exact
+paths (construction, `evaluate`, `holonomy_at`, `classify_at`,
+`tractor_derivative`) run on the standard library alone.
 """
 
 import math
 from fractions import Fraction
 
-from .classify import HolonomyDatum, Record, classify
+from .classify import Classification, HolonomyDatum, Record, Verdict, classify
 from .constants import (
     CHART_HOMOGENEOUS_TOL,
     CHART_NORM_LIMIT,
@@ -62,19 +64,6 @@ from .jsonio import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _exact_parts(values, name):
-    """Field data and points taken strictly: ints, Fractions and 'p/q' strings.
-
-    Floats, booleans and malformed strings raise DomainError, so nothing is
-    decided on a binary approximation of the value that was meant.
-    """
-    return [_exact_part(v, f"{name}[{i}]") for i, v in enumerate(values)]
-
-
-def _exact_part(value, name):
-    return value if isinstance(value, Fraction) else fraction_from_json(value, name)
 
 
 class FlatConformalField:
@@ -105,10 +94,10 @@ class FlatConformalField:
         (a float, a boolean, a malformed or zero-denominator string) raises
         DomainError."""
         n = p + q
-        a = _exact_parts(a, "a")
-        b = _exact_parts(b, "b")
-        s = _exact_part(s, "s")
-        rows = [_exact_parts(row, f"linear[{i}]") for i, row in enumerate(linear)]
+        a = vector_from_json(a, "a")
+        b = vector_from_json(b, "b")
+        s = fraction_from_json(s, "s")
+        rows = [vector_from_json(row, f"linear[{i}]") for i, row in enumerate(linear)]
         if len(a) != n or len(b) != n or len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError("field part dimensions do not match the signature")
         if algebra is None:
@@ -155,7 +144,6 @@ class FlatConformalField:
                 vector_from_json(doc["b"], "field.b"), algebra=algebra)
 
     def _split_parts(self):
-        alg = self.algebra
         n = self.n
         xi = self.xi
         self.a = tuple(xi.coeff(f"P_{i + 1}") for i in range(n))
@@ -175,7 +163,7 @@ class FlatConformalField:
 
     def evaluate(self, point):
         """Value of the polynomial vector field; exact Fractions."""
-        x = _exact_parts(point, "point")
+        x = vector_from_json(point, "point")
         if len(x) != self.n:
             raise DomainError(f"point must have dimension {self.n}")
         xx = sum((self.metric[i] * x[i] * x[i] for i in range(self.n)), ZERO)
@@ -218,7 +206,7 @@ class FlatConformalField:
 
 def translation_element(algebra, point):
     """The grade -1 element whose chart flow is translation by `point`."""
-    coords = _exact_parts(point, "point")
+    coords = vector_from_json(point, "point")
     named = {f"P_{i + 1}": c for i, c in enumerate(coords) if c != 0}
     return algebra.element(named)
 
@@ -274,13 +262,11 @@ class FlatClassification(Record):
     def to_json_dict(self):
         body = {"verdict": self.verdict, "singular": self.singular,
                 "locally_inessential": self.locally_inessential}
-        if self.classification is not None:
-            inner = self.classification.to_json_dict()
-            inner.pop("verdict")
-            body.update(inner)
-        else:
-            body.update({"weyl_reducible": False, "witness": None,
-                         "certificate": None, "exact": True, "residual": None})
+        # a non-singular point reports the constant fields of Inessential
+        inner = (Classification(Verdict.INESSENTIAL) if self.classification is None
+                 else self.classification).to_json_dict()
+        inner.pop("verdict")
+        body.update(inner)
         return body
 
 
@@ -308,7 +294,7 @@ def adjoint_connection(fn, direction, base_point):
     if direction.grades() not in ([], [-1]):
         raise DomainError("direction must have pure grade -1")
     y = algebra.grade_coords(direction, -1)
-    x0 = _exact_parts(base_point, "point")
+    x0 = vector_from_json(base_point, "point")
     h = FD_STEP
     plus = fn([xi + h * yi for xi, yi in zip(x0, y)])
     minus = fn([xi - h * yi for xi, yi in zip(x0, y)])
@@ -442,13 +428,14 @@ def _linear_flow(rho, t):
 
 def holonomy_flow(datum, t):
     """exp(t·x) in the algebra's matrix realization, by `_linear_flow`."""
-    matrix = datum.algebra.realization.matrix_of(datum.x)
-    return _linear_flow(_float_matrix(matrix), t)
+    return _linear_flow(_rho(datum.x), t)
 
 
-def _float_matrix(rows):
+def _rho(element):
+    """The element's matrix in its algebra's realization, in floats."""
     import numpy as np
 
+    rows = element.algebra.realization.matrix_of(element)
     return np.array([[float(v) for v in row] for row in rows], dtype=float)
 
 
@@ -494,7 +481,7 @@ def equivariance_check(field, base_point, direction, t):
 
     A batch of one of `equivariance_residuals`.
     """
-    (result,) = equivariance_residuals([(field, direction)], base_point, t)
+    (result,), _ = equivariance_residuals([(field, direction)], base_point, t)
     if isinstance(result, ChartEscapeError):
         raise result
     return result
@@ -506,22 +493,16 @@ def equivariance_residuals(samples, base_point, t):
     stacked group side.
 
     Returns, for each sample, its residual or the ChartEscapeError that
-    `equivariance_check` raises for it: the chart flow's escape, with its
-    time, before the group side's. An argument that is wrong for any sample
-    (a direction not of grade -1, a base point where a field does not
-    vanish, a t over the step budget) raises at once.
+    `equivariance_check` raises for it (the chart flow's escape, with its
+    time, before the group side's), and its HolonomyDatum at the base point,
+    which the run transports anyway, as two lists. An argument that is
+    wrong for any sample (a direction not of grade -1, a base point where a
+    field does not vanish, a t over the step budget) raises at once.
     """
-    return _equivariance_residuals(samples, base_point, t)[0]
-
-
-def _equivariance_residuals(samples, base_point, t):
-    """`equivariance_residuals`, and each sample's HolonomyDatum at the
-    base point, which the run transports anyway."""
     import numpy as np
 
     algebra = samples[0][0].algebra
-    realization = algebra.realization
-    x0 = _exact_parts(base_point, "point")
+    x0 = vector_from_json(base_point, "point")
     data, rhos, exp_ys, starts = [], [], [], []
     for field, direction in samples:
         if field.algebra is not algebra:
@@ -531,13 +512,12 @@ def _equivariance_residuals(samples, base_point, t):
         datum = holonomy_at(field, x0)   # also enforces singularity
         data.append(datum)
         y = algebra.grade_coords(direction, -1)
-        rhos.append(_float_matrix(realization.matrix_of(datum.x)))
-        exp_ys.append(_exp_grade_one(_float_matrix(realization.matrix_of(direction))))
+        rhos.append(_rho(datum.x))
+        exp_ys.append(_exp_grade_one(_rho(direction)))
         starts.append([float(v) + float(yi) for v, yi in zip(x0, y)])
     lhs, escape_times = _integrate_chart_flow([f for f, _ in samples], starts, t)
 
-    u = _exp_grade_one(_float_matrix(
-        realization.matrix_of(translation_element(algebra, x0))))
+    u = _exp_grade_one(_rho(translation_element(algebra, x0)))
     # for large |t| these products overflow; the non-finite group point
     # that results is rejected below as a chart escape
     with np.errstate(over="ignore", invalid="ignore"):
@@ -557,46 +537,34 @@ def _equivariance_residuals(samples, base_point, t):
     return results, data
 
 
-def weyl_section_check(field, base_point, t, n_samples=5, sample_scale=0.15):
-    """Commutation defect of the flow with the exponential-coordinate Weyl
-    section in the witness gauge; maximum positive-part offset over chart
-    samples.
+def weyl_section_check(datum, t, n_samples=5, sample_scale=0.15):
+    """Commutation defect of the flow exp(Z)·exp(tρ(X))·exp(-Z) of a
+    conformal datum X, Z its witness, with the exponential-coordinate Weyl
+    section; maximum positive-part offset over chart samples. A field ξ's
+    datum at p is exp(-ad x̂)ξ, so this is ξ's bundle flow in the gauge over p.
 
-    Requires the holonomy at the base point to be conjugate into grade 0
-    (Inessential or WeylReducible); otherwise no Weyl structure is
-    preserved and the check refuses.
+    Requires X conjugate into grade 0 (Inessential or WeylReducible);
+    otherwise no Weyl structure is preserved and the check refuses.
     """
-    if n_samples < 1:
-        raise DomainError("the Weyl-section check needs at least one sample")
-    return _weyl_section_check(field, base_point, t, holonomy_at(field, base_point),
-                               n_samples, sample_scale)
-
-
-def _weyl_section_check(field, base_point, t, datum, n_samples=5, sample_scale=0.15):
-    """`weyl_section_check` on the field's HolonomyDatum at the base point."""
     import numpy as np
 
-    algebra = field.algebra
-    result = classify(datum)
-    if result.witness is None:
+    algebra = datum.algebra
+    if algebra.family != "conformal":
+        raise DomainError("the Weyl-section check requires a conformal algebra")
+    if n_samples < 1:
+        raise DomainError("the Weyl-section check needs at least one sample")
+    witness = classify(datum).witness
+    if witness is None:
         raise WeylSectionInapplicableError(
             "holonomy is not conjugate into the grade-0 part; no local "
             "Weyl structure is preserved"
         )
-    realization = algebra.realization
-    n = field.n
+    n = sum(algebra.params)
+    z = _rho(witness)
+    rho_p = np.array([_rho(algebra.basis_element(f"P_{i + 1}")) for i in range(n)])
 
-    def rho(element):
-        return _float_matrix(realization.matrix_of(element))
-
-    xhat = rho(translation_element(algebra, base_point))
-    z = rho(result.witness)
-    u_prime = _exp_grade_one(xhat) @ _exp_grade_one(-z)
-    u_prime_inv = _exp_grade_one(z) @ _exp_grade_one(-xhat)
-    rho_p = np.array([rho(algebra.basis_element(f"P_{i + 1}")) for i in range(n)])
-
-    # the right-invariant bundle ODE G' = rho(xi)·G, in the witness gauge
-    flow = u_prime_inv @ _linear_flow(rho(field.xi), t) @ u_prime
+    # the right-invariant bundle ODE G' = rho(X)·G, in the witness gauge
+    flow = _exp_grade_one(z) @ _linear_flow(_rho(datum.x), t) @ _exp_grade_one(-z)
     return max(_positive_offset(flow @ _exp_grade_one(np.tensordot(offset, rho_p, 1)),
                                 rho_p, n)
                for offset in _sample_offsets(n, n_samples, sample_scale))
@@ -606,7 +574,7 @@ def _sample_offsets(n, n_samples, scale):
     import numpy as np
 
     offsets = [np.zeros(n)]
-    for i in range(min(n, max(0, n_samples - 1))):
+    for i in range(min(n, n_samples - 1)):
         e = np.zeros(n)
         e[i] = scale
         offsets.append(e)
@@ -636,4 +604,4 @@ def _positive_offset(q, rho_p, n):
     r_block = q2[1:n + 1, 1:n + 1]
     b = np.linalg.solve(r_block, q2[1:n + 1, n + 1])
     leakage = float(np.max(np.abs(q2[1:, 0])))
-    return max(float(np.max(np.abs(b))) if n else 0.0, leakage)
+    return max(float(np.max(np.abs(b))), leakage)

@@ -9,13 +9,13 @@ The structure equation is taken on constant frame fields, where it
 vanishes by construction. A wrong coefficient in the field formula shows
 as an equivariance residual far above its bound.
 
-The suite draws all its equivariance samples first, in seeded order, and
-integrates their chart flows in one stacked RK4 run
-(`flat.equivariance_residuals`), which also transports each sample's field
-to the base point. It then walks them in draw order: it raises sample k's
-chart escape before the Weyl-section check of sample k, so a run ends with
-the error that checking one sample after the other would raise, and
-classifies sample k's transported datum once for that check.
+The suite calls public `flat` checks only. It draws all its equivariance
+samples first, in seeded order, and integrates their chart flows in one
+stacked RK4 run (`flat.equivariance_residuals`), which also returns each
+sample's datum at the base point. It then walks them in draw order: it
+raises sample k's chart escape before the Weyl-section check of sample k,
+so a run ends with the error that checking one sample after the other
+would raise, and hands sample k's datum to `flat.weyl_section_check`.
 """
 
 import random
@@ -25,10 +25,10 @@ from .errors import ChartEscapeError, DomainError, WeylSectionInapplicableError
 from .families import build_conformal
 from .flat import (
     FlatConformalField,
-    _equivariance_residuals,
-    _weyl_section_check,
     curvature_check,
+    equivariance_residuals,
     tractor_derivative,
+    weyl_section_check,
 )
 from .sampling import random_element, random_p_element
 
@@ -105,19 +105,19 @@ def run_flat_identity_suite(p=3, q=0, samples=20, seed=42, t=0.1, algebra=None):
         xi = random_p_element(algebra, rng, max_abs=3)
         direction = algebra.basis_element(f"P_{rng.randint(1, n)}")
         draws.append((FlatConformalField(algebra, xi), direction))
-    equivariance, data = _equivariance_residuals(draws, [0] * n, t)
+    equivariance, data = equivariance_residuals(draws, [0] * n, t)
 
     equiv_worst = 0.0
     weyl_worst = 0.0
     weyl_cases = 0
-    for (field, _), residual, datum in zip(draws, equivariance, data):
+    for residual, datum in zip(equivariance, data):
         # sample k's chart escape comes before sample k's Weyl-section check,
         # as in one check after the other
         if isinstance(residual, ChartEscapeError):
             raise residual
         equiv_worst = max(equiv_worst, residual)
         try:
-            weyl = _weyl_section_check(field, [0] * n, t, datum)
+            weyl = weyl_section_check(datum, t)
         except WeylSectionInapplicableError:
             continue
         weyl_worst = max(weyl_worst, weyl)

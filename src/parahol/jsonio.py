@@ -1,9 +1,10 @@
 """JSON encoding/decoding of exact rationals and named elements.
 
 Integers stay JSON integers; non-integral rationals are "p/q" strings so
-reports remain exact and byte-deterministic. Parsing accepts integers and
-strings of RATIONAL_PATTERN, the request schemas' grammar: "p" or "p/q" in
-decimal digits with an optional leading minus. Parse errors carry a `path`
+reports remain exact and byte-deterministic. Parsing, of requests and of
+library arguments, accepts Fractions unchanged, integers and strings of
+RATIONAL_PATTERN, the request schemas' grammar: "p" or "p/q" in decimal
+digits with an optional leading minus. Parse errors carry a `path`
 attribute with the offending field locus for the CLI's error reports;
 `at_path` gives the same locus to errors raised while a request field is
 being used.
@@ -46,6 +47,8 @@ def at_path(path):
 
 
 def fraction_from_json(v, path="value"):
+    if isinstance(v, Fraction):
+        return v
     if isinstance(v, bool):
         raise _domain_error(f"{path}: expected a rational, got a boolean", path)
     if isinstance(v, int):

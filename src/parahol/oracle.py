@@ -30,6 +30,7 @@ from .classify import (
     conjugable_verdict,
 )
 from .errors import DomainError, OracleRefusedError, UnsupportedDepthError
+from .jsonio import fraction_from_json
 
 MAX_POSITIVE_DIM = 8
 MAX_LATTICE_POINTS = 2_000_000
@@ -91,13 +92,13 @@ def brute_force_oracle(datum, grid_radius=Fraction(1), grid_steps=2):
     """Independent classification attempt; see the module docstring.
 
     Refuses what `check_search_budget` refuses, a negative grid_steps
-    included, and a zero grid radius, whose lattice is the one point
-    Z = 0, with DomainError.
+    included, and with DomainError an inexact grid radius (a float, say)
+    and a zero one, whose lattice is the one point Z = 0.
     """
     algebra = datum.algebra
     pos_idx = check_search_budget(algebra, grid_steps)
 
-    grid_radius = Fraction(grid_radius)
+    grid_radius = fraction_from_json(grid_radius, "grid_radius")
     if grid_radius == 0:
         raise DomainError("grid_radius must be nonzero")
     lattice_witness, points = (None, 0)

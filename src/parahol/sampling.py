@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
+from .jsonio import fraction_from_json
 
 ZERO = Fraction(0)
 
@@ -73,8 +74,9 @@ def kernel_instance(algebra, rng):
 
 
 def lattice_point(algebra, rng, radius=Fraction(1), steps=1):
-    """Random positive-part element with coordinates on the oracle lattice."""
-    radius = Fraction(radius)
+    """Random positive-part element with coordinates on the oracle lattice
+    of an exact radius (a float raises DomainError)."""
+    radius = fraction_from_json(radius, "radius")
     values = [Fraction(i) * radius / steps for i in range(-steps, steps + 1)]
     coeffs = [ZERO] * algebra.dim
     for g in range(1, algebra.k + 1):

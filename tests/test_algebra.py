@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from parahol import families, linalg
-from parahol.algebra import GradedLieAlgebra, MatrixRealization
+from parahol.algebra import GradedLieAlgebra, MatrixRealization, _as_scalar
 from parahol.errors import (
     DomainError,
     GradeRangeError,
@@ -382,6 +382,14 @@ def test_elements_keep_one_scaled_form(so41, su21):
 def test_inexact_coefficients_raise_domain_error(so41, construct):
     with pytest.raises(DomainError):
         construct(so41)
+
+
+def test_exact_scalars_are_read_unchanged():
+    # an int basis-matrix entry is not rebuilt as a Fraction only to have
+    # its numerator read back
+    assert type(_as_scalar(3)) is int and _as_scalar(3) == 3
+    half = Fraction(1, 2)
+    assert _as_scalar(half) is half
 
 
 def test_exp_ad_rejects_mixed_sign(so41):

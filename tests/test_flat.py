@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from parahol import flat, identities
-from parahol.classify import Verdict, classify, conjugate_by_exp
+from parahol.classify import HolonomyDatum, Verdict, classify, conjugate_by_exp
 from parahol.constants import CHART_NORM_LIMIT, FIELD_BRACKET_SIGN, RK4_STEP
 from parahol.errors import (
     ChartEscapeError,
@@ -544,7 +544,7 @@ def test_an_escaping_sample_leaves_the_others_their_residuals(so41):
     direction = so41.basis_element("P_1")
     rotation = FlatConformalField(so41, so41.basis_element("M_12"))
     blowup = FlatConformalField(so41, so41.element({"K_1": 10**30}))
-    residual, escape = equivariance_residuals(
+    (residual, escape), _ = equivariance_residuals(
         [(rotation, direction), (blowup, direction)], [0, 0, 0], 0.1)
     alone = equivariance_check(rotation, [0, 0, 0], direction, 0.1)
     assert abs(residual - alone) < 1e-12
@@ -556,8 +556,8 @@ def test_each_escaping_sample_gets_its_own_escape_time(so41):
     # x(t) = e^{st}·x(0) leaves the chart near t = ln(1e8)/s
     direction = so41.basis_element("P_1")
     slow, fast = _euler_field(so41, 200), _euler_field(so41, 400)
-    errors = equivariance_residuals([(slow, direction), (fast, direction)],
-                                    [0, 0, 0], 0.1)
+    errors, _ = equivariance_residuals([(slow, direction), (fast, direction)],
+                                       [0, 0, 0], 0.1)
     for field, err, leaves in zip((slow, fast), errors, (0.092, 0.046)):
         assert isinstance(err, ChartEscapeError)
         assert abs(err.escape_time - leaves) < 2e-3
@@ -581,21 +581,22 @@ def test_suite_raises_the_first_escape_in_draw_order(so41, monkeypatch):
                   so41.element({"D": -400}), so41.basis_element("M_12")])
     monkeypatch.setattr(identities, "random_p_element",
                         lambda algebra, rng, max_abs: next(drawn))
-    weyl_fields = []
-    check = identities._weyl_section_check
+    weyl_data = []
+    check = identities.weyl_section_check
 
-    def spy(field, base_point, t, datum):
-        weyl_fields.append(field)
-        return check(field, base_point, t, datum)
+    def spy(datum, t):
+        weyl_data.append(datum)
+        return check(datum, t)
 
-    monkeypatch.setattr(identities, "_weyl_section_check", spy)
+    monkeypatch.setattr(identities, "weyl_section_check", spy)
     with pytest.raises(ChartEscapeError) as err:
         run_flat_identity_suite(3, 0, samples=4, seed=0, algebra=so41)
     with pytest.raises(ChartEscapeError) as first:
         equivariance_check(_euler_field(so41, 200), [0, 0, 0],
                            so41.basis_element("P_1"), 0.1)
     assert err.value.escape_time == first.value.escape_time
-    assert [f.xi for f in weyl_fields] == [so41.basis_element("M_12")]
+    # at the origin a field's datum is the field's own element
+    assert [d.x for d in weyl_data] == [so41.basis_element("M_12")]
 
 
 def test_suite_transports_and_classifies_each_equivariance_sample_once(so41, monkeypatch):
@@ -621,31 +622,60 @@ def test_suite_transports_and_classifies_each_equivariance_sample_once(so41, mon
 
 @pytest.mark.parametrize("name", ["M_12", "D"])
 def test_weyl_section_commutes(so41, name):
-    field = FlatConformalField(so41, so41.basis_element(name))
-    assert weyl_section_check(field, [0, 0, 0], 0.1) < 1e-6
+    datum = HolonomyDatum(so41, so41.basis_element(name))
+    assert weyl_section_check(datum, 0.1) < 1e-6
 
 
 def test_weyl_section_in_witness_gauge(so41):
-    field = FlatConformalField(so41, so41.element({"M_12": 1, "K_1": 1}))
-    assert weyl_section_check(field, [0, 0, 0], 0.1) < 1e-6
+    datum = HolonomyDatum(so41, so41.element({"M_12": 1, "K_1": 1}))
+    assert weyl_section_check(datum, 0.1) < 1e-6
 
 
 def test_weyl_section_refuses_unkillable(so41):
-    field = FlatConformalField(so41, so41.basis_element("K_1"))
+    datum = HolonomyDatum(so41, so41.basis_element("K_1"))
     with pytest.raises(WeylSectionInapplicableError):
-        weyl_section_check(field, [0, 0, 0], 0.1)
+        weyl_section_check(datum, 0.1)
 
 
 def test_weyl_section_needs_a_sample(so41):
-    field = FlatConformalField(so41, so41.basis_element("D"))
+    datum = HolonomyDatum(so41, so41.basis_element("D"))
     with pytest.raises(DomainError, match="at least one sample"):
-        weyl_section_check(field, [0, 0, 0], 0.1, n_samples=0)
+        weyl_section_check(datum, 0.1, n_samples=0)
 
 
 def test_weyl_section_requires_singularity(so41):
+    # a field has a datum only where it vanishes
     field = FlatConformalField(so41, so41.basis_element("P_1"))
     with pytest.raises(NonSingularPointError):
-        weyl_section_check(field, [0, 0, 0], 0.1)
+        weyl_section_check(holonomy_at(field, [0, 0, 0]), 0.1)
+
+
+def test_weyl_section_refuses_a_cr_datum():
+    from parahol.families import build_cr
+
+    cr = build_cr(1)
+    with pytest.raises(DomainError, match="conformal"):
+        weyl_section_check(HolonomyDatum(cr, cr.zero()), 0.1)
+
+
+@pytest.mark.parametrize("signature,seed", [((3, 0), 0), ((2, 1), 1), ((2, 2), 2)])
+def test_translated_field_keeps_the_datum_and_weyl_residual(signature, seed):
+    # exp(ad p̂)ξ vanishes at p, and its datum there is exp(-ad p̂)exp(ad p̂)ξ = ξ
+    algebra = build_conformal(*signature)
+    n = sum(signature)
+    rng = random.Random(seed)
+    while True:
+        xi = random_p_element(algebra, rng, max_abs=3)
+        if classify(HolonomyDatum(algebra, xi)).witness is not None:
+            break
+    point = [Fraction(rng.randint(1, 4), 3) for _ in range(n)]
+    moved = FlatConformalField(
+        algebra, algebra.exp_ad(translation_element(algebra, point), xi))
+    assert not moved.is_singular_at([0] * n)
+    at_origin = holonomy_at(FlatConformalField(algebra, xi), [0] * n)
+    at_point = holonomy_at(moved, point)
+    assert at_point.x == at_origin.x == xi
+    assert weyl_section_check(at_point, 0.1) == weyl_section_check(at_origin, 0.1)
 
 
 # -- construction guards ---------------------------------------------------------------
@@ -800,7 +830,7 @@ def test_batched_weyl_section_matches_one_run_per_sample(signature, seed, monkey
         return _positive_offset(q, rho_p, n)
 
     monkeypatch.setattr(flat, "_positive_offset", spy)
-    worst = weyl_section_check(field, [0] * n, 0.1, n_samples=5)
+    worst = weyl_section_check(holonomy_at(field, [0] * n), 0.1, n_samples=5)
     reference, rho_p = _weyl_groups_one_run_per_sample(field, 0.1, 5, 0.15)
     assert len(seen) == len(reference) == 5
     for q, q_ref in zip(seen, reference):

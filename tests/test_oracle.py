@@ -11,7 +11,7 @@ from parahol.classify import HolonomyDatum, Verdict, classify, conjugate_by_exp
 from parahol.errors import DomainError, OracleRefusedError, UnsupportedDepthError
 from parahol.families import build, build_conformal, build_cr
 from parahol.oracle import _lattice_search, brute_force_oracle, check_search_budget
-from parahol.sampling import comparison_instances, planted_instance
+from parahol.sampling import comparison_instances, lattice_point, planted_instance
 from parahol.scales import default_scale
 
 
@@ -138,6 +138,22 @@ def test_zero_grid_radius_is_refused(su21, grid_steps):
     datum = HolonomyDatum(su21, su21.element({"J_1": 1, "K_1": 1}))
     with pytest.raises(DomainError, match="grid_radius must be nonzero"):
         brute_force_oracle(datum, grid_radius=0, grid_steps=grid_steps)
+
+
+@pytest.mark.parametrize("radius", [0.1, True, "1.5", " 1e-1 "],
+                         ids=["float", "boolean", "decimal", "padded_exponent"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda datum, radius: brute_force_oracle(
+        datum, grid_radius=radius, grid_steps=1), id="brute_force_oracle"),
+    pytest.param(lambda datum, radius: lattice_point(
+        datum.algebra, random.Random(0), radius=radius), id="lattice_point"),
+])
+def test_inexact_radius_is_refused(su21, call, radius):
+    # 0.1 would be a binary fraction over 2^55 and True the radius 1; the
+    # radius is read as every library rational is, by fraction_from_json
+    datum = HolonomyDatum(su21, su21.element({"J_1": 1, "K_1": 1}))
+    with pytest.raises(DomainError):
+        call(datum, radius)
 
 
 @pytest.mark.parametrize("family,params", [("conformal", (3, 0)), ("cr", (1,))])
