@@ -19,7 +19,7 @@ from .classify import (
     kill_positive_part,
 )
 from .families import build_conformal, build_cr
-from .scales import ScaleData, default_scale, lambda_prime, scale_from_element
+from .scales import ScaleData, default_scale, scale_from_element
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = sorted([
     "default_scale",
     "errors",
     "kill_positive_part",
-    "lambda_prime",
     "scale_from_element",
     *_MODULE_OF,
 ])

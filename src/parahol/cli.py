@@ -7,8 +7,8 @@ success, 1 on domain/schema errors, 2 on internal invariant violations.
 
 All randomness flows through --seed, so identical requests with identical
 seeds produce byte-identical JSON reports. The flat model, the identity
-suite and the oracle are imported by the commands that use them, so that
-other requests neither compile nor load them.
+suite, the oracle and the instance sampler are imported by the commands that
+use them, so that other requests neither compile nor load them.
 """
 
 import argparse
@@ -33,7 +33,6 @@ from .jsonio import (
     parse_named_element,
     vector_from_json,
 )
-from .sampling import comparison_instances
 from .scales import default_scale
 
 DEFAULT_SEED = 42
@@ -211,7 +210,8 @@ def _flat_classify(payload):
 def _verify_identities(payload, args):
     from .identities import run_flat_identity_suite
 
-    samples = payload.get("samples", 20)
+    # the schema counts an integral float such as 4.0 as an integer
+    samples = int(payload.get("samples", 20))
     t = payload.get("t", 0.1)
     with at_path("signature"):
         algebra = build("conformal", payload.get("signature", [3, 0]))
@@ -226,6 +226,7 @@ def _verify_identities(payload, args):
 
 def _oracle_compare(payload, args):
     from .oracle import brute_force_oracle, check_search_budget
+    from .sampling import comparison_instances
 
     if args.instances < 1:
         raise _flag_error("--instances", "must be at least 1")

@@ -18,15 +18,8 @@ class StructureError(ParaholError):
 
 
 class InvalidScaleError(ParaholError):
-    """A grade-0 element is not a valid scale element.
-
-    `component` holds the grade index on which the element fails to act
-    by a scalar (or 0 when it fails centrality in the grade-0 part).
-    """
-
-    def __init__(self, message, component=None):
-        super().__init__(message)
-        self.component = component
+    """An element is not a scale element: not a nonzero multiple of the
+    grading element."""
 
 
 class DomainError(ParaholError):

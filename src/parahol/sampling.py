@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
+from .errors import DomainError
 from .jsonio import fraction_from_json
 
 ZERO = Fraction(0)
@@ -75,8 +76,11 @@ def kernel_instance(algebra, rng):
 
 def lattice_point(algebra, rng, radius=Fraction(1), steps=1):
     """Random positive-part element with coordinates on the oracle lattice
-    of an exact radius (a float raises DomainError)."""
+    of an exact radius with `steps` >= 1 points per half-axis (a float
+    radius or fewer steps raises DomainError)."""
     radius = fraction_from_json(radius, "radius")
+    if steps < 1:
+        raise DomainError(f"steps must be at least 1, got {steps}")
     values = [Fraction(i) * radius / steps for i in range(-steps, steps + 1)]
     coeffs = [ZERO] * algebra.dim
     for g in range(1, algebra.k + 1):

@@ -1,54 +1,80 @@
 """Scale elements and the exactness functional on the grade-0 part.
 
-A scale element is a central element of the grade-0 subalgebra acting by a
-real scalar on every grading component. It determines the linear functional
-lambda'(A) = B(e_lambda, A) on the grade-0 part; its kernel is the
-hyperplane of infinitesimally exact directions that the classifier tests
-against.
+A scale element is a central element e of the grade-0 subalgebra acting by
+a real scalar on every grading component, with B(e, e) != 0. It determines
+the linear functional lambda'(A) = B(e_lambda, A) on the grade-0 part; its
+kernel is the hyperplane of infinitesimally exact directions that the
+classifier tests against.
 
-A grade-0 element e maps each grading component to itself, so both
-conditions are read from the diagonal blocks of ad(e) alone, as integer
-rows (`ad_block_scaled(e, g, g)`): the grade-0 block must be zero, and
-every other block a multiple of the identity. The functional's covector, B(e, e_i) over
-the grade-0 basis, is read in one pass over the Killing-matrix rows of e's
-support (`killing_covector_scaled`), and lambda' is its integer dot product
-with X_0's numerators.
+On an algebra that passes `validate()`, the scale elements are exactly the
+multiples c·E, c != 0, of the grading element E (ad E = i on g_i). Let e
+in g_0 act by a scalar a_i on each g_i:
+
+  - 0 = [e, e] = a_0·e, so a_0 = 0 unless e = 0, and e is central in g_0;
+  - g_{-i} is spanned by i-fold brackets of g_{-1}, so a_{-i} = i·a_{-1};
+  - B is invariant and pairs g_i nondegenerately with g_{-i}, so
+    0 = B([e, x], y) + B(x, [e, y]) = (a_i + a_{-i})·B(x, y) gives
+    a_i = -a_{-i};
+  - so ad e = c·ad E with c = -a_{-1}, and e = c·E because the centre of
+    a semisimple algebra is trivial;
+  - B(cE, cE) = c²·Σ_i i²·dim g_i, which is nonzero exactly when c != 0.
+
+So `scale_from_element` reads c off one nonzero coordinate of E and checks
+e == c·E, and `ScaleData` refuses c = 0. The argument needs the three
+axioms `validate()` checks: on an algebra that has not passed it, an
+element acting by scalars that is not a multiple of E is refused.
+
+The functional's covector, B(e, e_i) over the grade-0 basis, is read in one
+pass over the Killing-matrix rows of e's support (`killing_covector_scaled`),
+and lambda' is its integer dot product with X_0's numerators.
 """
 
-import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import DomainError, InvalidScaleError, MismatchedAlgebraError
-from .jsonio import fraction_to_json
+
+_NOT_A_SCALE = "not a scale element: not a nonzero multiple of the grading element"
 
 
 class ScaleData:
-    """A validated scale element with its functional and kernel.
+    """The scale c·E with its functional and kernel; c = 0 raises
+    InvalidScaleError.
 
     Fields:
       algebra             owning GradedLieAlgebra
-      e_lambda            the scale element (pure grade 0)
+      e_lambda            the scale element c·E (pure grade 0)
       covector            lambda' as one coefficient per grade-0 basis index
       kernel_basis        elements spanning Ker(lambda') in grade 0
-      component_weights   grade i -> the scalar a_i with ad(e_lambda) = a_i id on grade i
+
+    `covector` and `kernel_basis` are made on first access.
 
     The covector is also kept as scaled integers, (den, ((i, C_i), ...))
     over its nonzero entries with i the basis index, so that lambda' is one
     integer dot product.
     """
 
-    def __init__(self, algebra, e_lambda, covector, kernel_basis,
-                 component_weights):
+    def __init__(self, algebra, c):
+        if not c:
+            raise InvalidScaleError(_NOT_A_SCALE)
         self.algebra = algebra
-        self.e_lambda = e_lambda
-        self.covector = tuple(covector)
-        self.kernel_basis = tuple(kernel_basis)
-        self.component_weights = dict(component_weights)
-        den = math.lcm(*[c.denominator for c in self.covector])
+        self.e_lambda = c * algebra.grading_element
+        zero_idx = algebra.indices_of_grade(0)
+        den, covector = algebra.killing_covector_scaled(self.e_lambda, zero_idx)
+        self._covector_nums = covector
         self._scaled_covector = (den, tuple(
-            (i, c.numerator * (den // c.denominator))
-            for i, c in zip(algebra.indices_of_grade(0), self.covector) if c))
+            (i, v) for i, v in zip(zero_idx, covector) if v))
+
+    @cached_property
+    def covector(self):
+        den = self._scaled_covector[0]
+        return tuple(Fraction(v, den) for v in self._covector_nums)
+
+    @cached_property
+    def kernel_basis(self):
+        return tuple(self.algebra.from_grade_coords(0, vec)
+                     for vec in linalg.nullspace([self._covector_nums]))
 
     def lambda_prime(self, a):
         """lambda'(A) = B(e_lambda, A) for A in the grade-0 part.
@@ -73,19 +99,6 @@ class ScaleData:
         nums = x.nums
         return Fraction(sum(c * nums[i] for i, c in covector), den * x.den)
 
-    def to_json_dict(self):
-        alg = self.algebra
-        zero_idx = alg.indices_of_grade(0)
-        return {
-            "e_lambda": [fraction_to_json(c) for c in self.e_lambda.coeffs],
-            "lambda_prime": {
-                alg.basis_names[i]: fraction_to_json(self.covector[t])
-                for t, i in enumerate(zero_idx)
-            },
-            "kernel": [[fraction_to_json(c) for c in v.coeffs]
-                       for v in self.kernel_basis],
-        }
-
 
 def default_scale(algebra):
     """The scale determined by the grading element (exists for every family).
@@ -96,59 +109,22 @@ def default_scale(algebra):
     """
     scale = getattr(algebra, "_default_scale", None)
     if scale is None:
-        scale = scale_from_element(algebra, algebra.grading_element)
+        scale = ScaleData(algebra, 1)
         algebra._default_scale = scale
     return scale
 
 
 def scale_from_element(algebra, e):
-    """Validate a grade-0 element as a scale element and assemble ScaleData.
+    """The scale of e; raises InvalidScaleError unless e = c·E with c != 0.
 
-    Raises InvalidScaleError when e is not central in the grade-0 part or
-    ad(e) fails to act by a scalar on some grading component; the error
-    carries the offending grade index. Centrality is checked first, then
-    the scalar action from grade -k up.
+    c is read off the first nonzero coordinate of the grading element E
+    (see the module docstring for why that one test suffices).
     """
     if e.algebra is not algebra:
         raise DomainError("element belongs to a different algebra")
-    if any(g != 0 for g in e.grades()):
-        raise InvalidScaleError("scale element must have pure grade 0", component=None)
-
-    # the diagonal blocks of ad(e) as integer rows, all over one denominator
-    es = e.scaled()
-    blocks = {g: algebra.ad_block_scaled(es, g, g) for g in range(-algebra.k, algebra.k + 1)}
-    for u, i in enumerate(algebra.indices_of_grade(0)):
-        if any(row[u] for row in blocks[0][1]):
-            raise InvalidScaleError(
-                f"not central in the grade-0 part: [e, {algebra.basis_names[i]}] != 0",
-                component=0,
-            )
-
-    weights = {}
-    for g, (den, block) in blocks.items():
-        weight = block[0][0] if block else 0
-        if any(v != (weight if u == t else 0)
-               for t, row in enumerate(block) for u, v in enumerate(row)):
-            raise InvalidScaleError(
-                f"ad(e) is not scalar on grade {g}", component=g
-            )
-        weights[g] = Fraction(weight, den)
-
-    # covector_i = B(e, e_i) over the grade-0 basis, as integers over den
-    zero_idx = algebra.indices_of_grade(0)
-    den, covector = algebra.killing_covector_scaled(e, zero_idx)
-    # e is pure grade 0, so B(e, e) is the covector paired with e
-    if not sum(e.nums[i] * v for i, v in zip(zero_idx, covector)):
-        raise InvalidScaleError("B(e, e) = 0: degenerate scale element",
-                                component=None)
-
-    kernel_basis = [
-        algebra.from_grade_coords(0, vec) for vec in linalg.nullspace([covector])
-    ]
-    covector = [Fraction(v, den) for v in covector]
-    return ScaleData(algebra, e, covector, kernel_basis, weights)
-
-
-def lambda_prime(scale, a):
-    """Functional form of ScaleData.lambda_prime."""
-    return scale.lambda_prime(a)
+    grading = algebra.grading_element
+    i = next(i for i, v in enumerate(grading.nums) if v)
+    c = Fraction(e.nums[i] * grading.den, e.den * grading.nums[i])
+    if e != c * grading:
+        raise InvalidScaleError(_NOT_A_SCALE)
+    return ScaleData(algebra, c)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from parahol import cli, schemas
+from parahol import cli, sampling, schemas
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -242,7 +242,7 @@ def test_oracle_compare_refuses_before_drawing_instances(
     def draw(*args):
         raise AssertionError("instances drawn before the oracle's refusal")
 
-    monkeypatch.setattr(cli, "comparison_instances", draw)
+    monkeypatch.setattr(sampling, "comparison_instances", draw)
     monkeypatch.setattr(sys, "stdin", io.StringIO(
         json.dumps({"family": family, "params": params})))
     code = cli.main(["oracle-compare", "--instances", "5000", *flags])
@@ -270,6 +270,16 @@ def test_verify_identities_small_run():
     doc = json.loads(out)
     assert doc["pass"] is True
     assert doc["max_residuals"]["curvature"] == 0.0
+
+
+def test_verify_identities_reads_an_integral_float_sample_count():
+    # draft 2020-12 counts 4.0 as an integer, so the schema lets it through
+    code, out = run_cli("verify-identities", {"samples": 4.0})
+    assert code == 0, out
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert doc["samples"] == 4
+    assert '"samples": 4,' in out
 
 
 @pytest.mark.parametrize("command,payload,flags", [
@@ -391,6 +401,32 @@ def test_verify_identities_imports_numpy_but_neither_scipy_nor_jsonschema():
     )
     assert proc.returncode == 0, proc.stdout
     assert json.loads(proc.stderr) == ["numpy"]
+
+
+_SAMPLING_PROBE = """
+import json, sys
+import parahol.cli
+code = parahol.cli.main(sys.argv[1:])
+sys.stderr.write(json.dumps("parahol.sampling" in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("classify", {"family": "conformal", "params": [3, 0],
+                  "element": {"D": 1}}),
+    ("flat-classify", _flat_request()),
+    ("algebra-info", {"family": "cr", "params": [1]}),
+    ("algebra-verify", {"family": "conformal", "params": [2, 0]}),
+])
+def test_requests_without_random_instances_leave_the_sampler_unloaded(
+        command, payload):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SAMPLING_PROBE, command],
+        input=json.dumps(payload), capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stderr) is False
 
 
 _LAZY_PROBE = """

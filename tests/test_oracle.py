@@ -156,6 +156,15 @@ def test_inexact_radius_is_refused(su21, call, radius):
         call(datum, radius)
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_a_lattice_without_steps_is_refused(su21, steps):
+    # steps = 0 divided by zero and steps = -1 chose from an empty lattice
+    with pytest.raises(DomainError, match="steps must be at least 1"):
+        lattice_point(su21, random.Random(0), steps=steps)
+    with pytest.raises(DomainError, match="steps must be at least 1"):
+        comparison_instances(su21, default_scale(su21), 2, 0, steps=steps)
+
+
 @pytest.mark.parametrize("family,params", [("conformal", (3, 0)), ("cr", (1,))])
 @pytest.mark.parametrize("x", ["E", "zero"])
 def test_negative_grid_steps_are_refused(family, params, x):
