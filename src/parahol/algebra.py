@@ -2,26 +2,26 @@
 
 A GradedLieAlgebra stores a basis, one integer grade per basis vector and
 one sparse table of its structure constants: the nonzero c_ij^l of each
-basis pair as integers C_ij^l over one common scale S, c = C/S. The dense
-rank-3 array is only derived on request. Every algebra comes from a
-matrix realization (`GradedLieAlgebra.from_matrices`) of sparse basis
-matrices {(row, col): int or Fraction}: the bracket of each basis pair
-i < j is the sparse commutator of the two basis matrices expressed through
-the Frobenius dual basis, checked by exact reconstruction, and the pair
-(j, i) gets its negation. Those exact checks, with the linear independence
-of the basis matrices, make e_i ↦ B_i an injective bracket-preserving map
-into a matrix algebra, so antisymmetry and the Jacobi identity hold by
-construction. An element holds its coefficients the same way, as integer
-numerators over the lcm of their denominators. Construction, `bracket`,
-`exp_ad`, `ad_block`, the Killing form and the grading element compute on
-that integer table and on those numerators, and make an element from the
-integer result. The series, the blocks and the Killing covector are also open on scaled
+basis pair as integers C_ij^l over one common scale S, c = C/S. Every
+algebra comes from a matrix realization (`GradedLieAlgebra.from_matrices`)
+of sparse basis matrices {(row, col): int or Fraction}: the bracket of
+each basis pair i < j is the sparse commutator of the two basis matrices
+expressed through the Frobenius dual basis, checked by exact
+reconstruction, and the pair (j, i) gets its negation (`_structure_table`).
+Those exact checks, with the linear independence of the basis matrices,
+make e_i ↦ B_i an injective bracket-preserving map into a matrix algebra,
+so antisymmetry and the Jacobi identity hold by construction. The algebra
+then keeps only the matrices themselves (`MatrixRealization`). An element
+holds its coefficients the same way, as integer numerators over the lcm
+of their denominators. Construction, `bracket`, `exp_ad`, `ad_block`, the
+Killing form and the grading element compute on that integer table and on
+those numerators, and make an element from the integer result. The
+series, the blocks and the Killing covector are also open on scaled
 integers (`exp_ad_scaled`, `ad_block_scaled`, `killing_covector_scaled`,
 on (den, {index: int}) pairs that `AlgebraElement.scaled` makes and
 `from_scaled` reads back), so that the classifier and the scales can stay
 on integers between them; `exp_ad` and `ad_block` are their Fraction
-views, and `killing_matrix` is an uncached one of the integer Killing
-rows, the only form of it that the algebra keeps. Validation checks
+views. The Killing form is kept as integer rows only. Validation checks
 exactly the axioms that depend on the grade labels and the choice of
 algebra (grading additivity, generation of the negative part by grade
 −1, nondegenerate Killing form), so downstream code can rely on all of
@@ -196,29 +196,17 @@ class AlgebraElement:
 
 
 class MatrixRealization:
-    """Defining matrix realization: one square matrix B_k per basis vector,
-    held as the integer matrix M_k = D·B_k over one common D.
+    """The defining matrix realization ρ: one square matrix B_k per basis
+    vector, held as the integer matrix M_k = D·B_k over one common D.
 
     Each B_k comes in as a sparse {(row, col): int or Fraction} map, and
     all are square of `size`, 1 + the largest index of a nonzero entry. D
-    is the lcm of the denominators of every basis-matrix entry (1 on the
-    conformal family, 2 on cr), and each M_k is a sparse {(row, col): int}
-    map of its nonzero entries. A matrix is expressed in the basis through
-    the Frobenius dual basis: with G_kl = <B_k, B_l> the Gram matrix of the
-    entrywise inner product, the coordinates of M are G⁻¹·(<B_l, M>)_l,
-    followed by an exact check that they reconstruct M. G is positive
-    definite exactly when the basis is linearly independent, so a singular
-    G is rejected on construction with StructureError, as are an empty
-    basis and a malformed key (`_exact_matrix`); an inexact entry raises
-    DomainError.
-
-    All of this runs on scaled integers. The M_k have the Gram matrix
-    Ĝ = D²·G, and one sparse elimination (`linalg.solve_scaled` against
-    the identity columns) inverts it as Ĝ⁻¹ = H/h, with H integer and h
-    the lcm of the denominators of Ĝ⁻¹; on the built-in families Ĝ has one
-    or two nonzero entries per row. A matrix C/e with C integer then has the
-    coordinates D·(H·I)/(h·e), I_l = <M_l, C>, and it is in the span
-    exactly when Σ_k (H·I)_k·M_k = h·C.
+    (`_scale`) is the lcm of the denominators of every basis-matrix entry
+    (1 on the conformal family, 2 on cr), and each M_k is a sparse
+    {(row, col): int} map of its nonzero entries. An empty basis and a
+    malformed key raise StructureError (`_exact_matrix`); an inexact entry
+    raises DomainError. The realization keeps ρ only: the structure
+    constants are read off it once, by `_structure_table`.
     """
 
     def __init__(self, basis_matrices):
@@ -228,27 +216,6 @@ class MatrixRealization:
         self.size = 1 + max((i for m in sparse for pos in m for i in pos), default=0)
         self._scale = math.lcm(*[v.denominator for m in sparse for v in m.values()])
         self._integer_matrices = tuple(_integer_matrix(m, self._scale) for m in sparse)
-        self._rows = tuple(_by_row(m) for m in self._integer_matrices)
-        # position -> ((basis index, D·value), ...) over the nonzero entries
-        index = {}
-        for k, m in enumerate(self._integer_matrices):
-            for pos, v in m.items():
-                index.setdefault(pos, []).append((k, v))
-        self._position_index = index
-        dim = len(sparse)
-        gram = [[0] * dim for _ in range(dim)]
-        for entries in index.values():
-            for k, v in entries:
-                for l, w in entries:
-                    gram[k][l] += v * w
-        inverse = linalg.solve_scaled(
-            gram, [[0] * l + [1] + [0] * (dim - 1 - l) for l in range(dim)])
-        if inverse is None:
-            raise StructureError("basis matrices are linearly dependent")
-        self._dual_scale, inverse_cols = inverse
-        # column l of H = h·Ĝ⁻¹ as its nonzero (k, int) pairs
-        self._dual = tuple(tuple((k, g) for k, g in enumerate(col) if g)
-                           for col in inverse_cols)
 
     def matrix_of(self, element):
         """Exact dense matrix of an element X/d: Σ_k X_k·M_k over d·D."""
@@ -260,53 +227,6 @@ class MatrixRealization:
                 out[i][j] += c * v
         den = d * self._scale
         return [[Fraction(v, den) if v else ZERO for v in row] for row in out]
-
-    def coordinates(self, matrix):
-        """Express a sparse matrix, read like a basis matrix, in the basis;
-        None when outside the span."""
-        sparse = _exact_matrix(matrix)
-        e = math.lcm(*[v.denominator for v in sparse.values()])
-        coords = self._scaled_coordinates(_integer_matrix(sparse, e))
-        if coords is None:
-            return None
-        den = self._dual_scale * e
-        return [Fraction(self._scale * coords.get(k, 0), den)
-                for k in range(len(self._integer_matrices))]
-
-    def _scaled_coordinates(self, matrix):
-        """{k: (H·I)_k} over the nonzero entries, for an integer sparse
-        matrix C; its coordinates are D·(H·I)_k/(h·e) when it stands for
-        C/e. None when C is outside the span."""
-        inner = {}
-        for pos, v in matrix.items():
-            for l, b in self._position_index.get(pos, ()):
-                inner[l] = inner.get(l, 0) + b * v
-        coords = {}
-        for l, s in inner.items():
-            if s:
-                for k, g in self._dual[l]:
-                    coords[k] = coords.get(k, 0) + g * s
-        coords = {k: c for k, c in coords.items() if c}
-        rebuilt = {}
-        for k, c in coords.items():
-            for pos, v in self._integer_matrices[k].items():
-                rebuilt[pos] = rebuilt.get(pos, 0) + c * v
-        h = self._dual_scale
-        if ({pos: v for pos, v in rebuilt.items() if v}
-                != {pos: h * v for pos, v in matrix.items()}):
-            return None
-        return coords
-
-    def _basis_commutator(self, i, j):
-        """[M_i, M_j] = D²·[B_i, B_j] as a sparse map of its nonzero entries."""
-        out = {}
-        for (r, t), v in self._integer_matrices[i].items():
-            for c, w in self._rows[j].get(t, ()):
-                out[(r, c)] = out.get((r, c), 0) + v * w
-        for (r, t), v in self._integer_matrices[j].items():
-            for c, w in self._rows[i].get(t, ()):
-                out[(r, c)] = out.get((r, c), 0) - v * w
-        return {pos: v for pos, v in out.items() if v}
 
 
 class GradedLieAlgebra:
@@ -326,17 +246,18 @@ class GradedLieAlgebra:
 
         One basis name, one grade and one sparse basis matrix
         {(row, col): int or Fraction} per basis vector (see
-        MatrixRealization). Each commutator [B_i, B_j] with i < j is formed
-        sparsely and expressed in the basis through the Frobenius dual
-        basis; an exact reconstruction check rejects a bracket outside the
-        span, and a linearly dependent basis is rejected too. Both raise
-        StructureError. [B_j, B_i] = -[B_i, B_j] and [B_i, B_i] = 0 hold
-        exactly for matrices, so they are not formed. Once both checks
-        pass, e_i ↦ B_i is an injective linear map that carries the table's
-        bracket to the matrix commutator, so the table is antisymmetric and
-        satisfies Jacobi. A semisimple algebra known by its structure
-        constants comes in through its adjoint matrices, a faithful
-        realization since its center is trivial.
+        MatrixRealization). `_structure_table` expresses each commutator
+        [B_i, B_j] with i < j in the basis, checked by exact
+        reconstruction, and rejects a bracket outside the span and a
+        linearly dependent basis with StructureError. [B_j, B_i] =
+        -[B_i, B_j] and [B_i, B_i] = 0 hold exactly for matrices, so they
+        are not formed. Once both checks pass, e_i ↦ B_i is an injective
+        linear map that carries the table's bracket to the matrix
+        commutator, so the table is antisymmetric and satisfies Jacobi. A
+        semisimple algebra known by its structure constants comes in
+        through its adjoint matrices, a faithful realization since its
+        center is trivial. The algebra keeps the realization, ρ alone, for
+        the flat model's matrices.
         """
         if not len(basis_names) == len(grades) == len(matrices):
             raise StructureError(
@@ -345,34 +266,16 @@ class GradedLieAlgebra:
         if len(name_index) != len(basis_names):
             raise StructureError("basis names are not distinct")
         realization = MatrixRealization(matrices)
-        dim = len(basis_names)
-        brackets = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                coords = realization._scaled_coordinates(
-                    realization._basis_commutator(i, j))
-                if coords is None:
-                    raise StructureError(
-                        "matrix brackets leave the span of the basis")
-                if coords:
-                    brackets[(i, j)] = coords
-        # [M_i, M_j] stands for D²·[B_i, B_j], so c_ij^l = (H·I)_l/(h·D), and
-        # S = h·D/g with g the gcd of h·D and every (H·I)_l
-        den = realization._dual_scale * realization._scale
-        g = math.gcd(den, *[c for coords in brackets.values() for c in coords.values()])
-        table = {}
-        for (i, j), coords in brackets.items():
-            entries = tuple(sorted((l, c // g) for l, c in coords.items()))
-            table.setdefault(i, {})[j] = entries
-            table.setdefault(j, {})[i] = tuple((l, -c) for l, c in entries)
+        scale, table = _structure_table(realization._integer_matrices,
+                                        realization._scale)
         algebra = cls.__new__(cls)
         algebra.basis_names = tuple(basis_names)
         algebra.grade = tuple(int(g) for g in grades)
-        algebra.dim = dim
+        algebra.dim = len(basis_names)
         algebra.k = int(k)
         algebra.family = family
         algebra.params = tuple(params)
-        algebra._scaled_table = (den // g, table)
+        algebra._scaled_table = (scale, table)
         algebra.realization = realization
         algebra._name_index = name_index
         return algebra
@@ -420,22 +323,6 @@ class GradedLieAlgebra:
         return tuple(len(self.indices_of_grade(g)) for g in range(-self.k, self.k + 1))
 
     # -- core operations -------------------------------------------------------
-
-    @cached_property
-    def structure(self):
-        """Dense view of the constants: structure[i][j][l] = c_ij^l.
-
-        Built on first access from the sparse table; nothing in the algebra
-        reads it.
-        """
-        scale, table = self._scaled_table
-        dense = [[[ZERO] * self.dim for _ in range(self.dim)]
-                 for _ in range(self.dim)]
-        for i, row in table.items():
-            for j, entries in row.items():
-                for l, c in entries:
-                    dense[i][j][l] = Fraction(c, scale)
-        return tuple(tuple(tuple(row) for row in plane) for plane in dense)
 
     def bracket(self, x, y):
         """Lie bracket: for x = X/dx, y = Y/dy over the lcms of their
@@ -528,15 +415,6 @@ class GradedLieAlgebra:
                     for j, cj in index.get((m, l), ()):
                         out[j] += c * cj
         return scale * scale, tuple(tuple(r) for r in b)
-
-    @property
-    def killing_matrix(self):
-        """Gram matrix of the Killing form, B_ij = trace(ad e_i ∘ ad e_j):
-        the integer rows of `_killing_rows` divided by S² once per nonzero
-        entry. A view, made again on each access and not kept: nothing in
-        the algebra reads it."""
-        den, rows = self._killing_rows
-        return tuple(tuple(Fraction(v, den) if v else ZERO for v in r) for r in rows)
 
     def killing_covector_scaled(self, x, indices):
         """B(x, e_i) for each basis index i in `indices`, on scaled integers:
@@ -686,17 +564,6 @@ class GradedLieAlgebra:
         if self._killing_rank != self.dim:
             raise StructureError("Killing form is degenerate")
 
-    # -- serialization ---------------------------------------------------------
-
-    def describe(self):
-        """JSON-serializable description (family, params, basis, grades)."""
-        return {
-            "family": self.family,
-            "params": list(self.params),
-            "basis": list(self.basis_names),
-            "grades": list(self.grade),
-        }
-
     def __repr__(self):
         return f"GradedLieAlgebra({self.family}{self.params}, dim={self.dim}, k={self.k})"
 
@@ -714,6 +581,86 @@ def _scaled_bracket(table, z, y):
                 for l, c in entries:
                     out[l] = out.get(l, 0) + f * c
     return {l: v for l, v in out.items() if v}
+
+
+def _structure_table(matrices, scale):
+    """(S, table) of the Lie algebra spanned by the basis B_k = M_k/D, for
+    the integer matrices M_k and their common denominator D = `scale`.
+
+    Each commutator [B_i, B_j] with i < j is formed sparsely and expressed
+    in the basis through the Frobenius dual basis: with G_kl = <B_k, B_l>
+    the Gram matrix of the entrywise inner product, the coordinates of a
+    matrix M are G⁻¹·(<B_l, M>)_l, followed by an exact check that they
+    reconstruct M. G is positive definite exactly when the basis is
+    linearly independent, so a singular G raises StructureError ("basis
+    matrices are linearly dependent"), and so does a bracket that fails
+    the check ("matrix brackets leave the span of the basis").
+
+    All of this runs on scaled integers. The M_k have the Gram matrix
+    Ĝ = D²·G, and one sparse elimination (`linalg.solve_scaled` against
+    the identity columns) inverts it as Ĝ⁻¹ = H/h, with H integer and h
+    the lcm of the denominators of Ĝ⁻¹; on the built-in families Ĝ has one
+    or two nonzero entries per row. [M_i, M_j] = D²·[B_i, B_j] then has
+    the coordinates (H·I)/h in the basis M_k, I_l = <M_l, [M_i, M_j]>; it
+    is in the span exactly when Σ_k (H·I)_k·M_k = h·[M_i, M_j], and
+    c_ij^l = (H·I)_l/(h·D).
+    """
+    dim = len(matrices)
+    rows = tuple(_by_row(m) for m in matrices)
+    # position -> ((basis index, D·value), ...) over the nonzero entries
+    index = {}
+    for k, m in enumerate(matrices):
+        for pos, v in m.items():
+            index.setdefault(pos, []).append((k, v))
+    gram = [[0] * dim for _ in range(dim)]
+    for entries in index.values():
+        for k, v in entries:
+            for l, w in entries:
+                gram[k][l] += v * w
+    inverse = linalg.solve_scaled(
+        gram, [[0] * l + [1] + [0] * (dim - 1 - l) for l in range(dim)])
+    if inverse is None:
+        raise StructureError("basis matrices are linearly dependent")
+    h, inverse_cols = inverse
+    # column l of H as its nonzero (k, int) pairs
+    dual = tuple(tuple((k, g) for k, g in enumerate(col) if g) for col in inverse_cols)
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            commutator = {}
+            for p, q, sign in ((i, j, 1), (j, i, -1)):
+                for (r, t), v in matrices[p].items():
+                    for col, w in rows[q].get(t, ()):
+                        commutator[(r, col)] = commutator.get((r, col), 0) + sign * v * w
+            commutator = {pos: v for pos, v in commutator.items() if v}
+            inner = {}
+            for pos, v in commutator.items():
+                for l, b in index.get(pos, ()):
+                    inner[l] = inner.get(l, 0) + b * v
+            coords = {}
+            for l, s in inner.items():
+                if s:
+                    for k, g in dual[l]:
+                        coords[k] = coords.get(k, 0) + g * s
+            coords = {k: c for k, c in coords.items() if c}
+            rebuilt = {}
+            for k, c in coords.items():
+                for pos, v in matrices[k].items():
+                    rebuilt[pos] = rebuilt.get(pos, 0) + c * v
+            if ({pos: v for pos, v in rebuilt.items() if v}
+                    != {pos: h * v for pos, v in commutator.items()}):
+                raise StructureError("matrix brackets leave the span of the basis")
+            if coords:
+                brackets[(i, j)] = coords
+    # S = h·D/g with g the gcd of h·D and every (H·I)_l
+    den = h * scale
+    g = math.gcd(den, *[c for coords in brackets.values() for c in coords.values()])
+    table = {}
+    for (i, j), coords in brackets.items():
+        entries = tuple(sorted((l, c // g) for l, c in coords.items()))
+        table.setdefault(i, {})[j] = entries
+        table.setdefault(j, {})[i] = tuple((l, -c) for l, c in entries)
+    return den // g, table
 
 
 def _exact_matrix(matrix):

@@ -122,7 +122,6 @@ def _build(payload):
 
 def _algebra_info(payload):
     algebra = _build(payload)
-    scale = default_scale(algebra)
     e = algebra.grading_element
     return {
         "command": "algebra-info",
@@ -134,7 +133,9 @@ def _algebra_info(payload):
                        for g in range(-algebra.k, algebra.k + 1)},
         "killing_of_grading_element": fraction_to_json(
             algebra.killing_form(e, e)),
-        "kernel_dim": len(scale.kernel_basis),
+        # Ker(lambda') is a hyperplane of g_0 at every scale c·E, since
+        # lambda'(c·E) = c²·B(E, E) = c²·Σ_i i²·dim g_i is nonzero
+        "kernel_dim": len(algebra.indices_of_grade(0)) - 1,
         "basis": list(algebra.basis_names),
     }
 

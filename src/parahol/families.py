@@ -23,11 +23,11 @@ from .errors import StructureError
 
 HALF = Fraction(1, 2)
 
-# Largest algebra dimension `build` constructs. On a shared 2-core host,
-# CLI algebra-info took 0.52-0.72 s on conformal(21,0) (dim 253) and
-# 0.56-0.75 s on cr(13) (dim 224); building the next sizes in-process,
-# cr(14) (dim 255) and conformal(24,0) (dim 325), took 0.36-0.53 and
-# 0.46-0.49 s.
+# Largest algebra dimension `build` constructs. On a shared 2-core Intel
+# Xeon host (Python 3.11), CLI algebra-info took a median of 0.20 s on
+# conformal(21,0) (dim 253) and 0.22 s on cr(13) (dim 224), 5 runs each;
+# building the next sizes in-process, cr(14) (dim 255) and conformal(24,0)
+# (dim 325), took 0.30-0.31 and 0.34-0.35 s.
 MAX_BUILD_DIM = 253
 
 

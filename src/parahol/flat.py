@@ -339,7 +339,10 @@ def _step_count(t):
     with no finite step count (infinite, NaN or overflowing) is refused, and
     so is one needing more than MAX_RK4_STEPS steps, which bounds the cost
     of every flow."""
-    steps = abs(t) / RK4_STEP
+    try:
+        steps = abs(t) / RK4_STEP
+    except OverflowError:  # an int too large for a float
+        steps = math.inf
     if not math.isfinite(steps):
         raise DomainError(f"time {t!r} has no finite RK4 step count")
     n_steps = max(1, int(round(steps)))

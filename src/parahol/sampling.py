@@ -48,12 +48,18 @@ def random_instance(algebra, scale, rng):
     if kind == 1:
         x = x - x.component(0)
     elif kind == 2:
-        ell = scale.lambda_prime_of_grade0(x)
-        bee = algebra.killing_form(scale.e_lambda, scale.e_lambda)
-        x = x - (ell / bee) * scale.e_lambda
+        x = _into_kernel(scale, x)
     elif kind == 3:
         x = x.component(0)
     return x
+
+
+def _into_kernel(scale, x):
+    """x shifted along e_lambda so that its grade-0 part lies in Ker(lambda'):
+    x - (lambda'(x)/lambda'(e_lambda))·e_lambda, where lambda'(e_lambda) =
+    B(e_lambda, e_lambda) is nonzero."""
+    e = scale.e_lambda
+    return x - (scale.lambda_prime_of_grade0(x) / scale.lambda_prime_of_grade0(e)) * e
 
 
 def kernel_instance(algebra, rng):
@@ -97,9 +103,7 @@ def planted_instance(algebra, scale, rng, radius=Fraction(1), steps=1):
     """
     x0 = random_element(algebra, rng, grades=(0,), max_abs=4)
     if rng.randrange(2):
-        ell = scale.lambda_prime_of_grade0(x0)
-        bee = algebra.killing_form(scale.e_lambda, scale.e_lambda)
-        x0 = x0 - (ell / bee) * scale.e_lambda
+        x0 = _into_kernel(scale, x0)
     z = lattice_point(algebra, rng, radius, steps)
     return algebra.exp_ad(z, x0)
 

@@ -6,9 +6,15 @@ solution. test_linalg compares the integer solver with it, and the
 algebra and classifier references solve through it, so that no reference
 shares a solver with the code it checks. `sparse_matrix` turns a dense
 matrix into the {(row, col): value} map that the realization takes.
+`ReferenceRealization` expresses a matrix in a basis of matrices by the
+same elimination, and `structure` and `killing_matrix` read an algebra's
+dense constants and Killing matrix through its public `bracket` and
+`killing_form`.
 """
 
 from fractions import Fraction
+
+from parahol.errors import StructureError
 
 
 def sparse_matrix(matrix):
@@ -113,3 +119,62 @@ def dense_min_norm(a, b):
     for u, tu in zip(kernel, t):
         x = [xi - tu * ui for xi, ui in zip(x, u)]
     return x
+
+
+def structure(algebra):
+    """structure[i][j][l] = c_ij^l, as tuples of Fractions: the
+    coefficients of the bracket of each pair of basis elements."""
+    basis = [algebra.basis_element(i) for i in range(algebra.dim)]
+    return tuple(tuple(algebra.bracket(x, y).coeffs for y in basis) for x in basis)
+
+
+def killing_matrix(algebra):
+    """B_ij = B(e_i, e_j), as tuples of Fractions."""
+    basis = [algebra.basis_element(i) for i in range(algebra.dim)]
+    return tuple(tuple(algebra.killing_form(x, y) for y in basis) for x in basis)
+
+
+def _reference_sparse(matrix):
+    return {(i, j): Fraction(v) for i, row in enumerate(matrix)
+            for j, v in enumerate(row) if v != 0}
+
+
+class ReferenceRealization:
+    """Coordinates through the Frobenius dual basis, all in Fractions: G⁻¹ of
+    the Gram matrix G_kl = <B_k, B_l> (by `dense_solve`) applied to
+    (<B_l, M>)_l, then checked by reconstruction."""
+
+    def __init__(self, matrices):
+        self.basis = [_reference_sparse(m) for m in matrices]
+        dim = len(self.basis)
+        gram = [[sum((v * b.get(pos, 0) for pos, v in a.items()), Fraction(0))
+                 for b in self.basis] for a in self.basis]
+        identity = [[Fraction(int(i == j)) for i in range(dim)] for j in range(dim)]
+        inverse = dense_solve(gram, identity)
+        if inverse is None:
+            raise StructureError("basis matrices are linearly dependent")
+        # column l of G⁻¹ as its nonzero (k, value) pairs
+        self.dual = [[(k, g) for k, g in enumerate(col) if g != 0] for col in inverse]
+
+    def sparse_coordinates(self, sparse):
+        """{k: c_k} over the nonzero coordinates; None outside the span."""
+        inner = [sum((v * sparse.get(pos, 0) for pos, v in b.items()), Fraction(0))
+                 for b in self.basis]
+        coords = {}
+        for l, s in enumerate(inner):
+            for k, g in self.dual[l]:
+                coords[k] = coords.get(k, Fraction(0)) + g * s
+        rebuilt = {}
+        for k, c in coords.items():
+            for pos, v in self.basis[k].items():
+                rebuilt[pos] = rebuilt.get(pos, Fraction(0)) + c * v
+        if {pos: v for pos, v in rebuilt.items() if v != 0} != sparse:
+            return None
+        return {k: c for k, c in coords.items() if c != 0}
+
+    def coordinates(self, matrix):
+        """The coordinates of a dense matrix as a list; None outside the span."""
+        coords = self.sparse_coordinates(_reference_sparse(matrix))
+        if coords is None:
+            return None
+        return [coords.get(k, Fraction(0)) for k in range(len(self.basis))]

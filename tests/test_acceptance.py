@@ -28,6 +28,7 @@ from parahol.sampling import (
     random_positive_element,
 )
 from parahol.scales import default_scale
+from dense_reference import structure
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -96,12 +97,12 @@ def test_algebra_axioms():
     ok = True
     for algebra in built:
         algebra.validate()
-        c = algebra.structure
+        c = structure(algebra)
         ok &= all(c[i][j] == tuple(-v for v in c[j][i])
                   for i in range(algebra.dim) for j in range(algebra.dim))
         ok &= _first_jacobi_failure(c) is None
     so31 = built[0]
-    doubled = [[list(row) for row in plane] for plane in so31.structure]
+    doubled = [[list(row) for row in plane] for plane in structure(so31)]
     i, j = so31.basis_index("P_1"), so31.basis_index("K_1")
     doubled[i][j] = [2 * v for v in doubled[i][j]]
     doubled[j][i] = [2 * v for v in doubled[j][i]]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from parahol import families, linalg
-from parahol.algebra import GradedLieAlgebra, MatrixRealization, _as_scalar
+from parahol.algebra import GradedLieAlgebra, _as_scalar
 from parahol.errors import (
     DomainError,
     GradeRangeError,
@@ -25,8 +25,12 @@ from parahol.families import (
     build_cr,
 )
 from parahol.sampling import random_element
-from parahol.scales import default_scale
-from dense_reference import dense_solve, sparse_matrix
+from dense_reference import (
+    ReferenceRealization,
+    killing_matrix,
+    sparse_matrix,
+    structure,
+)
 from test_acceptance import _first_jacobi_failure
 
 
@@ -120,8 +124,10 @@ def test_grading_element_rejects_grades_that_are_no_grading(so41):
 
 
 def test_bracket_pk_matches_matrix_realization(so41):
-    """Independent route: multiply realization matrices and re-express."""
+    """Independent route: multiply realization matrices and re-express them
+    through the Fraction reference."""
     real = so41.realization
+    reference = ReferenceRealization(_matrices(so41))
     for a in ("P_1", "P_2", "P_3"):
         for b in ("K_1", "K_2", "K_3"):
             x = so41.basis_element(a)
@@ -130,7 +136,7 @@ def test_bracket_pk_matches_matrix_realization(so41):
             comm = [[sum(mx[i][t] * my[t][j] - my[i][t] * mx[t][j]
                          for t in range(real.size))
                      for j in range(real.size)] for i in range(real.size)]
-            coords = real.coordinates(sparse_matrix(comm))
+            coords = reference.coordinates(comm)
             assert coords is not None
             assert so41.bracket(x, y).coeffs == tuple(coords)
 
@@ -210,7 +216,7 @@ def test_killing_ad_invariance(so41, su21):
 def test_killing_pairing_nondegenerate_per_grade(so41, su21):
     # B restricted to g_j x g_-j has full rank
     for algebra in (so41, su21):
-        b = algebra.killing_matrix
+        b = killing_matrix(algebra)
         for g in range(1, algebra.k + 1):
             rows = [[b[i][j] for j in algebra.indices_of_grade(-g)]
                     for i in algebra.indices_of_grade(g)]
@@ -273,7 +279,7 @@ def test_ad_block_matches_dense_structure_tensor(maker):
     against sum_i x_i c_{i s}^l taken over the whole dense structure tensor."""
     algebra = maker()
     k = algebra.k
-    c = algebra.structure
+    c = structure(algebra)
     rng = random.Random(59)
     for _ in range(4):
         x = algebra.element_from_coeffs(
@@ -339,7 +345,7 @@ def test_elements_keep_one_scaled_form(so41, su21):
                 if rng.random() < 0.6 else Fraction(0) for _ in range(algebra.dim)]
 
     for algebra in (so41, su21):
-        b = algebra.killing_matrix
+        b = killing_matrix(algebra)
         for _ in range(20):
             cx, cy = coefficients(algebra), coefficients(algebra)
             x, y = algebra.element_from_coeffs(cx), algebra.element_from_coeffs(cy)
@@ -564,51 +570,6 @@ def test_ad_block_matches_fraction_reference(maker):
 # -- a reference ------------------------------------------------------------------
 
 
-def _reference_sparse(matrix):
-    return {(i, j): Fraction(v) for i, row in enumerate(matrix)
-            for j, v in enumerate(row) if v != 0}
-
-
-class ReferenceRealization:
-    """Coordinates through the Frobenius dual basis, all in Fractions: G⁻¹ of
-    the Gram matrix G_kl = <B_k, B_l> (by the dense reference elimination)
-    applied to (<B_l, M>)_l, then checked by reconstruction."""
-
-    def __init__(self, matrices):
-        self.basis = [_reference_sparse(m) for m in matrices]
-        dim = len(self.basis)
-        gram = [[sum((v * b.get(pos, 0) for pos, v in a.items()), Fraction(0))
-                 for b in self.basis] for a in self.basis]
-        identity = [[Fraction(int(i == j)) for i in range(dim)] for j in range(dim)]
-        inverse = dense_solve(gram, identity)
-        if inverse is None:
-            raise StructureError("basis matrices are linearly dependent")
-        # column l of G⁻¹ as its nonzero (k, value) pairs
-        self.dual = [[(k, g) for k, g in enumerate(col) if g != 0] for col in inverse]
-
-    def sparse_coordinates(self, sparse):
-        """{k: c_k} over the nonzero coordinates; None outside the span."""
-        inner = [sum((v * sparse.get(pos, 0) for pos, v in b.items()), Fraction(0))
-                 for b in self.basis]
-        coords = {}
-        for l, s in enumerate(inner):
-            for k, g in self.dual[l]:
-                coords[k] = coords.get(k, Fraction(0)) + g * s
-        rebuilt = {}
-        for k, c in coords.items():
-            for pos, v in self.basis[k].items():
-                rebuilt[pos] = rebuilt.get(pos, Fraction(0)) + c * v
-        if {pos: v for pos, v in rebuilt.items() if v != 0} != sparse:
-            return None
-        return {k: c for k, c in coords.items() if c != 0}
-
-    def coordinates(self, matrix):
-        coords = self.sparse_coordinates(_reference_sparse(matrix))
-        if coords is None:
-            return None
-        return [coords.get(k, Fraction(0)) for k in range(len(self.basis))]
-
-
 def reference_from_matrices(matrices):
     """The pair table {(i, j): ((l, c_ij^l), ...)} of [B_i, B_j] for i < j
     and its negation for (j, i), in Fractions."""
@@ -674,23 +635,7 @@ def test_construction_matches_fraction_reference(maker, params):
     table = reference_from_matrices(_matrices(algebra))
     assert _fraction_table(algebra) == table
     assert algebra._scaled_table[0] == _lcm_of_denominators(table)
-    assert algebra.killing_matrix == reference_killing_matrix(table, algebra.dim)
-    assert all(type(c) is Fraction for row in algebra.killing_matrix for c in row)
-
-
-@pytest.mark.parametrize("family,params", [("conformal", [3, 0]), ("conformal", [2, 2]),
-                                           ("cr", [2])])
-def test_no_fraction_killing_matrix_is_kept(family, params):
-    """Build, validation, the grading element and the default scale read the
-    integer Killing rows only: no Fraction Killing matrix is left on the
-    algebra, and the view still reads the same values."""
-    algebra = build(family, params)
-    algebra.validate()
-    default_scale(algebra)
-    assert "killing_matrix" not in vars(algebra)
-    den, rows = algebra._killing_rows
-    assert algebra.killing_matrix == tuple(tuple(Fraction(v, den) for v in r) for r in rows)
-    assert "killing_matrix" not in vars(algebra)
+    assert killing_matrix(algebra) == reference_killing_matrix(table, algebra.dim)
 
 
 _MIXED_FACTORS = [Fraction(1, 3), Fraction(2, 7), Fraction(5), Fraction(-3, 4)]
@@ -710,32 +655,46 @@ def test_mixed_denominators_match_fraction_reference():
     algebra = GradedLieAlgebra.from_matrices(
         base.basis_names, base.grade, [sparse_matrix(m) for m in matrices], base.k,
         base.family, base.params)
-    real = algebra.realization
-    assert real._scale == 84 and real._dual_scale != 1
+    # Ĝ = 84²·G, and its inverse G⁻¹/84² is not integer
+    assert algebra.realization._scale == 84
+    assert any((g / 84 ** 2).denominator != 1
+               for col in ReferenceRealization(matrices).dual for _, g in col)
     table = reference_from_matrices(matrices)
     assert _fraction_table(algebra) == table
     assert algebra._scaled_table[0] == _lcm_of_denominators(table)
-    assert algebra.killing_matrix == reference_killing_matrix(table, algebra.dim)
+    assert killing_matrix(algebra) == reference_killing_matrix(table, algebra.dim)
     assert algebra.validate() is algebra
 
 
-def test_coordinates_match_fraction_reference_on_mixed_denominators():
-    matrices = _mixed_matrices(build_conformal(2, 1))
-    real = MatrixRealization([sparse_matrix(m) for m in matrices])
-    reference = ReferenceRealization(matrices)
-    size, dim = real.size, len(matrices)
+def test_span_check_matches_fraction_reference_on_mixed_denominators():
+    """On a basis with mixed denominators, the integer construction and the
+    Fraction reference agree: a basis matrix moved by a multiple of another
+    one spans the same algebra and gives the same table, and one moved by an
+    entry off the span is refused with the same message."""
+    base = build_conformal(2, 1)
+    matrices = _mixed_matrices(base)
     rng = random.Random(89)
-    for _ in range(12):
-        coeffs = [_wide_rational(rng) for _ in range(dim)]
-        m = [[sum((c * b[i][j] for c, b in zip(coeffs, matrices)), Fraction(0))
-              for j in range(size)] for i in range(size)]
-        assert real.coordinates(sparse_matrix(m)) == reference.coordinates(m) == coeffs
-        # one more entry off the span: no basis matrix has a (1, 1) entry
-        m[1][1] += Fraction(rng.choice([1, 2, 3]), rng.choice([1, 5, 7]))
-        assert real.coordinates(sparse_matrix(m)) is None
-        assert reference.coordinates(m) is None
-    zero = [[0] * size for _ in range(size)]
-    assert real.coordinates(sparse_matrix(zero)) == reference.coordinates(zero) == [0] * dim
+
+    def construct(moved):
+        return GradedLieAlgebra.from_matrices(
+            base.basis_names, base.grade, [sparse_matrix(m) for m in moved],
+            base.k, base.family, base.params)
+
+    for _ in range(6):
+        k, l = rng.sample(range(len(matrices)), 2)
+        r = _wide_rational(rng)
+        inside = list(matrices)
+        inside[k] = [[u + r * v for u, v in zip(a, b)]
+                     for a, b in zip(matrices[k], matrices[l])]
+        assert _fraction_table(construct(inside)) == reference_from_matrices(inside)
+        outside = [[list(row) for row in m] for m in matrices]
+        # no basis matrix has a (1, 1) entry
+        outside[k][1][1] += Fraction(rng.choice([1, 2, 3]), rng.choice([1, 5, 7]))
+        message = "matrix brackets leave the span of the basis"
+        with pytest.raises(StructureError, match=message):
+            reference_from_matrices(outside)
+        with pytest.raises(StructureError, match=message):
+            construct(outside)
 
 
 def test_exp_ad_rejects_an_argument_from_another_algebra(so41):
@@ -758,14 +717,6 @@ def test_exp_ad_rejects_a_series_that_does_not_terminate(so41):
         reference_exp_ad(relabelled, z, x)
     with pytest.raises(ValueError, match="failed to terminate"):
         relabelled.exp_ad(z, x)
-
-
-def test_describe_and_sparse_export(so41):
-    doc = so41.describe()
-    assert doc["family"] == "conformal"
-    assert doc["params"] == [3, 0]
-    assert len(doc["basis"]) == 10
-    assert doc["grades"].count(0) == 4
 
 
 def test_structure_error_on_bad_grading():
@@ -848,18 +799,12 @@ def test_from_matrices_rejects_malformed_input(names, grades, matrices):
     pytest.param(2.0, id="integral_float"),
 ])
 def test_matrix_entries_must_be_exact(value):
-    """A basis or coordinates entry that is not an int or a Fraction raises
+    """A basis matrix entry that is not an int or a Fraction raises
     DomainError, as an element coefficient does, rather than being read as
     the binary fraction it stands for."""
     with pytest.raises(DomainError):
         GradedLieAlgebra.from_matrices(
             ["X", "Y", "H"], [1, -1, 0], [{(0, 1): value}, _Y, _H], 1, "sl", (2,))
-    real = GradedLieAlgebra.from_matrices(
-        ["X", "Y", "H"], [1, -1, 0], [{(0, 1): Fraction(1, 2)}, _Y, _H], 1, "sl",
-        (2,)).realization
-    assert real.coordinates({(0, 1): 1, (1, 0): Fraction(1, 3)}) == [2, Fraction(1, 3), 0]
-    with pytest.raises(DomainError):
-        real.coordinates({(0, 1): value})
 
 
 def _matrices(algebra):
@@ -886,7 +831,7 @@ def _with_central_vector(algebra, grade, k=None):
 
 
 def _dense(algebra):
-    return [[list(row) for row in plane] for plane in algebra.structure]
+    return [[list(row) for row in plane] for plane in structure(algebra)]
 
 
 def _from_adjoint(algebra, structure):

@@ -31,7 +31,7 @@ from parahol.sampling import (
     random_positive_element,
 )
 from parahol.scales import default_scale, scale_from_element
-from dense_reference import dense_min_norm, sparse_matrix
+from dense_reference import ReferenceRealization, dense_min_norm
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +265,8 @@ def test_verdict_invariant_under_grade_preserving_rotations(so41):
     real = so41.realization
     size = real.size
     scale = default_scale(so41)
+    reference = ReferenceRealization(
+        [real.matrix_of(so41.basis_element(i)) for i in range(so41.dim)])
 
     def rotation_matrix(a, b):
         g = [[Fraction(1) if i == j else Fraction(0) for j in range(size)]
@@ -278,7 +280,7 @@ def test_verdict_invariant_under_grade_preserving_rotations(so41):
     def conjugate_element(g, x):
         gm = _dense_matmul(g, real.matrix_of(x))
         g_inv = [list(col) for col in zip(*g)]  # orthogonal for the Euclidean block
-        coords = real.coordinates(sparse_matrix(_dense_matmul(gm, g_inv)))
+        coords = reference.coordinates(_dense_matmul(gm, g_inv))
         assert coords is not None
         return so41.element_from_coeffs(coords)
 
@@ -313,8 +315,8 @@ def test_depth_one_completeness(so41):
 def reference_classify(datum):
     """Grade-by-grade elimination on Fraction elements with the dense
     Fraction minimum-norm solve (`dense_min_norm`), the witness checked by
-    conjugating every grade, and lambda' as e_lambda·B·X_0 over the dense
-    Killing matrix."""
+    conjugating every grade, and lambda' as B(e_lambda, X_0) through the
+    public Killing form."""
     algebra, x = datum.algebra, datum.x
     z = algebra.zero()
     for d in range(1, algebra.k + 1):
@@ -327,9 +329,7 @@ def reference_classify(datum):
         z = z + algebra.from_grade_coords(d, z_d)
     conj = conjugate_by_exp(z, x)
     assert all(conj.component(g).is_zero for g in range(1, algebra.k + 1))
-    e, b = datum.scale.e_lambda.coeffs, algebra.killing_matrix
-    ell = sum((e[i] * b[i][j] * c for i in algebra.indices_of_grade(0)
-               for j, c in enumerate(x.component(0).coeffs)), Fraction(0))
+    ell = algebra.killing_form(datum.scale.e_lambda, x.component(0))
     return conjugable_verdict(ell, z)
 
 

@@ -7,9 +7,13 @@ import pathlib
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
 from parahol import cli, sampling, schemas
+from parahol.families import build
+from parahol.scales import default_scale, scale_from_element
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -67,6 +71,21 @@ def test_algebra_info_values():
     assert doc["grade_dims"] == {"-1": 3, "0": 4, "1": 3}
     assert doc["killing_of_grading_element"] == 6
     assert doc["kernel_dim"] == 3
+
+
+@pytest.mark.parametrize("family,params", [
+    ("conformal", [2, 0]), ("conformal", [1, 1]), ("conformal", [3, 0]),
+    ("conformal", [2, 2]), ("cr", [1]), ("cr", [2]), ("cr", [3]),
+])
+def test_algebra_info_kernel_dim_counts_a_kernel_basis(family, params):
+    """kernel_dim = dim g_0 - 1 is the size of a basis of Ker(lambda'), at
+    the default scale E and at -E/3."""
+    code, out = run_cli("algebra-info", {"family": family, "params": params})
+    assert code == 0
+    algebra = build(family, params)
+    for scale in (default_scale(algebra), scale_from_element(
+            algebra, Fraction(-1, 3) * algebra.grading_element)):
+        assert json.loads(out)["kernel_dim"] == len(scale.kernel_basis)
 
 
 def test_algebra_verify_passes():
@@ -180,6 +199,8 @@ def _flat_request(a=(0, 0, 0), linear=None, s=1, b=(0, 0, 0), signature=(3, 0),
     # a rational with a final newline is outside the request grammar
     ("classify", {"family": "conformal", "params": [3, 0],
                   "element": {"D": "1\n"}}, "$.element.D"),
+    # an integer time too large for a float has no finite step count either
+    ("verify-identities", {"t": 10 ** 400, "samples": 1}, "$.t"),
 ])
 def test_request_field_errors_carry_a_path(command, payload, path):
     code, out = run_cli(command, payload)
