@@ -25,6 +25,7 @@ from parahol.families import (
     build_cr,
 )
 from parahol.sampling import random_element
+from parahol.scales import default_scale
 from dense_reference import (
     ReferenceRealization,
     killing_matrix,
@@ -636,6 +637,22 @@ def test_construction_matches_fraction_reference(maker, params):
     assert _fraction_table(algebra) == table
     assert algebra._scaled_table[0] == _lcm_of_denominators(table)
     assert killing_matrix(algebra) == reference_killing_matrix(table, algebra.dim)
+
+
+@pytest.mark.parametrize("family,params", [("conformal", [3, 0]), ("conformal", [2, 2]),
+                                           ("cr", [2])])
+def test_no_fraction_killing_matrix_is_kept(family, params):
+    """Build, validation, the grading element and the default scale read the
+    integer Killing rows only: no Fraction Killing matrix is left on the
+    algebra, and killing_form still reads the same values as those rows."""
+    algebra = build(family, params)
+    algebra.validate()
+    default_scale(algebra)
+    assert "killing_matrix" not in vars(algebra)
+    assert not hasattr(algebra, "killing_matrix")
+    den, rows = algebra._killing_rows
+    assert killing_matrix(algebra) == tuple(tuple(Fraction(v, den) for v in r) for r in rows)
+    assert "killing_matrix" not in vars(algebra)
 
 
 _MIXED_FACTORS = [Fraction(1, 3), Fraction(2, 7), Fraction(5), Fraction(-3, 4)]
