@@ -5,9 +5,9 @@ one sparse table of its structure constants: the nonzero c_ij^l of each
 basis pair as integers C_ij^l over one common scale S, c = C/S. Every
 algebra comes from a matrix realization (`GradedLieAlgebra.from_matrices`)
 of sparse basis matrices {(row, col): int or Fraction}: the bracket of
-each basis pair i < j is the sparse commutator of the two basis matrices
-expressed through the Frobenius dual basis, checked by exact
-reconstruction, and the pair (j, i) gets its negation (`_structure_table`).
+each basis pair i < j is the commutator of the two basis matrices, formed
+from its nonzero products only and expressed through the Frobenius dual
+basis with an exact span check; (j, i) gets its negation (`_structure_table`).
 Those exact checks, with the linear independence of the basis matrices,
 make e_i ↦ B_i an injective bracket-preserving map into a matrix algebra,
 so antisymmetry and the Jacobi identity hold by construction. The algebra
@@ -246,18 +246,17 @@ class GradedLieAlgebra:
 
         One basis name, one grade and one sparse basis matrix
         {(row, col): int or Fraction} per basis vector (see
-        MatrixRealization). `_structure_table` expresses each commutator
-        [B_i, B_j] with i < j in the basis, checked by exact
-        reconstruction, and rejects a bracket outside the span and a
-        linearly dependent basis with StructureError. [B_j, B_i] =
-        -[B_i, B_j] and [B_i, B_i] = 0 hold exactly for matrices, so they
-        are not formed. Once both checks pass, e_i ↦ B_i is an injective
-        linear map that carries the table's bracket to the matrix
-        commutator, so the table is antisymmetric and satisfies Jacobi. A
-        semisimple algebra known by its structure constants comes in
-        through its adjoint matrices, a faithful realization since its
-        center is trivial. The algebra keeps the realization, ρ alone, for
-        the flat model's matrices.
+        MatrixRealization). `_structure_table` forms each commutator
+        [B_i, B_j], i < j, from its nonzero products only, expresses it in
+        the basis with an exact span check, and rejects a bracket outside
+        the span and a linearly dependent basis with StructureError; [B_j,
+        B_i] = -[B_i, B_j] and [B_i, B_i] = 0 hold exactly for matrices.
+        Once both checks pass, e_i ↦ B_i is an injective linear map that
+        carries the table's bracket to the matrix commutator, so the table
+        is antisymmetric and satisfies Jacobi. A semisimple algebra known
+        by its structure constants comes in through its adjoint matrices,
+        a faithful realization since its center is trivial. The algebra
+        keeps the realization, ρ alone, for the flat model's matrices.
         """
         if not len(basis_names) == len(grades) == len(matrices):
             raise StructureError(
@@ -587,31 +586,37 @@ def _structure_table(matrices, scale):
     """(S, table) of the Lie algebra spanned by the basis B_k = M_k/D, for
     the integer matrices M_k and their common denominator D = `scale`.
 
-    Each commutator [B_i, B_j] with i < j is formed sparsely and expressed
-    in the basis through the Frobenius dual basis: with G_kl = <B_k, B_l>
-    the Gram matrix of the entrywise inner product, the coordinates of a
-    matrix M are G⁻¹·(<B_l, M>)_l, followed by an exact check that they
-    reconstruct M. G is positive definite exactly when the basis is
-    linearly independent, so a singular G raises StructureError ("basis
-    matrices are linearly dependent"), and so does a bracket that fails
-    the check ("matrix brackets leave the span of the basis").
+    All of this runs on scaled integers. The Gram matrix of the entrywise
+    inner product of the M_k, Ĝ = D²·G with G_kl = <B_k, B_l>, is positive
+    definite exactly when the basis is linearly independent; a singular Ĝ
+    raises StructureError ("basis matrices are linearly dependent"). One
+    sparse elimination (`linalg.solve_scaled` against the identity
+    columns) inverts it as Ĝ⁻¹ = H/h, H integer and h the lcm of the
+    denominators of Ĝ⁻¹; on the built-in families Ĝ has one or two
+    nonzero entries per row.
 
-    All of this runs on scaled integers. The M_k have the Gram matrix
-    Ĝ = D²·G, and one sparse elimination (`linalg.solve_scaled` against
-    the identity columns) inverts it as Ĝ⁻¹ = H/h, with H integer and h
-    the lcm of the denominators of Ĝ⁻¹; on the built-in families Ĝ has one
-    or two nonzero entries per row. [M_i, M_j] = D²·[B_i, B_j] then has
-    the coordinates (H·I)/h in the basis M_k, I_l = <M_l, [M_i, M_j]>; it
-    is in the span exactly when Σ_k (H·I)_k·M_k = h·[M_i, M_j], and
-    c_ij^l = (H·I)_l/(h·D).
+    Only products that can be nonzero are formed. For each i, each nonzero
+    entry M_i[r,t] is walked against indexes of all basis entries by row
+    and by column: M_j[t,c] adds M_i[r,t]·M_j[t,c] to C = [M_i, M_j] at
+    (r, c), and M_j[s,r] subtracts M_j[s,r]·M_i[r,t] at (s, t), for each
+    j > i. So the commutators of M_i with the later M_j are collected one i
+    at a time, and a pair that commutes, or whose products cancel, gets no
+    entry. C = D²·[B_i, B_j] has the coordinates (H·I)/h in the basis M_k,
+    I_l = <M_l, C>, and c_ij^l = (H·I)_l/(h·D). They solve the normal
+    equations, so their matrix PC is the orthogonal projection of C onto
+    the span and |C − PC|² = |C|² − <C, PC> = |C|² − Σ_k (H·I)_k·I_k/h. The
+    inner product is positive definite, so C lies in the span exactly when
+    h·|C|² = Σ_k (H·I)_k·I_k; otherwise StructureError ("matrix brackets
+    leave the span of the basis") is raised.
     """
     dim = len(matrices)
-    rows = tuple(_by_row(m) for m in matrices)
-    # position -> ((basis index, D·value), ...) over the nonzero entries
-    index = {}
+    # position -> [(k, value)], row -> [(k, col, value)], col -> [(k, row, value)]
+    index, by_row, by_col = {}, {}, {}
     for k, m in enumerate(matrices):
         for pos, v in m.items():
             index.setdefault(pos, []).append((k, v))
+            by_row.setdefault(pos[0], []).append((k, pos[1], v))
+            by_col.setdefault(pos[1], []).append((k, pos[0], v))
     gram = [[0] * dim for _ in range(dim)]
     for entries in index.values():
         for k, v in entries:
@@ -625,30 +630,33 @@ def _structure_table(matrices, scale):
     # column l of H as its nonzero (k, int) pairs
     dual = tuple(tuple((k, g) for k, g in enumerate(col) if g) for col in inverse_cols)
     brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            commutator = {}
-            for p, q, sign in ((i, j, 1), (j, i, -1)):
-                for (r, t), v in matrices[p].items():
-                    for col, w in rows[q].get(t, ()):
-                        commutator[(r, col)] = commutator.get((r, col), 0) + sign * v * w
-            commutator = {pos: v for pos, v in commutator.items() if v}
+    for i, m in enumerate(matrices):
+        # j -> [M_i, M_j] as {(row, col): int}, for every j > i it meets
+        commutators = {}
+        for (r, t), v in m.items():
+            for j, c, w in by_row.get(t, ()):
+                if j > i:
+                    commutator = commutators.setdefault(j, {})
+                    commutator[(r, c)] = commutator.get((r, c), 0) + v * w
+            for j, s, w in by_col.get(r, ()):
+                if j > i:
+                    commutator = commutators.setdefault(j, {})
+                    commutator[(s, t)] = commutator.get((s, t), 0) - w * v
+        for j in sorted(commutators):
+            norm = 0
             inner = {}
-            for pos, v in commutator.items():
-                for l, b in index.get(pos, ()):
-                    inner[l] = inner.get(l, 0) + b * v
+            for pos, v in commutators[j].items():
+                if v:
+                    norm += v * v
+                    for l, b in index.get(pos, ()):
+                        inner[l] = inner.get(l, 0) + b * v
             coords = {}
             for l, s in inner.items():
                 if s:
                     for k, g in dual[l]:
                         coords[k] = coords.get(k, 0) + g * s
             coords = {k: c for k, c in coords.items() if c}
-            rebuilt = {}
-            for k, c in coords.items():
-                for pos, v in matrices[k].items():
-                    rebuilt[pos] = rebuilt.get(pos, 0) + c * v
-            if ({pos: v for pos, v in rebuilt.items() if v}
-                    != {pos: h * v for pos, v in commutator.items()}):
+            if h * norm != sum(c * inner.get(k, 0) for k, c in coords.items()):
                 raise StructureError("matrix brackets leave the span of the basis")
             if coords:
                 brackets[(i, j)] = coords
@@ -683,11 +691,3 @@ def _integer_matrix(sparse, scale):
     """{(row, col): int}: a sparse Fraction matrix times `scale`, a common
     multiple of its denominators."""
     return {pos: v.numerator * (scale // v.denominator) for pos, v in sparse.items()}
-
-
-def _by_row(sparse):
-    """row -> ((col, value), ...) over a sparse matrix's nonzero entries."""
-    rows = {}
-    for (i, j), v in sparse.items():
-        rows.setdefault(i, []).append((j, v))
-    return rows

@@ -344,11 +344,19 @@ def _step_count(t):
     except OverflowError:  # an int too large for a float
         steps = math.inf
     if not math.isfinite(steps):
-        raise DomainError(f"time {t!r} has no finite RK4 step count")
+        raise DomainError(f"time {_excerpt(t)} has no finite RK4 step count")
     n_steps = max(1, int(round(steps)))
     if n_steps > MAX_RK4_STEPS:
-        raise DomainError(f"time {t!r} needs more than {MAX_RK4_STEPS} RK4 steps")
+        raise DomainError(f"time {_excerpt(t)} needs more than {MAX_RK4_STEPS} RK4 steps")
     return n_steps
+
+
+def _excerpt(t):
+    """repr(t) when it is short, as every float's is; otherwise its first
+    eight characters and its length, so that a huge integer is named
+    without echoing every digit."""
+    text = repr(t)
+    return text if len(text) <= 24 else f"{text[:8]}... ({len(text)} characters)"
 
 
 def _float_fields(fields):

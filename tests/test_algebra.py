@@ -714,6 +714,97 @@ def test_span_check_matches_fraction_reference_on_mixed_denominators():
             construct(outside)
 
 
+def _unimodular_pair(size, rng):
+    """(g, g⁻¹) for g a product of 3·size integer elementary matrices
+    I + c·E_ab (a ≠ b), as dense int matrices."""
+    g = [[int(r == c) for c in range(size)] for r in range(size)]
+    inverse = [list(row) for row in g]
+    for _ in range(3 * size):
+        a, b = rng.sample(range(size), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        # g·(I + c·E_ab) adds c·column a to column b; (I − c·E_ab)·g⁻¹
+        # subtracts c·row b from row a
+        for row in g:
+            row[b] += c * row[a]
+        inverse[a] = [u - c * v for u, v in zip(inverse[a], inverse[b])]
+    return g, inverse
+
+
+def _conjugated(algebra, g, inverse):
+    """g·B_k·g⁻¹ for each basis matrix B_k = M_k/D, as dense matrices."""
+    real = algebra.realization
+    size, columns = real.size, list(zip(*inverse))
+    out = []
+    for m in real._integer_matrices:
+        gm = [[0] * size for _ in range(size)]
+        for (t, c), v in m.items():
+            for r in range(size):
+                gm[r][c] += g[r][t] * v
+        out.append([[Fraction(sum(a * b for a, b in zip(row, col)), real._scale)
+                     for col in columns] for row in gm])
+    return out
+
+
+CONJUGATED_MAKERS = [(build_conformal, (2, 0)), (build_conformal, (3, 0)),
+                     (build_conformal, (2, 1)), (build_cr, (1,)), (build_cr, (2,))]
+
+
+@pytest.mark.parametrize("maker,params", CONJUGATED_MAKERS,
+                         ids=[f"{m.__name__[6:]}{''.join(map(str, p))}"
+                              for m, p in CONJUGATED_MAKERS])
+def test_table_is_invariant_under_unimodular_conjugation(maker, params):
+    """Conjugating every basis matrix by one unimodular integer g keeps the
+    brackets, so the table is the same, in value and in order, although the
+    conjugated matrices are dense and their Gram matrix is not diagonal. The
+    first conjugated matrix moved by 1 in one entry is refused with the
+    message of the Fraction reference, which stops at the first pair."""
+    algebra = maker(*params)
+    size = algebra.realization.size
+    g, inverse = _unimodular_pair(size, random.Random(97))
+    assert ([[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in g]
+            == [[int(r == c) for c in range(size)] for r in range(size)])
+    conjugated = _conjugated(algebra, g, inverse)
+    assert sum(v != 0 for m in conjugated for row in m for v in row) > 2 * sum(
+        len(m) for m in algebra.realization._integer_matrices)
+
+    def construct(matrices):
+        return GradedLieAlgebra.from_matrices(
+            algebra.basis_names, algebra.grade, [sparse_matrix(m) for m in matrices],
+            algebra.k, algebra.family, algebra.params)
+
+    first, *rest = [sparse_matrix(m) for m in conjugated]
+    assert any(sum(v * m.get(pos, 0) for pos, v in first.items()) for m in rest)
+    scale, table = construct(conjugated)._scaled_table
+    assert scale == algebra._scaled_table[0]
+    assert ([(i, list(row.items())) for i, row in table.items()]
+            == [(i, list(row.items())) for i, row in algebra._scaled_table[1].items()])
+    rng = random.Random(101)
+    conjugated[0][rng.randrange(size)][rng.randrange(size)] += 1
+    with pytest.raises(StructureError) as reference:
+        reference_from_matrices(conjugated)
+    with pytest.raises(StructureError) as refusal:
+        construct(conjugated)
+    assert str(refusal.value) == str(reference.value)
+
+
+def test_products_that_cancel_give_no_table_entry():
+    # X = E_01, H = diag(1, −1) and the identity I: [H, I] and [X, I] are sums
+    # of nonzero products that cancel, and only [X, H] = −2X is left
+    algebra = GradedLieAlgebra.from_matrices(
+        ["X", "H", "I"], [1, 0, 0], [{(0, 1): 1}, {(0, 0): 1, (1, 1): -1},
+                                     {(0, 0): 1, (1, 1): 1}], 1, "gl", (2,))
+    assert algebra._scaled_table == (1, {0: {1: ((0, -2),)}, 1: {0: ((0, 2),)}})
+
+
+def test_a_bracket_off_every_basis_position_leaves_the_span():
+    # [E_01, E_10] = diag(1, −1) sits on (0, 0) and (1, 1), which no basis
+    # matrix touches: its inner product with every basis matrix is 0, and
+    # its norm is 2
+    with pytest.raises(StructureError, match="matrix brackets leave the span of the basis"):
+        GradedLieAlgebra.from_matrices(
+            ["X", "Y"], [1, -1], [{(0, 1): 1}, {(1, 0): 1}], 1, "gl", (2,))
+
+
 def test_exp_ad_rejects_an_argument_from_another_algebra(so41):
     other = build_conformal(3, 0)
     z, x = so41.basis_element("P_1"), so41.basis_element("D")

@@ -208,6 +208,15 @@ def test_request_field_errors_carry_a_path(command, payload, path):
     assert json.loads(out)["error"]["path"] == path
 
 
+def test_a_huge_integer_time_is_refused_with_a_short_message():
+    code, out = run_cli("verify-identities", {"t": 10 ** 400, "samples": 1})
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["path"] == "$.t"
+    assert error["message"] == "time 10000000... (401 characters) has no finite RK4 step count"
+    assert len(out) < 300
+
+
 def test_oracle_compare_small_run():
     code, out = run_cli("oracle-compare", {"family": "conformal", "params": [3, 0]},
                         "--instances", "25", "--grid-steps", "0")

@@ -24,6 +24,7 @@ from parahol.flat import (
     _integrate_chart_flow,
     _positive_offset,
     _sample_offsets,
+    _step_count,
     classify_at,
     curvature_check,
     equivariance_check,
@@ -469,6 +470,19 @@ def test_flow_escape_raises_with_time(so41):
     # a longer flow is refused before any step is taken
     with pytest.raises(DomainError, match="needs more than 10000 RK4 steps"):
         equivariance_check(field, [0, 0, 0], so41.basis_element("P_1"), 25.0)
+
+
+@pytest.mark.parametrize("t,named", [
+    (10 ** 400, "time 10000000... (401 characters) has"),
+    (-(10 ** 400), "time -1000000... (402 characters) has"),
+    # a float's repr is at most 24 characters, and is kept whole
+    (-1.2345678901234567e+300, "time -1.2345678901234567e+300 needs"),
+])
+def test_step_count_refusal_names_the_time_by_a_bounded_excerpt(t, named):
+    with pytest.raises(DomainError) as err:
+        _step_count(t)
+    assert str(err.value).startswith(named)
+    assert len(str(err.value)) < 80
 
 
 def test_group_side_overflow_is_a_chart_escape(so41):
