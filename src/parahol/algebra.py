@@ -217,16 +217,22 @@ class MatrixRealization:
         self._scale = math.lcm(*[v.denominator for m in sparse for v in m.values()])
         self._integer_matrices = tuple(_integer_matrix(m, self._scale) for m in sparse)
 
-    def matrix_of(self, element):
-        """Exact dense matrix of an element X/d: Σ_k X_k·M_k over d·D."""
-        n = self.size
+    def scaled_matrix_of(self, element):
+        """(d·D, {(row, col): int}) for an element X/d: Σ_k X_k·M_k, sparse."""
         d, xs = element.scaled()
-        out = [[0] * n for _ in range(n)]
+        out = {}
         for k, c in xs.items():
-            for (i, j), v in self._integer_matrices[k].items():
-                out[i][j] += c * v
-        den = d * self._scale
-        return [[Fraction(v, den) if v else ZERO for v in row] for row in out]
+            for pos, v in self._integer_matrices[k].items():
+                out[pos] = out.get(pos, 0) + c * v
+        return d * self._scale, out
+
+    def matrix_of(self, element):
+        """Exact dense matrix of an element: `scaled_matrix_of` over its den."""
+        den, entries = self.scaled_matrix_of(element)
+        out = [[ZERO] * self.size for _ in range(self.size)]
+        for (i, j), v in entries.items():
+            out[i][j] = Fraction(v, den)
+        return out
 
 
 class GradedLieAlgebra:

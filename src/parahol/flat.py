@@ -338,7 +338,8 @@ def _step_count(t):
     """RK4 steps for time t: |t| / RK4_STEP rounded, at least one. A time
     with no finite step count (infinite, NaN or overflowing) is refused, and
     so is one needing more than MAX_RK4_STEPS steps, which bounds the cost
-    of every flow."""
+    of every flow. A flow reads an accepted t (an int or a Fraction too)
+    as a float."""
     try:
         steps = abs(t) / RK4_STEP
     except OverflowError:  # an int too large for a float
@@ -403,7 +404,7 @@ def _integrate_chart_flow(fields, starts, t):
     parts = _float_fields(fields)
     x = np.array(starts, dtype=float)
     n_steps = _step_count(t)
-    h = t / n_steps
+    h = float(t) / n_steps
     escape_times = [None] * len(x)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
@@ -431,7 +432,7 @@ def _linear_flow(rho, t):
     import numpy as np
 
     n_steps = _step_count(t)
-    a = (t / n_steps) * rho
+    a = (float(t) / n_steps) * rho
     eye = np.eye(rho.shape[-1])
     r = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
     return np.linalg.matrix_power(r, n_steps)
@@ -443,11 +444,17 @@ def holonomy_flow(datum, t):
 
 
 def _rho(element):
-    """The element's matrix in its algebra's realization, in floats."""
+    """The element's matrix in its algebra's realization, in floats: each
+    integer numerator over the common denominator, a correctly rounded
+    division, so every entry is float() of the exact one."""
     import numpy as np
 
-    rows = element.algebra.realization.matrix_of(element)
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+    real = element.algebra.realization
+    den, entries = real.scaled_matrix_of(element)
+    out = np.zeros((real.size, real.size))
+    for (i, j), v in entries.items():
+        out[i, j] = v / den
+    return out
 
 
 def _exp_grade_one(m):

@@ -10,19 +10,20 @@ import pytest
 
 from parahol import flat, identities
 from parahol.classify import HolonomyDatum, Verdict, classify, conjugate_by_exp
-from parahol.constants import CHART_NORM_LIMIT, FIELD_BRACKET_SIGN, RK4_STEP
+from parahol.constants import CHART_NORM_LIMIT, FIELD_BRACKET_SIGN, MAX_RK4_STEPS, RK4_STEP
 from parahol.errors import (
     ChartEscapeError,
     DomainError,
     NonSingularPointError,
     WeylSectionInapplicableError,
 )
-from parahol.families import build_conformal
+from parahol.families import build_conformal, build_cr
 from parahol.flat import (
     FlatConformalField,
     _exp_grade_one,
     _integrate_chart_flow,
     _positive_offset,
+    _rho,
     _sample_offsets,
     _step_count,
     classify_at,
@@ -468,8 +469,73 @@ def test_flow_escape_raises_with_time(so41):
     assert err.value.escape_time is not None
     assert 9 < err.value.escape_time <= 10.0
     # a longer flow is refused before any step is taken
-    with pytest.raises(DomainError, match="needs more than 10000 RK4 steps"):
+    with pytest.raises(DomainError, match=f"needs more than {MAX_RK4_STEPS} RK4 steps"):
         equivariance_check(field, [0, 0, 0], so41.basis_element("P_1"), 25.0)
+
+
+def test_step_budget_is_ten_time_units():
+    assert _step_count(10) == _step_count(-10.0) == MAX_RK4_STEPS
+    for t in (10.5, -10.5):
+        with pytest.raises(DomainError, match="needs more than"):
+            _step_count(t)
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 10), Fraction(-1, 3), 1, -2])
+def test_an_exact_time_flows_as_its_float(so41, t):
+    field = FlatConformalField(so41, so41.element({"D": 1, "M_12": 2, "K_1": -1}))
+    datum = holonomy_at(field, [0, 0, 0])
+    flow = holonomy_flow(datum, t)
+    assert flow.dtype == np.float64
+    assert flow.tobytes() == holonomy_flow(datum, float(t)).tobytes()
+    sample = [(field, so41.basis_element("P_2"))]
+    exact, _ = equivariance_residuals(sample, [0, 0, 0], t)
+    floated, _ = equivariance_residuals(sample, [0, 0, 0], float(t))
+    assert type(exact[0]) is type(floated[0])
+    assert repr(exact[0]) == repr(floated[0])
+
+
+def test_the_suite_runs_an_exact_time_as_its_float(so41):
+    exact = run_flat_identity_suite(3, 0, samples=4, seed=5, t=Fraction(1, 10), algebra=so41)
+    floated = run_flat_identity_suite(3, 0, samples=4, seed=5, t=0.1, algebra=so41)
+    assert exact["max_residuals"] == floated["max_residuals"]
+    assert exact["pass"] is floated["pass"] is True
+
+
+@pytest.mark.parametrize("build,seed", [
+    (lambda: build_conformal(3, 0), 1),
+    (lambda: build_conformal(21, 0), 2),
+    # the cr basis has denominator 2, so entries need not be integers
+    (lambda: build_cr(2), 3),
+])
+def test_rho_is_the_float_of_the_exact_matrix(build, seed):
+    algebra = build()
+    rng = random.Random(seed)
+    for _ in range(10):
+        x = random_element(algebra, rng)
+        exact = algebra.realization.matrix_of(x)
+        expected = np.array([[float(v) for v in row] for row in exact])
+        assert _rho(x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("signature", [(3, 0), (2, 1), (2, 2), (21, 0)])
+@pytest.mark.parametrize("t", [0.1, -0.1])
+def test_rk4_step_meets_its_error_target(signature, t, monkeypatch):
+    # the chart flows of the identity suite's samples (singular fields at the
+    # origin, started one unit along a translation) moved by halving the
+    # step: step doubling puts RK4_STEP's error at 16/15 of that move, and
+    # the target is 1/100 of the 1e-6 equivariance bound
+    algebra = build_conformal(*signature)
+    n = sum(signature)
+    rng = random.Random(sum(signature) * 11 + signature[1])
+    fields, starts = [], []
+    for _ in range(12):
+        fields.append(FlatConformalField(algebra, random_p_element(algebra, rng, max_abs=3)))
+        starts.append(np.eye(n)[rng.randrange(n)])
+    coarse, coarse_escapes = _integrate_chart_flow(fields, starts, t)
+    monkeypatch.setattr(flat, "RK4_STEP", RK4_STEP / 2)
+    fine, fine_escapes = _integrate_chart_flow(fields, starts, t)
+    assert coarse_escapes == fine_escapes == [None] * len(fields)
+    assert np.max(np.abs(coarse - fine)) <= 1e-8 * 15 / 16
 
 
 @pytest.mark.parametrize("t,named", [
