@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 
 from parahol import linalg
+from parahol.families import build_conformal, build_cr
+from parahol.sampling import kernel_instance, random_instance
+from parahol.scales import default_scale
 from dense_reference import (
     dense_kernel,
     dense_matmul,
@@ -228,6 +231,121 @@ def test_min_norm_matches_the_fraction_projection():
         assert [Fraction(v, den) for v in x] == expected
         wide_kernels += n - linalg.rank(a) >= 2
     assert wide_kernels >= 100 and inconsistent >= 50
+
+
+def big_dense(rng, m, n):
+    """m x n with every entry nonzero: numerators up to 10^12 over
+    denominators 1, 2, 3, 7 and 9."""
+    return [[Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**12), rng.choice([1, 2, 3, 7, 9]))
+             for _ in range(n)] for _ in range(m)]
+
+
+def low_rank(rng, m, n):
+    """m x n of rank at most n - 3, so its kernel has dimension >= 3: a
+    product through an inner dimension n - 3 to n - 6, with mixed
+    denominators and numerators up to 10^12."""
+    inner = n - rng.randint(3, 6)
+    left = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5])) for _ in range(inner)]
+            for _ in range(m)]
+    return dense_matmul(left, big_dense(rng, inner, n))
+
+
+def permuted_block_diagonal(rng, n):
+    """n x n block-diagonal with blocks of size 1 to 3, entries not ±1 and
+    some blocks singular, its rows and columns then permuted and some rows
+    put in Fractions. A column's step leaves the rows of every other block
+    untouched, so rows skip several steps before the elimination reads
+    them again, and the pivots it meets are not ±1."""
+    a = [[0] * n for _ in range(n)]
+    at = 0
+    while at < n:
+        size = min(rng.randint(1, 3), n - at)
+        block = [[rng.choice([-6, -3, -2, 0, 2, 4, 5, 7]) for _ in range(size)]
+                 for _ in range(size)]
+        if size > 1 and rng.randrange(4) == 0:
+            block[-1] = [2 * v for v in block[0]]
+        for i, row in enumerate(block):
+            a[at + i][at:at + size] = row
+        at += size
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    a = [[a[i][j] for j in cols] for i in rows]
+    for row in a:
+        if rng.randrange(3) == 0:
+            row[:] = [Fraction(v, rng.choice([3, 4])) for v in row]
+    return a
+
+
+def classifier_blocks(rng):
+    """(A, b) on the blocks ad(X_0)|g_d that the classifier solves
+    (`ad_block_scaled`), for seeded elements of conformal (3,0) and (6,0),
+    cr(1) and cr(3), half of them kernel instances; b is in the image
+    every other time."""
+    for algebra in (build_conformal(3, 0), build_conformal(6, 0), build_cr(1), build_cr(3)):
+        scale = default_scale(algebra)
+        for i in range(16):
+            x = random_instance(algebra, scale, rng) if i % 2 else kernel_instance(algebra, rng)
+            for d in range(1, algebra.k + 1):
+                _, block = algebra.ad_block_scaled(x.scaled(), d, d)
+                n = len(block[0])
+                if i % 2:
+                    b = [rng.randint(-3, 3) for _ in range(n)]
+                else:
+                    b = matvec(block, [Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                                       for _ in range(n)])
+                yield block, b
+
+
+def large_systems(kind, rng):
+    """(A, b) at the sizes the CLI reaches, 12 to 26 columns, b in the
+    image every other time; a dense A has two more rows than columns when
+    b is not, and fewer or as many when it is."""
+    if kind == "classifier":
+        yield from classifier_blocks(rng)
+        return
+    for i, n in enumerate((12, 15, 18, 21, 26) * (4 if kind == "block_diagonal" else 2)):
+        if kind == "dense":
+            m = n + 2 if i % 2 else rng.choice([n - 2, n])
+            a = big_dense(rng, m, n)
+        elif kind == "low_rank":
+            m, a = n, low_rank(rng, n, n)
+        else:
+            m, a = n, permuted_block_diagonal(rng, n)
+        if i % 2:
+            b = [Fraction(rng.randint(-5, 5), rng.choice([1, 7])) for _ in range(m)]
+        else:
+            b = matvec(a, [Fraction(rng.randint(-5, 5), rng.choice([1, 3])) for _ in range(n)])
+        yield a, b
+
+
+@pytest.mark.parametrize("kind", ["dense", "block_diagonal", "low_rank", "classifier"])
+def test_min_norm_and_nullspace_match_the_fraction_reference_at_cli_sizes(kind):
+    """solve_min_norm_scaled and nullspace equal the dense Fraction
+    references (`dense_min_norm`, `dense_kernel`) at the sizes the CLI
+    reaches, up to the 26 x 26 blocks of cr(13): dense blocks with entries
+    up to 10^12 and mixed denominators, permuted block-diagonal ones whose
+    rows skip steps, rank-deficient ones with kernels of dimension >= 3,
+    and the classifier's own blocks."""
+    rng = random.Random(sum(map(ord, kind)))
+    kernel_dims, inconsistent = [], 0
+    for a, b in large_systems(kind, rng):
+        work, pivots, n, _ = dense_reduce(a, [])
+        basis = linalg.nullspace(a)
+        assert basis == dense_kernel(work, pivots, n)
+        kernel_dims.append(len(basis))
+        expected = dense_min_norm(a, b)
+        scaled = linalg.solve_min_norm_scaled(a, b)
+        if expected is None:
+            assert scaled is None
+            inconsistent += 1
+            continue
+        den, x = scaled
+        assert den > 0 and all(type(v) is int for v in x)
+        assert [Fraction(v, den) for v in x] == expected
+    assert inconsistent >= 3
+    if kind == "low_rank":
+        assert min(kernel_dims) >= 3
+    if kind in ("block_diagonal", "classifier"):
+        assert sum(dim > 0 for dim in kernel_dims) >= 3
 
 
 def test_elimination_keeps_its_integer_pivot_rows_primitive(monkeypatch):
