@@ -55,3 +55,28 @@ def test_the_sparse_table_is_the_only_stored_structure():
             "realization", "_name_index", "_grade_indices", "_killing_rows",
             "_killing_rank", "grading_element", "_default_scale"}
         assert set(vars(algebra.realization)) == {"size", "_scale", "_integer_matrices"}
+
+
+LARGE_ALGEBRAS = (("conformal", (21, 0)), ("cr", (13,)))
+LARGE_GOLDEN_SHA256 = "eac7c70ee773f129db559b2c38c4ae8328e57b6bdb598b48128f9d066554ff46"
+
+
+def test_largest_construction_matches_golden_hash():
+    """The integer construction state of conformal(21,0) and cr(13), the
+    largest algebras under the build budget: the scaled structure table,
+    the integer Killing rows, the Killing rank and the grading element.
+    They are read directly, since the dense reference read takes seconds
+    at dim 224-253. cr(13) is where the Gram matrix and the Killing rows
+    hold a 13 x 13 connected block, not only 1 x 1 ones."""
+    digest = hashlib.sha256()
+    for family, params in LARGE_ALGEBRAS:
+        algebra = build(family, list(params))
+        scale, table = algebra._scaled_table
+        rows_den, rows = algebra._killing_rows
+        doc = [family, list(params), scale,
+               [[i, j, [list(e) for e in table[i][j]]]
+                for i in sorted(table) for j in sorted(table[i])],
+               rows_den, [list(row) for row in rows], algebra._killing_rank,
+               _strings(algebra.grading_element.coeffs)]
+        digest.update(json.dumps(doc).encode() + b"\n")
+    assert digest.hexdigest() == LARGE_GOLDEN_SHA256

@@ -1,5 +1,6 @@
 """Brute-force oracle: rank certificates, lattice search, refusals."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from parahol import linalg, oracle
 from parahol.classify import HolonomyDatum, Verdict, classify, conjugate_by_exp
 from parahol.errors import DomainError, OracleRefusedError, UnsupportedDepthError
 from parahol.families import build, build_conformal, build_cr
@@ -222,3 +224,35 @@ def test_report_serialization(so41):
     assert doc["decided"] is True
     assert doc["method"] == "rank-certificate"
     assert doc["classification"]["verdict"] == "Essential"
+
+
+def test_oracle_reads_no_name_from_linalg():
+    """The rank certificate's elimination is the oracle's own, so that it
+    shares no solver with the classifier: `oracle.py` imports nothing from
+    `linalg`, never names the module, and every `linalg` name that it
+    reads (`ZERO`, `_dot`) is one that it defines itself."""
+    with open(oracle.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    with open(linalg.__file__, encoding="utf-8") as f:
+        linalg_tree = ast.parse(f.read())
+    linalg_names = {node.name for node in linalg_tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    linalg_names |= {target.id for node in linalg_tree.body if isinstance(node, ast.Assign)
+                     for target in node.targets}
+    own = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    own |= {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "linalg" not in (node.module or "").split(".")
+            assert all(alias.name != "linalg" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all("linalg" not in alias.name.split(".") for alias in node.names)
+        elif isinstance(node, ast.Name):
+            assert node.id != "linalg"
+            assert node.id not in linalg_names or node.id in own, node.id
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "linalg"
+    assert {"ZERO", "_dot"} <= linalg_names & own
+    for name, value in vars(oracle).items():
+        assert getattr(value, "__module__", None) != linalg.__name__, name
