@@ -1,19 +1,28 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of ints or Fractions, and every answer is
-exact, as the classifier's rank tests require. Two fraction-free
-eliminations share no code, each serving inputs of one shape:
-- `rank` and `solve_scaled`: Gauss–Jordan on sparse primitive integer
-  rows (`_eliminate`), for construction (the Gram inverse, the Killing
-  rank, the grading element) on nearly diagonal matrices of dimension up
-  to 253, where an O(n³) dense pass would be far slower;
-- `nullspace` and `solve_min_norm_scaled`: Bareiss elimination of dense
-  integer rows (`_echelon`), for the classifier's grade blocks, dense and
-  of dimension at most 6 on the benchmark's pools (26 at most), where a
-  6×6 invertible solve takes 30 µs against 65 µs on the sparse route.
-The solves answer as integers over one denominator, (den, ints).
+exact, as the classifier's rank tests require. There is one elimination,
+`_echelon`: fraction-free (Bareiss) row reduction of dense integer rows,
+with back substitution (`_back`) over its last pivot. The solves answer
+as integers over one denominator, (den, ints).
+
+- `nullspace` and `solve_min_norm_scaled` run it on the whole matrix:
+  the classifier's grade blocks are dense and small (dimension at most 6
+  on the benchmark's pools, 26 at most).
+- `rank` and `solve_scaled` serve construction: the Gram inverse, the
+  Killing rank and the grading element, at dimension up to 253. They run
+  it on one connected block of A at a time (`_blocks`). The matrices of
+  construction split into many small blocks: on conformal (3,0), (2,1),
+  (2,2), (4,1) and (21,0) the Gram matrix, the Killing rows and the
+  grading element's system are all 1×1 blocks, and on cr(n) they are 1×1
+  blocks and one n×n block; only the rank that checks generation by
+  grade −1 is one block. Run on the whole matrix, Bareiss would carry the
+  product of all the pivots (2^253 on the 2·I Gram matrix of
+  conformal(21,0)) and every back substitution would be dense; block by
+  block, each pivot and each back substitution stays within its block.
 """
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -21,124 +30,103 @@ from fractions import Fraction
 ZERO = Fraction(0)
 
 
-def _combine(row, pivot, c):
-    """row := p·row − f·pivot in place, with p = pivot[c] and f = row[c]
-    divided by their gcd, so that row[c] cancels; entries that cancel are
-    dropped."""
-    p, f = pivot[c], row[c]
-    g = math.gcd(p, f)
-    p, f = p // g, f // g
-    if p != 1:
-        for j in row:
-            row[j] *= p
-    for j, v in pivot.items():
-        w = row.get(j, 0) - f * v
-        if w:
-            row[j] = w
-        else:
-            del row[j]
+def _blocks(a_rows, b_cols=()):
+    """The connected blocks of A, with the columns of B that meet them:
+    [rows, cols, ts] index lists, each ascending, or None when a zero row
+    of A meets a nonzero entry of B (then A·X = B has no solution).
 
-
-def _make_primitive(row, lead):
-    """Divide a nonzero integer row by its content, in place, signed so
-    that row[lead] > 0."""
-    g = math.gcd(*row.values())
-    if row[lead] < 0:
-        g = -g
-    if g != 1:
-        for j in row:
-            row[j] //= g
-
-
-def _integer_row(entries):
-    """{column: int} row of exact entries, scaled by the lcm of their
-    denominators; the scale changes no row echelon form. A row of ints is
-    returned as it is, with no lcm taken. The lcm takes a list:
-    *-unpacking a generator sizes its tuple by a guess and resizes it,
-    which leaves tuples of other sizes in the interpreter's free lists."""
-    if all(type(v) is int for v in entries.values()):
-        return entries
-    d = math.lcm(*[v.denominator for v in entries.values()])
-    return {j: v.numerator * (d // v.denominator) for j, v in entries.items()}
-
-
-def _eliminate(a_rows, b_cols=()):
-    """Row echelon form of [A | B] on primitive integer rows.
-
-    B is given as columns; column t of B is column n + t of the rows, with
-    n the column count of A. Entries are ints or Fractions. The elimination
-    is fraction-free Gauss–Jordan on sparse {column: int} rows: each row of
-    [A | B] is scaled by the lcm of its denominators, then reduced by the
-    pivot rows so far, p·row − f·pivot for each pivot column it meets, and
-    kept primitive (divided by its content, lead positive). Its first
-    nonzero entry on A then becomes a pivot that is cleared from them the
-    same way. Returns (pivots, n, consistent): `pivots` maps each pivot
-    column c to its integer row, which vanishes on every other pivot column
-    and divided by row[c] is that row of rref(A); `consistent` is False
-    when some row reduces to zero on A but not on B, i.e. when A·X = B has
-    no solution.
+    Rows and columns of A are joined by A's nonzero entries; a union-find
+    over the columns, each linked to the smallest column of its block,
+    finds the blocks. A zero row is in no block, and a zero column is a
+    block with no rows. Column t of B is in the ts of every block whose
+    rows it meets.
     """
-    n = len(a_rows[0]) if a_rows else 0
-    rows = [{j: v for j, v in enumerate(row) if v} for row in a_rows]
+    columns = range(len(a_rows[0]) if a_rows else 0)
+    supports = [[*itertools.compress(columns, row)] for row in a_rows]
+    root = [*columns]
+    for cols in supports:
+        for c in cols[1:]:
+            r = cols[0]
+            while root[r] != r:
+                r = root[r]
+            while root[c] != c:
+                c = root[c]
+            root[max(r, c)] = min(r, c)
+    # root[c] <= c, so one ascending pass leaves each column at its block's root
+    blocks = {}
+    for c, r in enumerate(root):
+        r = root[c] = root[r]
+        if r == c:
+            blocks[c] = [], [c], []
+        else:
+            blocks[r][1].append(c)
+    for i, cols in enumerate(supports):
+        if cols:
+            blocks[root[cols[0]]][0].append(i)
+    rows = range(len(a_rows))
     for t, col in enumerate(b_cols):
-        for i, v in enumerate(col):
-            if v:
-                rows[i][n + t] = v
-    pivots = {}
-    consistent = True
-    for row in rows:
-        row = _integer_row(row)
-        # a pivot row vanishes on every other pivot column, so one pass suffices
-        for c in [c for c in row if c in pivots]:
-            _combine(row, pivots[c], c)
-        lead = min((j for j in row if j < n), default=None)
-        if lead is None:
-            consistent = consistent and not row
-            continue
-        _make_primitive(row, lead)
-        for c, other in pivots.items():
-            if lead in other:
-                _combine(other, row, lead)
-                _make_primitive(other, c)
-        pivots[lead] = row
-    return pivots, n, consistent
+        for i in itertools.compress(rows, col):
+            if not supports[i]:
+                return None
+            ts = blocks[root[supports[i][0]]][2]
+            if not ts or ts[-1] != t:
+                ts.append(t)
+    return blocks.values()
+
+
+def _block_rows(a_rows, b_cols, rows, cols, ts):
+    """The dense rows of [A | B] on one block: A at `rows` and `cols`,
+    then the columns `ts` of B."""
+    out = []
+    for i in rows:
+        row = a_rows[i]
+        entries = []
+        for c in cols:
+            entries.append(row[c])
+        for t in ts:
+            entries.append(b_cols[t][i])
+        out.append(entries)
+    return out
 
 
 def rank(rows):
-    return len(_eliminate(rows)[0])
-
-
-def _particular(pivots, n, count):
-    """(d, X): the solution of A·X = B with every free variable zero, for
-    the `count` columns of B, as lists of n ints over d, the lcm of the
-    leads of the pivot rows that meet B. Pivot row c gives column t the
-    entry row[n + t]/row[c] at c."""
-    xs, leads = [], []
-    for t in range(n, n + count):
-        x = [0] * n
-        for c, row in pivots.items():
-            if t in row:
-                x[c] = row[t]
-                leads.append(row[c])
-        xs.append(x)
-    d = math.lcm(*leads)
-    for x in xs:
-        for c, row in pivots.items():
-            if x[c]:
-                x[c] *= d // row[c]
-    return d, xs
+    return sum(len(_echelon(_block_rows(rows, (), block_rows, cols, ()), len(cols))[0])
+               for block_rows, cols, _ in _blocks(rows))
 
 
 def solve_scaled(a_rows, b_cols):
-    """One exact solution of A·X = B for all columns of B with a single
-    elimination, free variables zero: (den, [X_0, X_1, ...]) with column
-    t of the solution X_t/den, each X_t a list of ints; None when some
-    column is inconsistent. B is given as a list of columns.
+    """One exact solution of A·X = B for all columns of B, free variables
+    zero: (den, [X_0, X_1, ...]) with column t of the solution X_t/den,
+    each X_t a list of ints; None when some column is inconsistent. B is
+    given as a list of columns.
+
+    Each block of A is eliminated with the columns of B that meet it, and
+    solved by back substitution over den, the lcm of the blocks' last
+    pivots. A block pivots on its leftmost independent columns, so the
+    answer is that of the whole matrix.
     """
-    pivots, n, consistent = _eliminate(a_rows, b_cols)
-    if not consistent:
+    blocks = _blocks(a_rows, b_cols)
+    if blocks is None:
         return None
-    return _particular(pivots, n, len(b_cols))
+    solved = []
+    for rows, cols, ts in blocks:
+        if ts:
+            m = len(cols)
+            pivots, rest, d = _echelon(_block_rows(a_rows, b_cols, rows, cols, ts), m)
+            for row, _ in rest:
+                if any(row[m:]):
+                    return None
+            solved.append((pivots, d, cols, ts))
+    den = math.lcm(*[d for _, d, _, _ in solved])
+    n = len(a_rows[0]) if a_rows else 0
+    xs = [[0] * n for _ in b_cols]
+    for pivots, _, cols, ts in solved:
+        m = len(cols)
+        for k, t in enumerate(ts, m):
+            x = xs[t]
+            for c, v in zip(cols, _back(pivots, den, m, k)):
+                x[c] = v
+    return den, xs
 
 
 def _echelon(rows, n):

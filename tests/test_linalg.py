@@ -159,17 +159,36 @@ def mixed_matrix(rng, m, n, density):
 SHAPES = [(0, 3), (1, 1), (3, 3), (2, 6), (6, 2), (5, 5), (4, 7), (7, 4), (3, 0)]
 
 
+def padded_block_diagonal(rng, m, n, density):
+    """m x n: `permuted_block_diagonal` on min(m, n) - 1 rows and columns,
+    some of its blocks singular, set among zero rows and zero columns at
+    seeded positions. `density` is not used; every such matrix splits into
+    blocks, and solve_scaled meets a zero row and a zero column on each."""
+    k = max(min(m, n) - 1, 0)
+    block = permuted_block_diagonal(rng, k)
+    rows, cols = sorted(rng.sample(range(m), k)), sorted(rng.sample(range(n), k))
+    a = [[Fraction(0)] * n for _ in range(m)]
+    for i, row in zip(rows, block):
+        for j, v in zip(cols, row):
+            a[i][j] = Fraction(v)
+    return a
+
+
 @pytest.mark.parametrize("density", [0.05, 0.25, 0.5, 1.0])
-def test_sparse_elimination_matches_dense_reference(density):
-    """rank, the pivot rows, solve_scaled (None included), nullspace and
+def test_rank_and_solves_match_dense_reference(density):
+    """rank, solve_scaled (None included), nullspace and
     solve_min_norm_scaled agree exactly with the dense RREF (the integer
     answers read as Fractions), on 0-row, all-zero, wide, tall and
-    rank-deficient matrices, and on the same shapes with mixed
-    denominators and negative leading entries."""
+    rank-deficient matrices, on the same shapes with mixed denominators
+    and negative leading entries, and on permuted block-diagonal ones with
+    zero rows and zero columns. On those, the columns of B meet several
+    blocks, and a right-hand side that is consistent but for one row makes
+    one block inconsistent among many, or puts a nonzero entry on a zero
+    row of A."""
     rng = random.Random(int(density * 1000))
-    inconsistent = 0
+    inconsistent = one_block_inconsistent = zero_row_met = 0
     for shape, make in itertools.product(SHAPES * 12 + [(4, 4), (0, 0)],
-                                         (sparse_matrix, mixed_matrix)):
+                                         (sparse_matrix, mixed_matrix, padded_block_diagonal)):
         m, n = shape
         a = make(rng, m, n, density)
         if rng.randrange(2):
@@ -181,14 +200,7 @@ def test_sparse_elimination_matches_dense_reference(density):
 
         # a 0-row matrix carries no column count: both sides read it as 0 x 0
         work, pivots, n, _ = dense_reduce(a, [])
-        reduced, _, consistent = linalg._eliminate(a)
-        assert consistent
-        assert sorted(reduced) == pivots
         assert linalg.rank(a) == len(pivots)
-        for row, c in zip(work, pivots):
-            lead = reduced[c][c]
-            assert ({j: v for j, v in enumerate(row) if v != 0}
-                    == {j: Fraction(v, lead) for j, v in reduced[c].items()})
         assert linalg.nullspace(a) == dense_kernel(work, pivots, n)
 
         expected = dense_solve(a, cols)
@@ -201,7 +213,23 @@ def test_sparse_elimination_matches_dense_reference(density):
         if expected is None:
             assert linalg.solve_scaled(a, cols + [b]) is None
         assert min_norm(a, b) == dense_min_norm(a, b)
-    assert inconsistent >= 10
+
+        if make is padded_block_diagonal:
+            # one entry off a consistent right-hand side, on a zero row or on
+            # a row that depends on the others: exactly one block fails
+            consistent = matvec(a, [Fraction(rng.randint(-3, 3)) for _ in range(n)])
+            zero_rows = [i for i in range(m) if not any(a[i])]
+            dependent = [i for i in range(m) if any(a[i]) and
+                         len(dense_reduce(a[:i] + a[i + 1:], [])[1]) == len(pivots)]
+            for i in zero_rows[:1] + dependent[:1]:
+                off = list(consistent)
+                off[i] += 1
+                assert dense_solve(a, [off]) is None
+                assert linalg.solve_scaled(a, [off]) is None
+                assert linalg.solve_scaled(a, cols + [off]) is None
+                zero_row_met += i in zero_rows
+                one_block_inconsistent += i in dependent
+    assert zero_row_met >= 20 and one_block_inconsistent >= 4
 
 
 def test_min_norm_matches_the_fraction_projection():
@@ -348,25 +376,47 @@ def test_min_norm_and_nullspace_match_the_fraction_reference_at_cli_sizes(kind):
         assert sum(dim > 0 for dim in kernel_dims) >= 3
 
 
-def test_elimination_keeps_its_integer_pivot_rows_primitive(monkeypatch):
-    """Every pivot row that the fraction-free elimination combines with is
-    primitive (content 1) and has a positive leading entry."""
-    pivots_seen = []
-    combine = linalg._combine
+def det(block):
+    """The determinant by the Leibniz formula; blocks here are at most 4 x 4."""
+    size = len(block)
+    total = 0
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(size), 2))
+        total += (-1) ** inversions * math.prod(block[i][perm[i]] for i in range(size))
+    return total
 
-    def spy(row, pivot, c):
-        pivots_seen.append((dict(pivot), c))
-        combine(row, pivot, c)
 
-    monkeypatch.setattr(linalg, "_combine", spy)
-    rng = random.Random(29)
-    for m, n in SHAPES * 6:
-        a = mixed_matrix(rng, m, n, 0.6)
-        b = [Fraction(rng.randint(-4, 4), rng.choice([1, 2, 9])) for _ in range(m)]
-        linalg.solve_scaled(a, [matvec(a, [Fraction(1)] * n)])
-        linalg.solve_scaled(a, [b])
-    assert len(pivots_seen) > 100
-    for pivot, c in pivots_seen:
-        assert pivot[c] > 0
-        assert all(type(v) is int for v in pivot.values())
-        assert math.gcd(*pivot.values()) == 1
+def test_solve_scaled_denominator_stays_within_the_blocks():
+    """solve_scaled answers over the lcm of the blocks' last pivots, not
+    over their product: 2·I of order 253 against the identity gives
+    den = 2, and on seeded permuted block-diagonal integer matrices den
+    divides the lcm of the blocks' |det|. Each block has an even
+    determinant, so a whole-matrix elimination, whose denominator is
+    |det A|, the product, fails both checks."""
+    two = [[2 if i == j else 0 for j in range(253)] for i in range(253)]
+    identity = [[1 if i == j else 0 for i in range(253)] for j in range(253)]
+    den, xs = linalg.solve_scaled(two, identity)
+    assert den == 2 and xs == identity
+
+    rng = random.Random(31)
+    for _ in range(40):
+        blocks = []
+        while len(blocks) < rng.randint(2, 6):
+            size = rng.randint(1, 4)
+            block = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+            block[0] = [2 * v for v in block[0]]
+            if det(block):
+                blocks.append(block)
+        n = sum(map(len, blocks))
+        a = [[0] * n for _ in range(n)]
+        at = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                a[at + i][at:at + len(row)] = row
+            at += len(block)
+        rows, columns = rng.sample(range(n), n), rng.sample(range(n), n)
+        a = [[a[i][j] for j in columns] for i in rows]
+        b_cols = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(3)]
+        den, xs = linalg.solve_scaled(a, b_cols)
+        assert math.lcm(*[abs(det(block)) for block in blocks]) % den == 0
+        assert [[Fraction(v, den) for v in x] for x in xs] == dense_solve(a, b_cols)
