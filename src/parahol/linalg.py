@@ -11,15 +11,14 @@ as integers over one denominator, (den, ints).
   on the benchmark's pools, 26 at most).
 - `rank` and `solve_scaled` serve construction: the Gram inverse, the
   Killing rank and the grading element, at dimension up to 253. They run
-  it on one connected block of A at a time (`_blocks`). The matrices of
-  construction split into many small blocks: on conformal (3,0), (2,1),
-  (2,2), (4,1) and (21,0) the Gram matrix, the Killing rows and the
-  grading element's system are all 1×1 blocks, and on cr(n) they are 1×1
-  blocks and one n×n block; only the rank that checks generation by
-  grade −1 is one block. Run on the whole matrix, Bareiss would carry the
-  product of all the pivots (2^253 on the 2·I Gram matrix of
-  conformal(21,0)) and every back substitution would be dense; block by
-  block, each pivot and each back substitution stays within its block.
+  it on one connected block of A at a time (`_blocks`), and the matrices
+  of construction split into small blocks. The Gram matrix and the
+  Killing rows are 1×1 blocks on conformal (3,0), (2,1), (2,2), (4,1)
+  and (21,0), and 1×1 blocks and one n×n block on cr(n); only the rank
+  that checks generation by grade −1 is one block. On the whole matrix,
+  Bareiss would carry the product of all the pivots (2^253 on the 2·I
+  Gram matrix of conformal(21,0)), and every back substitution would be
+  dense.
 """
 
 import itertools
