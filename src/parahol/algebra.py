@@ -597,9 +597,9 @@ def _structure_table(matrices, scale):
     definite exactly when the basis is linearly independent; a singular Ĝ
     raises StructureError ("basis matrices are linearly dependent").
     `linalg.solve_scaled` against the identity columns inverts it as
-    Ĝ⁻¹ = H/h, H integer and h the lcm of the denominators of Ĝ⁻¹, one
-    connected block of Ĝ at a time: on the conformal family Ĝ is diagonal,
-    and on cr(n) it is diagonal but for one dense n×n block.
+    Ĝ⁻¹ = H/h, H integer over one common denominator h, one connected
+    block of Ĝ at a time: on the conformal family Ĝ is diagonal, and on
+    cr(n) it is diagonal but for one dense n×n block.
 
     Only products that can be nonzero are formed. For each i, each nonzero
     entry M_i[r,t] is walked against indexes of all basis entries by row

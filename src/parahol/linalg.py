@@ -75,7 +75,9 @@ def _blocks(a_rows, b_cols=()):
 
 def _block_rows(a_rows, b_cols, rows, cols, ts):
     """The dense rows of [A | B] on one block: A at `rows` and `cols`,
-    then the columns `ts` of B."""
+    then the columns `ts` of B. Plain loops, not comprehensions: each
+    comprehension is a call on CPython 3.11 and older, and a construction
+    block is often one row and one column."""
     out = []
     for i in rows:
         row = a_rows[i]
