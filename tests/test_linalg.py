@@ -229,6 +229,7 @@ def test_rank_and_solves_match_dense_reference(density):
                 assert linalg.solve_scaled(a, cols + [off]) is None
                 zero_row_met += i in zero_rows
                 one_block_inconsistent += i in dependent
+    assert inconsistent >= 10
     assert zero_row_met >= 20 and one_block_inconsistent >= 4
 
 
@@ -400,8 +401,8 @@ def test_solve_scaled_denominator_stays_within_the_blocks():
 
     rng = random.Random(31)
     for _ in range(40):
-        blocks = []
-        while len(blocks) < rng.randint(2, 6):
+        blocks, count = [], rng.randint(2, 6)
+        while len(blocks) < count:
             size = rng.randint(1, 4)
             block = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
             block[0] = [2 * v for v in block[0]]
