@@ -16,16 +16,15 @@ holds its coefficients the same way, as integer numerators over the lcm
 of their denominators. Construction, `bracket`, `exp_ad`, `ad_block`, the
 Killing form and the grading element compute on that integer table and on
 those numerators, and make an element from the integer result. The
-series, the blocks and the Killing covector are also open on scaled
-integers (`exp_ad_scaled`, `ad_block_scaled`, `killing_covector_scaled`,
-on (den, {index: int}) pairs that `AlgebraElement.scaled` makes and
-`from_scaled` reads back), so that the classifier and the scales can stay
-on integers between them; `exp_ad` and `ad_block` are their Fraction
-views. The Killing form is kept as integer rows only. Validation checks
-exactly the axioms that depend on the grade labels and the choice of
-algebra (grading additivity, generation of the negative part by grade
-−1, nondegenerate Killing form), so downstream code can rely on all of
-them without tolerances.
+series and the blocks are also open on scaled integers (`exp_ad_scaled`,
+`ad_block_scaled`, on (den, {index: int}) pairs that
+`AlgebraElement.scaled` makes and `from_scaled` reads back), so that the
+classifier can stay on integers between them; `exp_ad` and `ad_block` are
+their Fraction views. The Killing form is kept as integer rows only.
+Validation checks exactly the axioms that depend on the grade labels and
+the choice of algebra (grading additivity, generation of the negative
+part by grade −1, nondegenerate Killing form), so downstream code can
+rely on all of them without tolerances.
 
 The grade layout of the basis is known here only: callers reach ad(x) one
 grade block at a time through `ad_block(x, source_grade, target_grade)`,
@@ -421,27 +420,27 @@ class GradedLieAlgebra:
                         out[j] += c * cj
         return scale * scale, tuple(tuple(r) for r in b)
 
-    def killing_covector_scaled(self, x, indices):
-        """B(x, e_i) for each basis index i in `indices`, on scaled integers:
-        the pair (x.den·S², [Σ_j nums_j·B̂_ji, ...]) with B̂ = S²·B the
-        integer Killing matrix, one pass over the rows of x's support."""
-        den, rows = self._killing_rows
-        out = [0] * len(indices)
-        for j, c in x.scaled()[1].items():
-            row = rows[j]
-            for t, i in enumerate(indices):
-                b = row[i]
-                if b:
-                    out[t] += c * b
-        return x.den * den, out
+    def grading_covector_scaled(self, indices):
+        """B(E, e_i) for each basis index i in `indices`, with E the grading
+        element, on scaled integers: the pair (S, [r_i, ...]) with
+        r_i = Σ_l grade(l)·C_il^l over the integer table C/S. It reads the
+        diagonal of e_i's row only: ad E = diag(grades) once E exists, so
+        B(E, e_i) = trace(ad E ∘ ad e_i) = Σ_l grade(l)·c_il^l."""
+        scale, table = self._scaled_table
+        grade = self.grade
+        return scale, [sum(grade[l] * c for l, entries in table.get(i, {}).items()
+                           for m, c in entries if m == l) for i in indices]
 
     def killing_form(self, x, y):
-        """B(x, y) = trace(ad x ∘ ad y): x's covector paired with y's
-        numerators, over the product of the two denominators."""
+        """B(x, y) = trace(ad x ∘ ad y): the integer Killing rows of x's
+        support paired with y's numerators, over the product of the
+        denominators."""
         if x.algebra is not self or y.algebra is not self:
             raise MismatchedAlgebraError("killing_form arguments must live in this algebra")
-        den, covector = self.killing_covector_scaled(x, range(self.dim))
-        return Fraction(sum(c * v for c, v in zip(covector, y.nums) if v), den * y.den)
+        den, rows = self._killing_rows
+        ys = y.scaled()[1].items()
+        return Fraction(sum(c * rows[j][i] * v for j, c in x.scaled()[1].items()
+                            for i, v in ys), den * x.den * y.den)
 
     def component(self, x, grade):
         """Projection onto the grade-i piece; zero element when absent."""
@@ -460,21 +459,19 @@ class GradedLieAlgebra:
     def grading_element(self):
         """The element E with [E, x] = i·x on each grade-i basis vector.
 
-        Such an E has ad E = diag(grades), so B(E, e_j) = Σ_l grade(l)·c_{jl}^l
-        = r_j/S over the integer table C/S: with B = B̂/S² on the integer
-        Killing rows, one integer solve B̂·E = S·r, whose nondegeneracy
-        (checked here) makes E unique. An exact check of the integer bracket
-        [E, e_i] on every basis vector, with E = X/d over the lcm of its
+        Such an E has ad E = diag(grades), so B(E, e_j) = r_j/S
+        (`grading_covector_scaled`): with B = B̂/S² on the integer Killing
+        rows, one integer solve B̂·E = S·r, whose nondegeneracy (checked
+        here) makes E unique. An exact check of the integer bracket [E, e_i]
+        on every basis vector, with E = X/d over the lcm of its
         denominators, then decides whether E exists.
         """
         self._check_killing_nondegenerate()
-        scale, table = self._scaled_table
-        rhs = [0] * self.dim
-        for j, row in table.items():
-            rhs[j] = scale * sum(self.grade[l] * c for l, entries in row.items()
-                                 for m, c in entries if m == l)
-        den, (nums,) = linalg.solve_scaled(self._killing_rows[1], [rhs])
+        scale, r = self.grading_covector_scaled(range(self.dim))
+        den, (nums,) = linalg.solve_scaled(self._killing_rows[1],
+                                           [[scale * v for v in r]])
         e = AlgebraElement._from_integers(self, den, nums)
+        table = self._scaled_table[1]
         d, es = e.scaled()
         for i, g in enumerate(self.grade):
             if _scaled_bracket(table, es, {i: 1}) != ({i: g * d * scale} if g else {}):

@@ -24,35 +24,33 @@ e == c·E, and `ScaleData` refuses c = 0. The argument needs the three
 axioms `validate()` checks: on an algebra that has not passed it, an
 element acting by scalars that is not a multiple of E is refused.
 
-The functional's covector, B(e, e_i) over the grade-0 basis, is read in one
-pass over the Killing-matrix rows of e's support (`killing_covector_scaled`),
-and lambda' is its integer dot product with X_0's numerators.
+lambda' is read off the structure table's diagonal, with no Killing row.
+ad E = diag(grade) on the basis, so B(E, e_j) = trace(ad E ∘ ad e_j) =
+Σ_l grade(l)·c_jl^l = r_j/S (`grading_covector_scaled`), and
+lambda'(X_0) = c·Σ_{j in g_0} X_0_j·r_j/S: one integer dot product with
+X_0's numerators. Only the g_0 rows are needed: a basis vector e_j of grade
+i != 0 has ad e_j mapping g_l to g_{l+i}, so its diagonal is zero and
+r_j = 0. ad E is diagonal because `grading_element` has checked
+[E, e_i] = grade(i)·e_i exactly on every basis vector.
 """
 
 from fractions import Fraction
-from functools import cached_property
 
-from . import linalg
 from .errors import DomainError, InvalidScaleError, MismatchedAlgebraError
 
 _NOT_A_SCALE = "not a scale element: not a nonzero multiple of the grading element"
 
 
 class ScaleData:
-    """The scale c·E with its functional and kernel; c = 0 raises
-    InvalidScaleError.
+    """The scale c·E with its functional; c = 0 raises InvalidScaleError.
 
     Fields:
       algebra             owning GradedLieAlgebra
       e_lambda            the scale element c·E (pure grade 0)
-      covector            lambda' as one coefficient per grade-0 basis index
-      kernel_basis        elements spanning Ker(lambda') in grade 0
 
-    `covector` and `kernel_basis` are made on first access.
-
-    The covector is also kept as scaled integers, (den, ((i, C_i), ...))
-    over its nonzero entries with i the basis index, so that lambda' is one
-    integer dot product.
+    lambda' is kept as scaled integers, (den, ((i, C_i), ...)) over the
+    nonzero C_i = B(e_lambda, e_i)·den on the grade-0 basis, with i the
+    basis index, so that lambda' is one integer dot product.
     """
 
     def __init__(self, algebra, c):
@@ -61,20 +59,9 @@ class ScaleData:
         self.algebra = algebra
         self.e_lambda = c * algebra.grading_element
         zero_idx = algebra.indices_of_grade(0)
-        den, covector = algebra.killing_covector_scaled(self.e_lambda, zero_idx)
-        self._covector_nums = covector
-        self._scaled_covector = (den, tuple(
-            (i, v) for i, v in zip(zero_idx, covector) if v))
-
-    @cached_property
-    def covector(self):
-        den = self._scaled_covector[0]
-        return tuple(Fraction(v, den) for v in self._covector_nums)
-
-    @cached_property
-    def kernel_basis(self):
-        return tuple(self.algebra.from_grade_coords(0, vec)
-                     for vec in linalg.nullspace([self._covector_nums]))
+        scale, r = algebra.grading_covector_scaled(zero_idx)
+        self._scaled_covector = (c.denominator * scale, tuple(
+            (i, c.numerator * v) for i, v in zip(zero_idx, r) if v))
 
     def lambda_prime(self, a):
         """lambda'(A) = B(e_lambda, A) for A in the grade-0 part.

@@ -642,9 +642,10 @@ def test_construction_matches_fraction_reference(maker, params):
 @pytest.mark.parametrize("family,params", [("conformal", [3, 0]), ("conformal", [2, 2]),
                                            ("cr", [2])])
 def test_no_fraction_killing_matrix_is_kept(family, params):
-    """Build, validation, the grading element and the default scale read the
-    integer Killing rows only: no Fraction Killing matrix is left on the
-    algebra, and killing_form still reads the same values as those rows."""
+    """Validation and the grading element read the integer Killing rows
+    only, and the default scale reads none: no Fraction Killing matrix is
+    left on the algebra, and killing_form still reads the same values as
+    those rows."""
     algebra = build(family, params)
     algebra.validate()
     default_scale(algebra)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from parahol import cli, sampling, schemas
+from parahol import cli, linalg, sampling, schemas
 from parahol.families import build
 from parahol.scales import default_scale, scale_from_element
 
@@ -85,7 +86,11 @@ def test_algebra_info_kernel_dim_counts_a_kernel_basis(family, params):
     algebra = build(family, params)
     for scale in (default_scale(algebra), scale_from_element(
             algebra, Fraction(-1, 3) * algebra.grading_element)):
-        assert json.loads(out)["kernel_dim"] == len(scale.kernel_basis)
+        row = [scale.lambda_prime(algebra.basis_element(i))
+               for i in algebra.indices_of_grade(0)]
+        den = math.lcm(*[v.denominator for v in row])
+        kernel = linalg.nullspace([[v.numerator * (den // v.denominator) for v in row]])
+        assert json.loads(out)["kernel_dim"] == len(kernel)
 
 
 def test_algebra_verify_passes():
