@@ -22,9 +22,14 @@ series and the blocks are also open on scaled integers (`exp_ad_scaled`,
 classifier can stay on integers between them; `exp_ad` and `ad_block` are
 their Fraction views. The Killing form is kept as integer rows only.
 Validation checks exactly the axioms that depend on the grade labels and
-the choice of algebra (grading additivity, generation of the negative
-part by grade −1, nondegenerate Killing form), so downstream code can
-rely on all of them without tolerances.
+the choice of algebra: a nondegenerate Killing form, a grading element E
+with [E, e_i] = grade(i)·e_i, and generation of the negative part by grade
+−1. Grading additivity needs no check of its own. Jacobi makes ad E a
+derivation, so [E, [e_i, e_j]] = (grade(i) + grade(j))·[e_i, e_j], and ad E
+is diagonal, so [e_i, e_j] lies in g_{grade(i)+grade(j)}. Conversely an
+additive grading is a derivation, and with a nondegenerate Killing form
+every derivation is inner (Humphreys, §5.3), so E exists on every additive
+table. Downstream code can rely on all of them without tolerances.
 
 The grade layout of the basis is known here only: callers reach ad(x) one
 grade block at a time through `ad_block(x, source_grade, target_grade)`,
@@ -237,7 +242,7 @@ class MatrixRealization:
 class GradedLieAlgebra:
     """Finite-dimensional |k|-graded Lie algebra given by structure constants.
 
-    [e_i, e_j] = Σ_l c_ij^l e_l, with grade(i) ∈ [-k, k]. Only the nonzero
+    [e_i, e_j] = Σ_l c_ij^l e_l, with k = max |grade(i)|. Only the nonzero
     constants are stored, once, in `_scaled_table` = (S, table), with S the
     lcm of their denominators (1 on the conformal family, 2 on cr) and
     table[i][j] = ((l, S·c_ij^l), ...) as integers in increasing l. Instances
@@ -246,7 +251,7 @@ class GradedLieAlgebra:
     """
 
     @classmethod
-    def from_matrices(cls, basis_names, grades, matrices, k, family, params):
+    def from_matrices(cls, basis_names, grades, matrices, family, params):
         """Build structure constants from a faithful matrix realization.
 
         One basis name, one grade and one sparse basis matrix
@@ -262,6 +267,8 @@ class GradedLieAlgebra:
         by its structure constants comes in through its adjoint matrices,
         a faithful realization since its center is trivial. The algebra
         keeps the realization, ρ alone, for the flat model's matrices.
+        The depth k is max |grade|, read off the grades; whether they grade
+        the algebra is for `validate` to decide.
         """
         if not len(basis_names) == len(grades) == len(matrices):
             raise StructureError(
@@ -276,7 +283,7 @@ class GradedLieAlgebra:
         algebra.basis_names = tuple(basis_names)
         algebra.grade = tuple(int(g) for g in grades)
         algebra.dim = len(basis_names)
-        algebra.k = int(k)
+        algebra.k = max(abs(g) for g in algebra.grade)
         algebra.family = family
         algebra.params = tuple(params)
         algebra._scaled_table = (scale, table)
@@ -461,15 +468,19 @@ class GradedLieAlgebra:
 
         Such an E has ad E = diag(grades), so B(E, e_j) = r_j/S
         (`grading_covector_scaled`): with B = B̂/S² on the integer Killing
-        rows, one integer solve B̂·E = S·r, whose nondegeneracy (checked
-        here) makes E unique. An exact check of the integer bracket [E, e_i]
-        on every basis vector, with E = X/d over the lcm of its
-        denominators, then decides whether E exists.
+        rows, one integer solve B̂·E = S·r. B̂ must have full rank, which
+        makes E unique; otherwise StructureError ("Killing form is
+        degenerate"). An exact check of the integer bracket [E, e_i] on
+        every basis vector, with E = X/d over the lcm of its denominators,
+        then decides whether E exists; otherwise StructureError ("no
+        grading element exists"). The check passes exactly when the grades
+        are additive (see the module docstring).
         """
-        self._check_killing_nondegenerate()
+        rows = self._killing_rows[1]
+        if linalg.rank(rows) != self.dim:
+            raise StructureError("Killing form is degenerate")
         scale, r = self.grading_covector_scaled(range(self.dim))
-        den, (nums,) = linalg.solve_scaled(self._killing_rows[1],
-                                           [[scale * v for v in r]])
+        den, (nums,) = linalg.solve_scaled(rows, [[scale * v for v in r]])
         e = AlgebraElement._from_integers(self, den, nums)
         table = self._scaled_table[1]
         d, es = e.scaled()
@@ -527,44 +538,27 @@ class GradedLieAlgebra:
         """Check exactly the invariants that depend on the grade labels and
         on the choice of algebra; raises StructureError.
 
-        These are grading additivity, generation of the negative part by
-        grade −1 and a nondegenerate Killing form. Antisymmetry and Jacobi
-        need no check: `from_matrices` proved them (see there).
+        These are a nondegenerate Killing form and a grading element,
+        both checked by `grading_element`, which together are grading
+        additivity (see the module docstring), and then generation of the
+        negative part by grade −1. E comes first because the generation
+        check reads blocks of ad(e_i) off the table, which is sound only on
+        an additive table. Antisymmetry and Jacobi need no check:
+        `from_matrices` proved them (see there).
         """
-        self._check_grading_additivity()
+        self.grading_element
         self._check_generated_by_first_negative()
-        self._check_killing_nondegenerate()
         return self
-
-    def _check_grading_additivity(self):
-        for i, row in self._scaled_table[1].items():
-            for j, entries in row.items():
-                g = self.grade[i] + self.grade[j]
-                for l, _ in entries:
-                    if abs(g) > self.k or self.grade[l] != g:
-                        raise StructureError(
-                            f"grading additivity fails: [{self.basis_names[i]},"
-                            f"{self.basis_names[j]}] has grade-{self.grade[l]} support"
-                        )
 
     def _check_generated_by_first_negative(self):
         """[g_-1, g_-(d-1)] = g_-d for d = 2..k, which by induction on d
         says that grade −1 generates the negative part. The integer blocks
-        ad(e_i) come from the table, sound once grading additivity holds."""
+        ad(e_i) come from the table, sound once the grading element exists."""
         for d in range(2, self.k + 1):
             columns = [col for i in self.indices_of_grade(-1)
                        for col in zip(*self.ad_block_scaled((1, {i: 1}), 1 - d, -d)[1])]
             if linalg.rank(columns) != len(self.indices_of_grade(-d)):
                 raise StructureError("negative part is not generated by grade -1")
-
-    @cached_property
-    def _killing_rank(self):
-        # shared by validate() and grading_element, which both need it
-        return linalg.rank(self._killing_rows[1])
-
-    def _check_killing_nondegenerate(self):
-        if self._killing_rank != self.dim:
-            raise StructureError("Killing form is degenerate")
 
     def __repr__(self):
         return f"GradedLieAlgebra({self.family}{self.params}, dim={self.dim}, k={self.k})"

@@ -145,9 +145,8 @@ def _algebra_verify(payload):
     # "exact" for antisymmetry and jacobi holds by construction: the build
     # reconstructed every matrix bracket exactly from its coordinates in a
     # linearly independent basis, so the table is that of a matrix Lie
-    # algebra. validate() re-runs the other three checks so that the
-    # report is a statement about this run.
-    algebra.validate()
+    # algebra. The build ran validate(), which decided the other three in
+    # this run.
     return {
         "command": "algebra-verify",
         "family": algebra.family,
@@ -169,23 +168,19 @@ def _classify(payload):
     with at_path("element"):
         datum = HolonomyDatum(algebra, element)
     result = classify(datum)
-    body = result.to_json_dict()
-    witness = result.witness
-    return {
+    report = {
         "command": "classify",
         "family": algebra.family,
         "params": list(algebra.params),
         "element": element_to_named_json(element,
                                          grades=range(0, algebra.k + 1)),
-        "verdict": body["verdict"],
-        "weyl_reducible": body["weyl_reducible"],
-        "witness": (None if witness is None else
-                    element_to_named_json(witness,
-                                          grades=range(1, algebra.k + 1))),
-        "certificate": body["certificate"],
-        "exact": body["exact"],
-        "residual": body["residual"],
+        **result.to_json_dict(),
     }
+    if result.witness is not None:
+        # named, in place of the coefficient list
+        report["witness"] = element_to_named_json(
+            result.witness, grades=range(1, algebra.k + 1))
+    return report
 
 
 def _flat_classify(payload):

@@ -55,7 +55,7 @@ def build_conformal(p, q):
     names, grades, mats = zip(*basis)
 
     algebra = GradedLieAlgebra.from_matrices(
-        names, grades, mats, k=1, family="conformal", params=(p, q)
+        names, grades, mats, family="conformal", params=(p, q)
     )
     algebra.validate()
     if algebra.grading_element != algebra.basis_element("D"):
@@ -104,7 +104,7 @@ def build_cr(n):
         _check_su_conditions(mat, form, m, name)
 
     algebra = GradedLieAlgebra.from_matrices(
-        names, grades, mats, k=2, family="cr", params=(n,)
+        names, grades, mats, family="cr", params=(n,)
     )
     algebra.validate()
     if algebra.grading_element != algebra.basis_element("E"):

@@ -119,7 +119,7 @@ def test_grading_element_rejects_grades_that_are_no_grading(so41):
     p1, k1 = so41.basis_index("P_1"), so41.basis_index("K_1")
     grades[p1], grades[k1] = grades[k1], grades[p1]
     relabelled = _relabelled(so41, grades)
-    relabelled._check_killing_nondegenerate()
+    assert linalg.rank(relabelled._killing_rows[1]) == relabelled.dim
     with pytest.raises(StructureError, match="no grading element"):
         relabelled.grading_element
 
@@ -523,7 +523,7 @@ def _mixed_conformal21():
     base = build_conformal(2, 1)
     return GradedLieAlgebra.from_matrices(
         base.basis_names, base.grade, [sparse_matrix(m) for m in _mixed_matrices(base)],
-        base.k, base.family, base.params)
+        base.family, base.params)
 
 
 @pytest.mark.parametrize("maker", [
@@ -671,7 +671,7 @@ def test_mixed_denominators_match_fraction_reference():
     base = build_conformal(2, 1)
     matrices = _mixed_matrices(base)
     algebra = GradedLieAlgebra.from_matrices(
-        base.basis_names, base.grade, [sparse_matrix(m) for m in matrices], base.k,
+        base.basis_names, base.grade, [sparse_matrix(m) for m in matrices],
         base.family, base.params)
     # Ĝ = 84²·G, and its inverse G⁻¹/84² is not integer
     assert algebra.realization._scale == 84
@@ -696,7 +696,7 @@ def test_span_check_matches_fraction_reference_on_mixed_denominators():
     def construct(moved):
         return GradedLieAlgebra.from_matrices(
             base.basis_names, base.grade, [sparse_matrix(m) for m in moved],
-            base.k, base.family, base.params)
+            base.family, base.params)
 
     for _ in range(6):
         k, l = rng.sample(range(len(matrices)), 2)
@@ -771,7 +771,7 @@ def test_table_is_invariant_under_unimodular_conjugation(maker, params):
     def construct(matrices):
         return GradedLieAlgebra.from_matrices(
             algebra.basis_names, algebra.grade, [sparse_matrix(m) for m in matrices],
-            algebra.k, algebra.family, algebra.params)
+            algebra.family, algebra.params)
 
     first, *rest = [sparse_matrix(m) for m in conjugated]
     assert any(sum(v * m.get(pos, 0) for pos, v in first.items()) for m in rest)
@@ -793,7 +793,7 @@ def test_products_that_cancel_give_no_table_entry():
     # of nonzero products that cancel, and only [X, H] = −2X is left
     algebra = GradedLieAlgebra.from_matrices(
         ["X", "H", "I"], [1, 0, 0], [{(0, 1): 1}, {(0, 0): 1, (1, 1): -1},
-                                     {(0, 0): 1, (1, 1): 1}], 1, "gl", (2,))
+                                     {(0, 0): 1, (1, 1): 1}], "gl", (2,))
     assert algebra._scaled_table == (1, {0: {1: ((0, -2),)}, 1: {0: ((0, 2),)}})
 
 
@@ -803,7 +803,7 @@ def test_a_bracket_off_every_basis_position_leaves_the_span():
     # its norm is 2
     with pytest.raises(StructureError, match="matrix brackets leave the span of the basis"):
         GradedLieAlgebra.from_matrices(
-            ["X", "Y"], [1, -1], [{(0, 1): 1}, {(1, 0): 1}], 1, "gl", (2,))
+            ["X", "Y"], [1, -1], [{(0, 1): 1}, {(1, 0): 1}], "gl", (2,))
 
 
 def test_exp_ad_rejects_an_argument_from_another_algebra(so41):
@@ -841,7 +841,7 @@ def test_from_matrices_rejects_brackets_leaving_the_span():
     # [E_12, E_21] = H is not in span{E_12, E_21}
     with pytest.raises(StructureError):
         GradedLieAlgebra.from_matrices(
-            ["X", "Y"], [1, -1], [{(0, 1): 1}, {(1, 0): 1}], 1, "gl", (2,),
+            ["X", "Y"], [1, -1], [{(0, 1): 1}, {(1, 0): 1}], "gl", (2,),
         )
 
 
@@ -881,7 +881,7 @@ def test_from_matrices_rejects_a_linearly_dependent_basis():
     # a basis
     with pytest.raises(StructureError):
         GradedLieAlgebra.from_matrices(
-            ["X", "Y"], [1, 1], [{(0, 1): 1}, {(0, 1): 2}], 1, "gl", (2,),
+            ["X", "Y"], [1, 1], [{(0, 1): 1}, {(0, 1): 2}], "gl", (2,),
         )
 
 
@@ -898,7 +898,7 @@ _X, _Y, _H = {(0, 1): 1}, {(1, 0): 1}, {(0, 0): 1, (1, 1): -1}
 ])
 def test_from_matrices_rejects_malformed_input(names, grades, matrices):
     with pytest.raises(StructureError):
-        GradedLieAlgebra.from_matrices(names, grades, matrices, 1, "gl", (2,))
+        GradedLieAlgebra.from_matrices(names, grades, matrices, "gl", (2,))
 
 
 @pytest.mark.parametrize("value", [
@@ -913,7 +913,7 @@ def test_matrix_entries_must_be_exact(value):
     the binary fraction it stands for."""
     with pytest.raises(DomainError):
         GradedLieAlgebra.from_matrices(
-            ["X", "Y", "H"], [1, -1, 0], [{(0, 1): value}, _Y, _H], 1, "sl", (2,))
+            ["X", "Y", "H"], [1, -1, 0], [{(0, 1): value}, _Y, _H], "sl", (2,))
 
 
 def _matrices(algebra):
@@ -926,17 +926,17 @@ def _relabelled(algebra, grades):
     """The algebra rebuilt from its own matrices under other grade labels."""
     return GradedLieAlgebra.from_matrices(
         algebra.basis_names, grades, [sparse_matrix(m) for m in _matrices(algebra)],
-        algebra.k, algebra.family, algebra.params)
+        algebra.family, algebra.params)
 
 
-def _with_central_vector(algebra, grade, k=None):
+def _with_central_vector(algebra, grade):
     """The algebra plus a central vector C of the given grade: each basis
     matrix gets a zero 1x1 block, and C is the unit 1x1 block."""
     size = algebra.realization.size
     matrices = [sparse_matrix(m) for m in _matrices(algebra)] + [{(size, size): 1}]
     return GradedLieAlgebra.from_matrices(
         algebra.basis_names + ("C",), algebra.grade + (grade,), matrices,
-        k or algebra.k, algebra.family, algebra.params)
+        algebra.family, algebra.params)
 
 
 def _dense(algebra):
@@ -950,7 +950,7 @@ def _from_adjoint(algebra, structure):
                for i in range(dim)]
     return GradedLieAlgebra.from_matrices(
         algebra.basis_names, algebra.grade, [sparse_matrix(m) for m in adjoint],
-        algebra.k, algebra.family, algebra.params)
+        algebra.family, algebra.params)
 
 
 def test_from_matrices_rejects_a_jacobi_violation():
@@ -1003,10 +1003,48 @@ def test_adjoint_matrices_rebuild_the_table(maker):
 
 
 def test_validate_rejects_a_negative_part_not_generated_by_grade_minus_one():
-    # so(3,1) plus a central grade -2 vector, which no bracket of grade -1 reaches
-    algebra = _with_central_vector(build_conformal(2, 0), -2, k=2)
+    # sl(2) with F, H, E at grades -2, 0, 2: additive, a nondegenerate
+    # Killing form and grading element H, but g_-1 = 0 reaches no g_-2
+    algebra = GradedLieAlgebra.from_matrices(
+        ["F", "H", "E"], [-2, 0, 2], [_Y, _H, _X], "sl", (2,))
+    assert algebra.k == 2
+    assert algebra.grade_dims() == (1, 0, 1, 0, 1)
+    assert algebra.grading_element == algebra.basis_element("H")
     with pytest.raises(StructureError, match="negative part is not generated by grade -1"):
         algebra.validate()
+    # so(3,1) plus a central grade -2 vector, which no bracket of grade -1
+    # reaches either; its Killing form is degenerate as well
+    with pytest.raises(StructureError):
+        _with_central_vector(build_conformal(2, 0), -2).validate()
+
+
+def test_validate_refuses_every_moved_or_swapped_grade_label():
+    """Grading additivity comes from the grading element check alone. Each
+    basis vector moved to each other grade in [-k, k], and each pair of
+    basis vectors of different grades swapped, breaks additivity: 248
+    relabellings of conformal(2,0), conformal(1,1), cr(1) and cr(2). The
+    Killing form does not depend on the labels, so validate() must refuse
+    each one for want of a grading element, not let the generation check
+    read a table that is not additive."""
+    count = 0
+    for algebra in (build_conformal(2, 0), build_conformal(1, 1), build_cr(1), build_cr(2)):
+        matrices = [sparse_matrix(m) for m in _matrices(algebra)]
+        grades = algebra.grade
+        relabellings = [grades[:i] + (h,) + grades[i + 1:]
+                        for i, g in enumerate(grades)
+                        for h in range(-algebra.k, algebra.k + 1) if h != g]
+        for i, j in itertools.combinations(range(algebra.dim), 2):
+            if grades[i] != grades[j]:
+                swapped = list(grades)
+                swapped[i], swapped[j] = grades[j], grades[i]
+                relabellings.append(tuple(swapped))
+        for moved in relabellings:
+            relabelled = GradedLieAlgebra.from_matrices(
+                algebra.basis_names, moved, matrices, algebra.family, algebra.params)
+            with pytest.raises(StructureError, match="no grading element exists"):
+                relabelled.validate()
+        count += len(relabellings)
+    assert count == 248
 
 
 def test_validate_rejects_a_degenerate_killing_form():
