@@ -302,12 +302,12 @@ class GradedLieAlgebra:
     def basis_element(self, name_or_index):
         i = (name_or_index if isinstance(name_or_index, int)
              else self.basis_index(name_or_index))
-        coeffs = [ZERO] * self.dim
-        coeffs[i] = Fraction(1)
-        return AlgebraElement(self, coeffs)
+        nums = [0] * self.dim
+        nums[i] = 1
+        return AlgebraElement._from_integers(self, 1, nums)
 
     def zero(self):
-        return AlgebraElement(self, [ZERO] * self.dim)
+        return AlgebraElement._from_integers(self, 1, [0] * self.dim)
 
     def element(self, named):
         """Element from a {basis name: coefficient} mapping."""

@@ -20,18 +20,31 @@ equation on constant frame fields (zero by construction), and the float
 ones, flow equivariance in exponential coordinates
 (`equivariance_residuals` also returns each sample's datum) and commutation
 of the holonomy flow with the exponential-coordinate Weyl section in the
-witness gauge (`weyl_section_check`, which reads the holonomy datum alone).
-No module but this one and the identity suite built on it computes in
-floats. Every flat-model group element exp(m) of a grade -1 or grade 1
+witness gauge (`weyl_section_residuals`, which reads the holonomy data
+alone). No module but this one and the identity suite built on it computes
+in floats. Every flat-model group element exp(m) of a grade -1 or grade 1
 element (a translation, the witness factor exp(±Z), a Weyl-section sample)
 is the float closed form I + m + m²/2 (`_exp_grade_one`): the realization
 on R^{n+2} has three grade levels, so m³ = 0. Every flow is classical
 fixed-step RK4; a linear flow (`holonomy_flow`, the bundle flow) is a power
-of the one-step matrix. The chart flows of many fields run as one stacked
-RK4 (`_integrate_chart_flow` on `_field_values`, the one float copy of the
-field formula), so the identity suite integrates all its equivariance
-samples together. The float code imports numpy when called, so the exact
-paths (construction, `evaluate`, `holonomy_at`, `classify_at`,
+of the one-step matrix.
+
+Both float checks run on stacks, with a number of numpy calls that does
+not grow with the number of samples; the single checks
+(`equivariance_check`, `weyl_section_check`) are their batches of one.
+The field formula is homogeneous in u = (x, 1): X(x) = ((T·u)·u)[:n] for
+one (n+1)×(n+1)×(n+1) array T per field (`_field_tensors`, the one float
+copy of the formula, which `evaluate_float` reads too), whose last row is
+zero, so u's last entry stays 1. The chart flows of many fields run as
+one RK4 on the column stack of their u (`_integrate_chart_flow`), each
+stage two matrix products (`_field_values`); the stack of T holds
+m·(n+1)³ doubles for m fields, 10.6 MB at n = 21 and m = 125. The
+Weyl-section pass classifies each datum once for its witness, then
+forms every datum's bundle flow and every sample offset's group element
+as stacks and reads all their chart points and positive parts at once
+(`_chart_of_group_points`, `_positive_offsets`, one `np.linalg.solve`).
+The float code imports numpy when called, so the exact paths
+(construction, `evaluate`, `holonomy_at`, `classify_at`,
 `tractor_derivative`) run on the standard library alone.
 """
 
@@ -176,11 +189,10 @@ class FlatConformalField:
         return tuple(out)
 
     def evaluate_float(self, points):
-        """Float values at the rows of an m×n array of points: the stacked
-        formula `_field_values` on a stack of this one field."""
-        import numpy as np
-
-        return _field_values(_float_fields([self]), np.asarray(points, dtype=float))
+        """Float values at the rows of an m×n array of points: the
+        contraction `_field_values` of this one field's tensor with the
+        columns (x, 1)."""
+        return _field_values(_field_tensors([self]), _columns(points))[:, :self.n, 0]
 
     def is_singular_at(self, point):
         """Whether the field vanishes at the point, decided exactly."""
@@ -360,39 +372,58 @@ def _excerpt(t):
     return text if len(text) <= 24 else f"{text[:8]}... ({len(text)} characters)"
 
 
-def _float_fields(fields):
-    """Float parts a, A, s, b and the metric of a stack of fields of one
-    signature, each stacked along a first axis; s and the metric are n
-    copies wide, so that every product in `_field_values` is row by row."""
-    import numpy as np
+def _field_tensors(fields):
+    """The stacked field formula as one homogeneous quadratic form each.
 
-    return (np.array([[float(v) for v in f.a] for f in fields]),
-            np.array([[[float(v) for v in row] for row in f.linear] for f in fields]),
-            np.array([[float(f.s)] * f.n for f in fields]),
-            np.array([[float(v) for v in f.b] for f in fields]),
-            np.array([[float(v) for v in f.metric] for f in fields]))
+    With u = (x, 1), X(x) = ((T·u)·u)[:n] for the (n+1)×(n+1)×(n+1) array
+    T[i, j, l] of each field: T[i, n, n] = a_i, T[i, j, n] = (A + sI)_ij,
+    T[i, j, j] += <e_j,e_j> b_i and T[i, i, j] += -2 <e_j,e_j> b_j, which
+    is a + (A + sI)x + <x,x> b - 2<b,x> x. The last row is zero, so u's last
+    entry stays exactly 1 under every RK4 step. Returned as one
+    (m, (n+1)², n+1) array for a stack of m fields of one signature, the
+    layout `_field_values` contracts.
 
-
-def _field_values(parts, x):
-    """X_k(x_k) = a_k + A_k x_k + s_k x_k + <x_k,x_k> b_k - 2<b_k,x_k> x_k at
-    each row x_k of the array x, for the stacked parts of `_float_fields`.
-
-    The only float copy of the field formula. A stack of one field
-    broadcasts over every row.
+    The only float copy of the field formula.
     """
     import numpy as np
 
-    a, lin, s, b, met = parts
-    mx = met * x
-    xx = np.add.reduce(mx * x, axis=1, keepdims=True)
-    bx = np.add.reduce(mx * b, axis=1, keepdims=True)
-    return a + np.matmul(lin, x[:, :, None])[:, :, 0] + s * x + xx * b - 2.0 * bx * x
+    n = fields[0].n
+    a = np.array([[float(v) for v in f.a] for f in fields])
+    lin = np.array([[[float(v) for v in row] for row in f.linear] for f in fields])
+    s = np.array([float(f.s) for f in fields])
+    b = np.array([[float(v) for v in f.b] for f in fields])
+    met = np.array([float(v) for v in fields[0].metric])
+    idx = np.arange(n)
+    tensor = np.zeros((len(fields), n + 1, n + 1, n + 1))
+    tensor[:, :n, n, n] = a
+    tensor[:, :n, :n, n] = lin + s[:, None, None] * np.eye(n)
+    tensor[:, :n, idx, idx] = b[:, :, None] * met
+    tensor[:, idx, idx, :n] += -2.0 * met * b[:, None, :]
+    return tensor.reshape(len(fields), (n + 1) ** 2, n + 1)
+
+
+def _columns(points):
+    """The (m, n+1, 1) stack of columns (x, 1) for the rows x of an m×n
+    array of points."""
+    import numpy as np
+
+    x = np.asarray(points, dtype=float)
+    return np.concatenate([x, np.ones((len(x), 1))], axis=1)[:, :, None]
+
+
+def _field_values(tensors, u):
+    """(T_k·u_k)·u_k for each column u_k = (x_k, 1) of the (m, n+1, 1)
+    stack u: X_k(x_k) in the first n entries and 0 in the last. A stack of
+    one field broadcasts over every column."""
+    m, size, _ = u.shape
+    return (tensors @ u).reshape(m, size, size) @ u
 
 
 def _integrate_chart_flow(fields, starts, t):
     """Classical fixed-step RK4 for the chart ODEs x_k' = X_k(x_k) of a stack
     of fields of one signature, run together from the rows of `starts` to
-    time t. The identity suite's equivariance samples take this one run.
+    time t, on the columns u_k = (x_k, 1) of `_field_values`. The identity
+    suite's equivariance samples take this one run.
 
     Returns the end points and, for each row, None or the time of the step
     at which it left the chart: a norm above CHART_NORM_LIMIT, or a point
@@ -401,18 +432,20 @@ def _integrate_chart_flow(fields, starts, t):
     """
     import numpy as np
 
-    parts = _float_fields(fields)
-    x = np.array(starts, dtype=float)
+    tensors = _field_tensors(fields)
+    u = _columns(starts)
+    n = u.shape[1] - 1
     n_steps = _step_count(t)
     h = float(t) / n_steps
-    escape_times = [None] * len(x)
+    escape_times = [None] * len(u)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            k1 = _field_values(parts, x)
-            k2 = _field_values(parts, x + 0.5 * h * k1)
-            k3 = _field_values(parts, x + 0.5 * h * k2)
-            k4 = _field_values(parts, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = _field_values(tensors, u)
+            k2 = _field_values(tensors, u + 0.5 * h * k1)
+            k3 = _field_values(tensors, u + 0.5 * h * k2)
+            k4 = _field_values(tensors, u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            x = u[:, :n, 0]
             # NaN compares False, so a non-finite row is outside too
             inside = np.add.reduce(x * x, axis=1) <= CHART_NORM_LIMIT ** 2
             if not inside.all():
@@ -470,20 +503,21 @@ def _exp_grade_one(m):
     return np.eye(m.shape[-1]) + m + (m @ m) / 2.0
 
 
-def _chart_of_group_point(g):
-    """Chart coordinates of g·(base point), via homogeneous coordinates.
-
-    A non-finite point, or a homogeneous scale too small to divide by, has
-    left the chart.
-    """
+def _chart_of_group_points(gs):
+    """Chart coordinates of g·(base point) for each g of a stack, via
+    homogeneous coordinates, and for each whether it left the chart: a
+    non-finite point, or a homogeneous scale too small to divide by. The
+    point of a row that left reads 0."""
     import numpy as np
 
-    col = g[:, 0]
-    scale = col[0]
-    if (not np.isfinite(col).all()
-            or abs(scale) < CHART_HOMOGENEOUS_TOL * max(1.0, float(np.linalg.norm(col)))):
-        raise ChartEscapeError("group point left the chart")
-    return col[1:-1] / scale
+    cols = gs[:, :, 0]
+    scale = cols[:, 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        escaped = ~np.isfinite(cols).all(axis=1) | (
+            np.abs(scale) < CHART_HOMOGENEOUS_TOL
+            * np.maximum(1.0, np.linalg.norm(cols, axis=1)))
+        points = cols[:, 1:-1] / scale[:, None]
+    return np.where(escaped[:, None], 0.0, points), escaped
 
 
 def equivariance_check(field, base_point, direction, t):
@@ -521,7 +555,7 @@ def equivariance_residuals(samples, base_point, t):
 
     algebra = samples[0][0].algebra
     x0 = vector_from_json(base_point, "point")
-    data, rhos, exp_ys, starts = [], [], [], []
+    data, rhos, rho_ys, starts = [], [], [], []
     for field, direction in samples:
         if field.algebra is not algebra:
             raise DomainError("sample fields belong to different algebras")
@@ -531,27 +565,27 @@ def equivariance_residuals(samples, base_point, t):
         data.append(datum)
         y = algebra.grade_coords(direction, -1)
         rhos.append(_rho(datum.x))
-        exp_ys.append(_exp_grade_one(_rho(direction)))
+        rho_ys.append(_rho(direction))
         starts.append([float(v) + float(yi) for v, yi in zip(x0, y)])
     lhs, escape_times = _integrate_chart_flow([f for f, _ in samples], starts, t)
 
     u = _exp_grade_one(_rho(translation_element(algebra, x0)))
     # for large |t| these products overflow; the non-finite group point
-    # that results is rejected below as a chart escape
+    # that results is read below as a chart escape
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs_groups = u @ _linear_flow(np.array(rhos), t) @ np.array(exp_ys)
+        rhs_groups = (u @ _linear_flow(np.array(rhos), t)
+                      @ _exp_grade_one(np.array(rho_ys)))
+        rhs, escaped = _chart_of_group_points(rhs_groups)
+        residuals = np.max(np.abs(lhs - rhs), axis=1).tolist()
     results = []
-    for x, escape_time, group in zip(lhs, escape_times, rhs_groups):
+    for escape_time, out, residual in zip(escape_times, escaped.tolist(), residuals):
         if escape_time is not None:
             results.append(ChartEscapeError("flow left the chart",
                                             escape_time=escape_time))
-            continue
-        try:
-            rhs = _chart_of_group_point(group)
-        except ChartEscapeError as err:
-            results.append(err)
-            continue
-        results.append(float(np.max(np.abs(x - rhs))))
+        elif out:
+            results.append(ChartEscapeError("group point left the chart"))
+        else:
+            results.append(residual)
     return results, data
 
 
@@ -563,29 +597,69 @@ def weyl_section_check(datum, t, n_samples=5, sample_scale=0.15):
 
     Requires X conjugate into grade 0 (Inessential or WeylReducible);
     otherwise no Weyl structure is preserved and the check refuses.
+
+    A batch of one of `weyl_section_residuals`.
+    """
+    (result,) = weyl_section_residuals([datum], t, n_samples, sample_scale)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def weyl_section_residuals(data, t, n_samples=5, sample_scale=0.15):
+    """`weyl_section_check` for a list of data of one conformal algebra, in
+    one stacked pass: one `classify` per datum for its witness, then one
+    stacked bundle flow, one product with every sample offset's group
+    element and one stacked positive-part reading (`_positive_offsets`).
+
+    Returns, for each datum, its residual or the error that
+    `weyl_section_check` raises for it: WeylSectionInapplicableError
+    without a witness, or the ChartEscapeError of its first sample (in
+    offset order) that fails to factor. An argument that is wrong for any
+    datum (an algebra that is not conformal, no sample, a t over the step
+    budget) raises at once, and so would the LinAlgError of a singular
+    grade-0 block, which a parabolic group element does not have.
     """
     import numpy as np
 
-    algebra = datum.algebra
-    if algebra.family != "conformal":
+    if any(datum.algebra.family != "conformal" for datum in data):
         raise DomainError("the Weyl-section check requires a conformal algebra")
     if n_samples < 1:
         raise DomainError("the Weyl-section check needs at least one sample")
-    witness = classify(datum).witness
-    if witness is None:
-        raise WeylSectionInapplicableError(
-            "holonomy is not conjugate into the grade-0 part; no local "
-            "Weyl structure is preserved"
-        )
+    if len({id(datum.algebra) for datum in data}) > 1:
+        raise DomainError("Weyl-section data belong to different algebras")
+    results, xs, zs = [], [], []
+    for datum in data:
+        witness = classify(datum).witness
+        if witness is None:
+            results.append(WeylSectionInapplicableError(
+                "holonomy is not conjugate into the grade-0 part; no local "
+                "Weyl structure is preserved"))
+            continue
+        results.append(None)
+        xs.append(_rho(datum.x))
+        zs.append(_rho(witness))
+    if not xs:
+        return results
+    algebra = data[0].algebra
     n = sum(algebra.params)
-    z = _rho(witness)
     rho_p = np.array([_rho(algebra.basis_element(f"P_{i + 1}")) for i in range(n)])
+    offsets = np.array(_sample_offsets(n, n_samples, sample_scale))
+    z = np.array(zs)
 
-    # the right-invariant bundle ODE G' = rho(X)·G, in the witness gauge
-    flow = _exp_grade_one(z) @ _linear_flow(_rho(datum.x), t) @ _exp_grade_one(-z)
-    return max(_positive_offset(flow @ _exp_grade_one(np.tensordot(offset, rho_p, 1)),
-                                rho_p, n)
-               for offset in _sample_offsets(n, n_samples, sample_scale))
+    # the right-invariant bundle ODE G' = rho(X)·G, in the witness gauge,
+    # times each offset's group element: q[k, j] = flow_k·exp(offset_j)
+    flows = _exp_grade_one(z) @ _linear_flow(np.array(xs), t) @ _exp_grade_one(-z)
+    qs = flows[:, None] @ _exp_grade_one(np.tensordot(offsets, rho_p, 1))
+    size = qs.shape[-1]
+    offs = iter(_positive_offsets(qs.reshape(-1, size, size), rho_p, n))
+    for k, result in enumerate(results):
+        if result is None:
+            # as one sample after the other: the first that fails raises
+            row = [next(offs) for _ in range(n_samples)]
+            escape = next((v for v in row if isinstance(v, ChartEscapeError)), None)
+            results[k] = max(row) if escape is None else escape
+    return results
 
 
 def _sample_offsets(n, n_samples, scale):
@@ -603,23 +677,33 @@ def _sample_offsets(n, n_samples, scale):
     return offsets[:n_samples]
 
 
-def _positive_offset(q, rho_p, n):
-    """Positive-part size of the Bruhat factorization q = exp(ŷ)·g0·exp(n̂₊).
+def _positive_offsets(qs, rho_p, n):
+    """Positive-part size of the Bruhat factorization q = exp(ŷ)·g0·exp(n̂₊)
+    for each q of a stack, or the ChartEscapeError of a q that does not
+    factor.
 
     Factors the chart part off with the realization's own translation
     matrices, then reads the positive block of the remaining parabolic
-    element. Anything that fails to factor (lower-left leakage) counts
-    toward the defect as well.
+    element, all the stack's blocks in one solve. Anything that fails to
+    factor (lower-left leakage) counts toward the defect as well.
     """
     import numpy as np
 
-    y = _chart_of_group_point(q)
-    q2 = _exp_grade_one(-np.tensordot(y, rho_p, 1)) @ q
-    c = q2[0, 0]
-    if abs(c) < CHART_HOMOGENEOUS_TOL:
-        raise ChartEscapeError("parabolic factor degenerated")
-    q2 = q2 / c
-    r_block = q2[1:n + 1, 1:n + 1]
-    b = np.linalg.solve(r_block, q2[1:n + 1, n + 1])
-    leakage = float(np.max(np.abs(q2[1:, 0])))
-    return max(float(np.max(np.abs(b))), leakage)
+    ys, escaped = _chart_of_group_points(qs)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q2 = _exp_grade_one(-np.tensordot(ys, rho_p, 1)) @ qs
+        c = q2[:, 0, 0]
+        degenerate = ~escaped & (np.abs(c) < CHART_HOMOGENEOUS_TOL)
+        # a row that does not factor solves I·b = 0 in its place
+        ok = ~(escaped | degenerate)
+        q2 = np.where(ok[:, None, None], q2 / np.where(ok, c, 1.0)[:, None, None], 0.0)
+        b = np.linalg.solve(
+            np.where(ok[:, None, None], q2[:, 1:n + 1, 1:n + 1], np.eye(n)),
+            q2[:, 1:n + 1, n + 1:n + 2])
+        positive = np.max(np.abs(b), axis=(1, 2)).tolist()
+        leakage = np.max(np.abs(q2[:, 1:, 0]), axis=1).tolist()
+    return [ChartEscapeError("group point left the chart") if out
+            else ChartEscapeError("parabolic factor degenerated") if degen
+            else max(pos, leak)
+            for out, degen, pos, leak in zip(escaped.tolist(), degenerate.tolist(),
+                                             positive, leakage)]

@@ -12,13 +12,16 @@ The structure equation is taken on constant frame fields, where it
 vanishes by construction. A wrong coefficient in the field formula shows
 as an equivariance residual far above its bound.
 
-The suite calls public `flat` checks only. It draws all its equivariance
-samples first, in seeded order, and integrates their chart flows in one
-stacked RK4 run (`flat.equivariance_residuals`), which also returns each
-sample's datum at the base point. It then walks them in draw order: it
-raises sample k's chart escape before the Weyl-section check of sample k,
-so a run ends with the error that checking one sample after the other
-would raise, and hands sample k's datum to `flat.weyl_section_check`.
+The suite calls public `flat` checks only, each once, on stacks. It draws
+all its equivariance samples first, in seeded order, and integrates their
+chart flows in one stacked RK4 run (`flat.equivariance_residuals`), which
+also returns each sample's datum at the base point. It hands the data of
+the samples before the first chart escape to one Weyl-section pass
+(`flat.weyl_section_residuals`): those are the checks that one sample
+after the other would reach. It then reads the results in draw order, so
+a run ends with the error that checking one sample after the other would
+raise: a Weyl-section escape of an earlier sample, else the first chart
+escape.
 """
 
 import random
@@ -31,7 +34,7 @@ from .flat import (
     curvature_check,
     equivariance_residuals,
     tractor_derivative,
-    weyl_section_check,
+    weyl_section_residuals,
 )
 from .sampling import random_element, random_p_element
 
@@ -109,22 +112,24 @@ def run_flat_identity_suite(p=3, q=0, samples=20, seed=42, t=0.1, algebra=None):
         direction = algebra.basis_element(f"P_{rng.randint(1, n)}")
         draws.append((FlatConformalField(algebra, xi), direction))
     equivariance, data = equivariance_residuals(draws, [0] * n, t)
+    # the Weyl-section checks that one check after the other would reach:
+    # those of the samples before the first chart escape, in one pass
+    escaped = next((k for k, r in enumerate(equivariance)
+                    if isinstance(r, ChartEscapeError)), len(equivariance))
+    weyl = weyl_section_residuals(data[:escaped], t)
 
-    equiv_worst = 0.0
+    equiv_worst = max([0.0, *equivariance[:escaped]])
     weyl_worst = 0.0
     weyl_cases = 0
-    for residual, datum in zip(equivariance, data):
-        # sample k's chart escape comes before sample k's Weyl-section check,
-        # as in one check after the other
+    for residual in weyl:
         if isinstance(residual, ChartEscapeError):
             raise residual
-        equiv_worst = max(equiv_worst, residual)
-        try:
-            weyl = weyl_section_check(datum, t)
-        except WeylSectionInapplicableError:
+        if isinstance(residual, WeylSectionInapplicableError):
             continue
-        weyl_worst = max(weyl_worst, weyl)
+        weyl_worst = max(weyl_worst, residual)
         weyl_cases += 1
+    if escaped < len(equivariance):
+        raise equivariance[escaped]
 
     residuals = {
         "conformal_killing": ckv_worst,

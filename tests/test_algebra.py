@@ -112,6 +112,25 @@ def test_grading_element_names(so41, su21):
     assert su21.grading_element == su21.basis_element("E")
 
 
+@pytest.mark.parametrize("maker", [lambda: build_conformal(3, 0), lambda: build_cr(2)],
+                         ids=["conformal(3,0)", "cr(2)"])
+def test_basis_element_and_zero_are_the_elements_of_their_coefficients(maker):
+    # both build on integer numerators; the element is the one that a
+    # dim-long list of Fractions gives
+    algebra = maker()
+    for i, name in enumerate(algebra.basis_names):
+        expected = algebra.element_from_coeffs(
+            [Fraction(int(j == i)) for j in range(algebra.dim)])
+        for e in (algebra.basis_element(i), algebra.basis_element(name)):
+            assert (e.den, e.nums) == (expected.den, expected.nums)
+            assert e == expected and hash(e) == hash(expected)
+            assert e.coeffs == expected.coeffs
+    zero = algebra.zero()
+    expected = algebra.element_from_coeffs([Fraction(0)] * algebra.dim)
+    assert (zero.den, zero.nums) == (expected.den, expected.nums) == (1, (0,) * algebra.dim)
+    assert zero == expected and zero.is_zero
+
+
 def test_grading_element_rejects_grades_that_are_no_grading(so41):
     # swapping the grades of P_1 and K_1 keeps the Killing form
     # nondegenerate, but [P_2, K_1] in g_0 would then need grade -2

@@ -22,7 +22,7 @@ from parahol.flat import (
     FlatConformalField,
     _exp_grade_one,
     _integrate_chart_flow,
-    _positive_offset,
+    _positive_offsets,
     _rho,
     _sample_offsets,
     _step_count,
@@ -37,6 +37,7 @@ from parahol.flat import (
     tractor_derivative,
     translation_element,
     weyl_section_check,
+    weyl_section_residuals,
 )
 from parahol.identities import conformal_killing_residual_fd, run_flat_identity_suite
 from parahol.sampling import random_element, random_p_element, random_positive_element
@@ -174,6 +175,24 @@ def test_evaluate_equals_transported_tractor(so41):
         x = [Fraction(rng.randint(-6, 6), 3) for _ in range(3)]
         transported = gauge_tractor(f, x)
         assert list(f.evaluate(x)) == [transported.coeffs[i] for i in idx]
+
+
+@pytest.mark.parametrize("signature", [(1, 1), (2, 1), (3, 0), (2, 2), (6, 0), (21, 0)])
+def test_evaluate_float_matches_exact_evaluate(signature):
+    # the tensor contraction against the exact formula at rational points,
+    # several points in one stack
+    algebra = build_conformal(*signature)
+    n = sum(signature)
+    rng = random.Random(sum(signature) * 13 + signature[1])
+    for _ in range(4):
+        field = FlatConformalField(algebra, random_element(algebra, rng, max_abs=4))
+        points = [[Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 4]))
+                   for _ in range(n)] for _ in range(3)]
+        values = field.evaluate_float([[float(v) for v in x] for x in points])
+        assert values.shape == (3, n)
+        for x, value in zip(points, values):
+            exact = np.array([float(v) for v in field.evaluate(x)])
+            assert np.max(np.abs(value - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_conformal_killing_residual_random(so41):
@@ -661,22 +680,23 @@ def test_suite_raises_the_first_escape_in_draw_order(so41, monkeypatch):
                   so41.element({"D": -400}), so41.basis_element("M_12")])
     monkeypatch.setattr(identities, "random_p_element",
                         lambda algebra, rng, max_abs: next(drawn))
-    weyl_data = []
-    check = identities.weyl_section_check
+    weyl_batches = []
+    check = identities.weyl_section_residuals
 
-    def spy(datum, t):
-        weyl_data.append(datum)
-        return check(datum, t)
+    def spy(data, t):
+        weyl_batches.append(data)
+        return check(data, t)
 
-    monkeypatch.setattr(identities, "weyl_section_check", spy)
+    monkeypatch.setattr(identities, "weyl_section_residuals", spy)
     with pytest.raises(ChartEscapeError) as err:
         run_flat_identity_suite(3, 0, samples=4, seed=0, algebra=so41)
     with pytest.raises(ChartEscapeError) as first:
         equivariance_check(_euler_field(so41, 200), [0, 0, 0],
                            so41.basis_element("P_1"), 0.1)
     assert err.value.escape_time == first.value.escape_time
-    # at the origin a field's datum is the field's own element
-    assert [d.x for d in weyl_data] == [so41.basis_element("M_12")]
+    # at the origin a field's datum is the field's own element; one pass
+    # over the prefix before the first escape
+    assert [[d.x for d in data] for data in weyl_batches] == [[so41.basis_element("M_12")]]
 
 
 def test_suite_transports_and_classifies_each_equivariance_sample_once(so41, monkeypatch):
@@ -736,6 +756,36 @@ def test_weyl_section_refuses_a_cr_datum():
     cr = build_cr(1)
     with pytest.raises(DomainError, match="conformal"):
         weyl_section_check(HolonomyDatum(cr, cr.zero()), 0.1)
+
+
+@pytest.mark.parametrize("signature", [(3, 0), (2, 1)])
+def test_weyl_section_residuals_match_one_check_per_datum(signature):
+    # one pass over a mixed list gives each datum what its own check
+    # returns or raises: a residual, a refusal without a witness, or the
+    # escape of a flow exp(-40 ρ(D)) whose group point leaves the chart
+    algebra = build_conformal(*signature)
+    data = [HolonomyDatum(algebra, algebra.element(named)) for named in (
+        {"M_12": 1}, {"D": 1, "K_1": 1}, {"K_1": 1}, {"D": -400},
+        {"M_12": 1, "K_1": 1}, {"D": Fraction(1, 3), "M_12": 2, "K_2": -1})]
+    assert {classify(datum).verdict for datum in data} == set(Verdict)
+    batch = weyl_section_residuals(data, 0.1)
+    assert len(batch) == len(data)
+    kinds = []
+    for datum, result in zip(data, batch):
+        try:
+            expected = weyl_section_check(datum, 0.1)
+        except (WeylSectionInapplicableError, ChartEscapeError) as err:
+            assert type(result) is type(err) and str(result) == str(err)
+            kinds.append(type(err))
+        else:
+            assert abs(result - expected) < 1e-12
+            kinds.append(float)
+    assert kinds == [float, float, WeylSectionInapplicableError, ChartEscapeError,
+                     float, float]
+
+
+def test_weyl_section_residuals_of_no_data_are_empty(so41):
+    assert weyl_section_residuals([], 0.1) == []
 
 
 @pytest.mark.parametrize("signature,seed", [((3, 0), 0), ((2, 1), 1), ((2, 2), 2)])
@@ -905,15 +955,15 @@ def test_batched_weyl_section_matches_one_run_per_sample(signature, seed, monkey
             break
     seen = []
 
-    def spy(q, rho_p, n):
-        seen.append(q)
-        return _positive_offset(q, rho_p, n)
+    def spy(qs, rho_p, n):
+        seen.extend(qs)
+        return _positive_offsets(qs, rho_p, n)
 
-    monkeypatch.setattr(flat, "_positive_offset", spy)
+    monkeypatch.setattr(flat, "_positive_offsets", spy)
     worst = weyl_section_check(holonomy_at(field, [0] * n), 0.1, n_samples=5)
     reference, rho_p = _weyl_groups_one_run_per_sample(field, 0.1, 5, 0.15)
     assert len(seen) == len(reference) == 5
     for q, q_ref in zip(seen, reference):
         assert np.max(np.abs(q - q_ref)) < 1e-12
-    expected = max(_positive_offset(q, rho_p, n) for q in reference)
+    expected = max(_positive_offsets(np.array(reference), rho_p, n))
     assert abs(worst - expected) < 1e-12
